@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
@@ -57,9 +56,6 @@ def _report(args, payload, bounds=None, input_path=None):
         meta["input_sha256"] = hashlib.sha256(_read(input_path).encode()).hexdigest()
     if bounds:
         meta["bounds"] = bounds
-    threads = os.environ.get("GENTLEFLOW_THREADS")
-    if threads is not None:
-        meta["threads_cap"] = threads
     doc = {"meta": meta, "payload": payload}
     indent = 2 if args.pretty else None
     print(json.dumps(doc, indent=indent, sort_keys=True))
@@ -269,8 +265,7 @@ def cmd_dag_decompose(args):
     violations = dag.validate_framed(g)
     if violations:
         raise DomainError("; ".join(violations))
-    F = dag.DagFlow(g, {e: flows.parse_rational(x)
-                        for e, x in json.loads(_read(args.flow)).items()})
+    F = dag.DagFlow(g, flows.flow_values(json.loads(_read(args.flow))))
     payload = dag.decomposition_json(dag.dag_decompose(F))
     _report(args, payload, input_path=args.file)
     return 0

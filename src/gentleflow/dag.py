@@ -12,9 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import QInterval, parse_rational
+from .flows import (
+    QInterval,
+    marked_trace,
+    parse_rational,
+    scale_to_integers,
+    tile_markings,
+    trail_coefficients,
+)
 from .quiver import DomainError, FringedQuiver, StructuralError, _strip_comment
-from .trails import Band, MarkedTrail, Route, Trail, trail_key
+from .trails import Band, MarkedTrail, Route, SignedArrow, Trail, trail_key
 
 Q = Fraction
 
@@ -195,6 +202,7 @@ class DagFlow:
             vals[e] = parse_rational(x)
         self.values = vals
         self._scaled: tuple[int, dict[str, int]] | None = None
+        self._tiles: dict[str, list[tuple[MarkedTrail, QInterval]]] | None = None
         for e, x in vals.items():
             if x < 0:
                 raise DomainError(f"negative flow on edge {e}")
@@ -208,10 +216,23 @@ class DagFlow:
 
     def scaled(self) -> tuple[int, dict[str, int]]:
         if self._scaled is None:
-            from math import lcm
-            den = lcm(*(x.denominator for x in self.values.values()), 1)
-            self._scaled = (den, {e: int(x * den) for e, x in self.values.items()})
+            self._scaled = scale_to_integers(self.values)
         return self._scaled
+
+    def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
+        """Per edge e, the positive-length marked-trail tiles of [0, F(e)]."""
+        if self._tiles is None:
+            starts = {e: _signed(self.graph, e) for e in sorted(self.values)}
+            self._tiles = tile_markings(
+                self.scaled(), _dag_step_tables(self.graph), starts,
+                lambda e, c: dag_trace_interval(self, e, c),
+                lambda walk: tuple(starts[e] for e, _s in walk))
+        return self._tiles
+
+
+def _signed(g: FramedDirectedGraph, e: str) -> SignedArrow:
+    """A 1-edge is the arrow e of the fringed quiver of g, a 2-edge is e^-1."""
+    return (e, 1 if g.labels[e] == 1 else -1)
 
 
 def _labelled(g: FramedDirectedGraph, edges: list[str]) -> dict[int, str]:
@@ -222,7 +243,9 @@ def _labelled(g: FramedDirectedGraph, edges: list[str]) -> dict[int, str]:
 
 
 def _dag_step_tables(g: FramedDirectedGraph):
-    """(forward, backward) tables: edge -> (b1, b2, companion-or-None).
+    """The (forward, backward) step tables of the flows on g, in the encoding of
+    the quiver tables: edge e is the signed arrow `_signed(g, e)`, and its
+    (b1, b2, companion) plays (alpha', beta, beta').
 
     For a 1-labelled edge the branch threshold is F(b1); for a 2-labelled edge
     it is F(b1) - F(companion), where the companion is the parallel 1-edge.
@@ -235,154 +258,30 @@ def _dag_step_tables(g: FramedDirectedGraph):
         if g.vertices[h] == "internal":
             outs = _labelled(g, g.edges_out(h))
             comp = None if g.labels[e] == 1 else _labelled(g, g.edges_in(h))[1]
-            fwd[e] = (outs[1], outs[2], comp)
+            fwd[_signed(g, e)] = (outs[1], outs[2], comp)
         if g.vertices[t] == "internal":
             ins = _labelled(g, g.edges_in(t))
             comp = None if g.labels[e] == 1 else _labelled(g, g.edges_out(t))[1]
-            bwd[e] = (ins[1], ins[2], comp)
+            bwd[_signed(g, e)] = (ins[1], ins[2], comp)
     tables = (fwd, bwd)
     object.__setattr__(g, "_dag_step_tables", tables)
     return tables
 
 
-def dag_forward(F: DagFlow, e: str, c: Fraction) -> tuple[str, Fraction]:
-    """The appendix Forward map: two branches read off the edge label."""
-    c = parse_rational(c)
-    fwd, _ = _dag_step_tables(F.graph)
-    if e not in fwd:
-        raise DomainError("boundary reached")
-    b1, b2, comp = fwd[e]
-    if comp is None:
-        return (b1, c) if c <= F[b1] else (b2, c - F[b1])
-    if c + F[comp] < F[b1]:
-        return b1, c + F[comp]
-    return b2, c + F[comp] - F[b1]
-
-
-def dag_backward(F: DagFlow, e: str, c: Fraction) -> tuple[str, Fraction]:
-    c = parse_rational(c)
-    _, bwd = _dag_step_tables(F.graph)
-    if e not in bwd:
-        raise DomainError("boundary reached")
-    b1, b2, comp = bwd[e]
-    if comp is None:
-        return (b1, c) if c <= F[b1] else (b2, c - F[b1])
-    if c + F[comp] < F[b1]:
-        return b1, c + F[comp]
-    return b2, c + F[comp] - F[b1]
-
-
-_MAX_STEPS = 1_000_000
-
-
 def dag_trace_interval(F: DagFlow, e: str, c: Fraction):
-    """DAG analogue of the quiver trace: walk Forward/Back on scaled integers
-    and pull the branch constraints back to the start edge."""
+    """The quiver trace read on g: trace edge e at value c with the step tables
+    of g, and report the walk as a path of edges, each with sign +1."""
     c = parse_rational(c)
-    g = F.graph
     if not (0 <= c <= F[e]):
         raise DomainError(f"value {c} outside [0, F({e})]")
-    den, ints = F.scaled()
-    if c.denominator != 1 and den % c.denominator != 0:
-        from math import lcm
-        den2 = lcm(den, c.denominator)
-        ints = {x: v * (den2 // den) for x, v in ints.items()}
-        den = den2
-    c_int = int(c * den)
-    fwd_table, bwd_table = _dag_step_tables(g)
-
-    def run(table, start_value):
-        lo, hi = 0, ints[e]
-        lo_open = hi_open = False
-        shift = 0
-        walk = []
-        state, value = e, start_value
-        visited = {(state, value)}
-        for _ in range(_MAX_STEPS):
-            data = table.get(state)
-            if data is None:
-                return walk, (lo, lo_open, hi, hi_open), "route"
-            b1, b2, comp = data
-            f1 = ints[b1]
-            if comp is None:
-                if value <= f1:
-                    nxt, val, b, upper, strict = b1, value, f1, True, False
-                else:
-                    nxt, val, b, upper, strict = b2, value - f1, f1, False, True
-            else:
-                fc = ints[comp]
-                if value + fc < f1:
-                    nxt, val, b, upper, strict = b1, value + fc, f1 - fc, True, True
-                else:
-                    nxt, val, b, upper, strict = b2, value + fc - f1, f1 - fc, False, False
-            b -= shift
-            if upper:
-                if (b, not strict) < (hi, not hi_open):
-                    hi, hi_open = b, strict
-            else:
-                if (b, strict) > (lo, lo_open):
-                    lo, lo_open = b, strict
-            shift += val - value
-            state, value = nxt, val
-            if (state, value) == (e, start_value):
-                return walk, (lo, lo_open, hi, hi_open), "band"
-            if (state, value) in visited:
-                return walk, (lo, lo_open, hi, hi_open), "rho"
-            visited.add((state, value))
-            walk.append(state)
-        raise DomainError("flow tracing did not terminate")
-
-    fwd, (lo, lo_open, hi, hi_open), kind = run(fwd_table, c_int)
-    if kind == "band":
-        interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
-        walk = tuple((x, 1) for x in (e, *fwd))
-        mt = MarkedTrail(Band.of(walk), walk, 0)
-        return mt, interval, interval.length
-    if kind == "rho":
-        interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
-        if interval.length != 0:
-            raise AssertionError("positive-measure non-closing walk in a rational flow")
-        return None, interval, Q(0)
-
-    bwd, (lo2, lo2_open, hi2, hi2_open), kind = run(bwd_table, c_int)
-    lo, lo_open = max((lo, lo_open), (lo2, lo2_open))
-    hi, hi_open = min((hi, not hi_open), (hi2, not hi2_open))
-    hi_open = not hi_open
-    interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
-    if kind in ("rho", "band"):
-        if interval.length != 0:
-            raise AssertionError("positive-measure non-closing walk in a rational flow")
-        return None, interval, Q(0)
-    walk = tuple((x, 1) for x in (*reversed(bwd), e, *fwd))
-    mt = MarkedTrail(Route.of(walk), walk, len(bwd))
-    return mt, interval, interval.length
+    return marked_trace(F.scaled(), _dag_step_tables(F.graph), _signed(F.graph, e), c,
+                        lambda walk: tuple((x, 1) for x, _s in walk))
 
 
 def dag_decompose(F: DagFlow) -> dict[Trail, Fraction]:
     """Unique positive clique (plus band, when cyclic) combination of a flow."""
-    g = F.graph
-    coeffs: dict[Trail, Fraction] = {}
-    for e in sorted(g.edges):
-        if F[e] == 0:
-            continue
-        t, h = g.edges[e]
-        if g.vertices[t] != "internal" and g.vertices[h] != "internal":
-            # a source-to-sink edge is its own route
-            coeffs[Route.of(((e, 1),))] = F[e]
-            continue
-        uncovered = [QInterval(Q(0), F[e])]
-        while uncovered:
-            u = uncovered.pop()
-            probe = u.lo if u.lo == u.hi else (u.lo + u.hi) / 2
-            mt, interval, length = dag_trace_interval(F, e, probe)
-            if length > 0 and mt is not None:
-                prev = coeffs.get(mt.trail)
-                if prev is None:
-                    coeffs[mt.trail] = length
-                elif prev != length:
-                    raise AssertionError(f"inconsistent coefficient for {mt.trail}")
-            uncovered.extend(u.minus(interval))
-    total = {x: Q(0) for x in g.edges}
+    coeffs = trail_coefficients(F.tiles())
+    total = {x: Q(0) for x in F.graph.edges}
     for tr, coeff in coeffs.items():
         for x, _s in tr.walk:
             total[x] += coeff

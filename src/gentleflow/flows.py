@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .quiver import DomainError, FringedQuiver
 from .trails import (
@@ -31,11 +32,14 @@ Q = Fraction
 def parse_rational(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise DomainError(f"not an exact rational: {x!r} (floats are not accepted)")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"not an exact rational: {x!r}") from None
+    raise DomainError(f"not an exact rational: {x!r} (floats and booleans are not accepted)")
 
 
 def format_rational(x: Fraction) -> str:
@@ -57,35 +61,6 @@ class QInterval:
     @property
     def length(self) -> Fraction:
         return Q(0) if self.is_empty() else self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        if x < self.lo or (x == self.lo and self.lo_open):
-            return False
-        if x > self.hi or (x == self.hi and self.hi_open):
-            return False
-        return True
-
-    def intersect(self, other: "QInterval") -> "QInterval":
-        # lower bounds: larger wins, open beats closed at a tie
-        if (other.lo, other.lo_open) > (self.lo, self.lo_open):
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open
-        # upper bounds: smaller wins, open beats closed at a tie
-        if (other.hi, not other.hi_open) < (self.hi, not self.hi_open):
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open
-        return QInterval(lo, hi, lo_open, hi_open)
-
-    def minus(self, other: "QInterval") -> list["QInterval"]:
-        """Set difference self \\ other as up to two intervals (other must
-        meet self, which is always the case for probe tiles)."""
-        pieces = [
-            QInterval(self.lo, other.lo, self.lo_open, not other.lo_open),
-            QInterval(other.hi, self.hi, not other.hi_open, self.hi_open),
-        ]
-        return [p for p in pieces if not p.is_empty()]
 
     def as_json(self):
         return {
@@ -118,15 +93,23 @@ class Flow:
             vals[a] = parse_rational(x)
         self.values = vals
         self._scaled: tuple[int, dict[str, int]] | None = None
+        self._tiles: dict[str, list[tuple[MarkedTrail, QInterval]]] | None = None
         self._validate()
 
     def scaled(self) -> tuple[int, dict[str, int]]:
         """(common denominator, integer flow values): tracing runs on ints."""
         if self._scaled is None:
-            from math import lcm
-            den = lcm(*(x.denominator for x in self.values.values()), 1)
-            self._scaled = (den, {a: int(x * den) for a, x in self.values.items()})
+            self._scaled = scale_to_integers(self.values)
         return self._scaled
+
+    def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
+        """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at (a, +1)."""
+        if self._tiles is None:
+            self._tiles = tile_markings(
+                self.scaled(), _step_tables(self.quiver),
+                {a: (a, 1) for a in sorted(self.values)},
+                lambda a, c: trace_interval(self, (a, 1), c))
+        return self._tiles
 
     def _validate(self) -> None:
         for a, x in self.values.items():
@@ -142,9 +125,6 @@ class Flow:
     @property
     def strength(self) -> Fraction:
         return sum((self[a] for a in self.quiver.fringe_arrows()), Q(0)) / 2
-
-    def is_vortex(self) -> bool:
-        return self.strength == 0
 
     def plus(self, other: "Flow", scale: Fraction = Q(1)) -> "Flow":
         vals = {a: self[a] + scale * other[a] for a in self.values}
@@ -169,8 +149,21 @@ def indicator(f: FringedQuiver, t: Trail) -> Flow:
     return Flow(f, vals)
 
 
-def flow_from_json(f: FringedQuiver, data: dict) -> Flow:
-    return Flow(f, {a: parse_rational(x) for a, x in data.items()})
+def flow_values(data) -> dict[str, Fraction]:
+    """The values of a flow read from JSON: an object of exact rationals."""
+    if not isinstance(data, dict):
+        raise DomainError("a flow must be a JSON object mapping arrow ids to rationals")
+    return {a: parse_rational(x) for a, x in data.items()}
+
+
+def flow_from_json(f: FringedQuiver, data) -> Flow:
+    return Flow(f, flow_values(data))
+
+
+def scale_to_integers(values: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """(common denominator d, the values times d as ints)."""
+    den = lcm(*(x.denominator for x in values.values()), 1)
+    return den, {a: int(x * den) for a, x in values.items()}
 
 
 # -- Forward / Back -------------------------------------------------------------
@@ -244,16 +237,15 @@ def _step(F: Flow, sa: SignedArrow, c: Fraction, data_fn):
 
 
 def forward(F: Flow, sa: SignedArrow, c: Fraction) -> tuple[SignedArrow, Fraction]:
+    """Forward on exact rationals: the reference for the integer sweep."""
     nxt, val, _ = _step(F, sa, c, _forward_data)
     return nxt, val
 
 
 def backward(F: Flow, sa: SignedArrow, c: Fraction) -> tuple[SignedArrow, Fraction]:
+    """Back on exact rationals: the reference for the integer sweep."""
     nxt, val, _ = _step(F, sa, c, _backward_data)
     return nxt, val
-
-
-_MAX_STEPS = 1_000_000
 
 
 def _check_arrow_flow(F: Flow, sa: SignedArrow, c: Fraction) -> None:
@@ -273,119 +265,231 @@ def trace(F: Flow, sa: SignedArrow, c: Fraction) -> MarkedTrail:
     return mt
 
 
-class _IntSweep:
-    """One direction of the trace, on integers scaled by a common denominator.
+def _branch(iv: dict[str, int], data, eps: int, value: int):
+    """One Forward (or Back) application on integers, from a^eps with the
+    (alpha', beta, beta') data of its table.
 
-    Bounds on the *start* value accumulate as (lo, lo_open, hi, hi_open); the
-    value at step j is start + shift_j as long as the same branches fire.
+    Returns (next signed arrow, next value, threshold, upper, strict): the
+    branch taken is the one for values <= threshold (upper, not strict),
+    < (upper, strict), > (lower, strict) or >= (lower, not strict).
     """
+    alpha_prime, beta, beta_prime = data
+    fa = iv[alpha_prime]
+    if eps == 1:
+        if value <= fa:
+            return (alpha_prime, 1), value, fa, True, False
+        return (beta, -1), value - fa, fa, False, True
+    fb = iv[beta_prime]
+    if value + fb < fa:
+        return (alpha_prime, 1), value + fb, fa - fb, True, True
+    return (beta, -1), value + fb - fa, fa - fb, False, False
 
-    def __init__(self, values: dict[str, int], table, cap: int):
-        self.iv = values
-        self.table = table
-        self.lo, self.hi = 0, cap
-        self.lo_open = self.hi_open = False
-        self.shift = 0
 
-    def step(self, state: SignedArrow, value: int):
-        a, eps = state
-        data = self.table.get(state)
+def _sweep(iv: dict[str, int], table, sa: SignedArrow, start: int):
+    """One direction of the trace of (sa, start), on integer flow values.
+
+    Returns (signed arrows walked after sa, kind, bounds) where kind is
+    "route" (left through the fringe), "band" (back at (sa, start)) or "rho"
+    (revisited another state), and bounds = (lo, lo_open, hi, hi_open) is the
+    interval of start values taking the same branches.  Values stay integers
+    in [0, max F], so there are finitely many (state, value) pairs and the
+    visited set ends every walk; no step cap is needed.
+    """
+    lo, lo_open, hi, hi_open = 0, False, iv[sa[0]], False
+    walk: list[SignedArrow] = []
+    state, value, shift = sa, start, 0
+    visited = {(state, value)}
+    while True:
+        data = table.get(state)
         if data is None:
-            return None
-        alpha_prime, beta, beta_prime = data
-        fa = self.iv[alpha_prime]
-        if eps == 1:
-            if value <= fa:
-                nxt, val, b, upper, strict = (alpha_prime, 1), value, fa, True, False
-            else:
-                nxt, val, b, upper, strict = (beta, -1), value - fa, fa, False, True
-        else:
-            fb = self.iv[beta_prime]
-            if value + fb < fa:
-                nxt, val, b, upper, strict = (alpha_prime, 1), value + fb, fa - fb, True, True
-            else:
-                nxt, val, b, upper, strict = (beta, -1), value + fb - fa, fa - fb, False, False
-        b -= self.shift
+            return walk, "route", (lo, lo_open, hi, hi_open)
+        nxt, val, b, upper, strict = _branch(iv, data, state[1], value)
+        b -= shift
         if upper:
-            if (b, not strict) < (self.hi, not self.hi_open):
-                self.hi, self.hi_open = b, strict
-        else:
-            if (b, strict) > (self.lo, self.lo_open):
-                self.lo, self.lo_open = b, strict
-        self.shift += val - value
-        return nxt, val
+            if (b, not strict) < (hi, not hi_open):
+                hi, hi_open = b, strict
+        elif (b, strict) > (lo, lo_open):
+            lo, lo_open = b, strict
+        shift += val - value
+        state, value = nxt, val
+        if (state, value) == (sa, start):
+            return walk, "band", (lo, lo_open, hi, hi_open)
+        if (state, value) in visited:
+            return walk, "rho", (lo, lo_open, hi, hi_open)
+        visited.add((state, value))
+        walk.append(state)
+
+
+def _meet(x, y):
+    """Intersection of two intervals given as (lo, lo_open, hi, hi_open)."""
+    hi, hi_closed = min((x[2], not x[3]), (y[2], not y[3]))
+    return (*max(x[:2], y[:2]), hi, not hi_closed)
+
+
+def _trace_ints(iv: dict[str, int], tables, sa: SignedArrow, c: int):
+    """Trace (sa, c) forward, then back.  Returns (walk, index of sa, kind,
+    bounds on the start value); kind is None when the walk never closes."""
+    fwd, kind, bounds = _sweep(iv, tables[0], sa, c)
+    if kind == "band":
+        return (sa, *fwd), 0, "band", bounds
+    if kind == "route":
+        bwd, kind, back_bounds = _sweep(iv, tables[1], sa, c)
+        bounds = _meet(bounds, back_bounds)
+        if kind == "route":
+            return (*reversed(bwd), sa, *fwd), len(bwd), "route", bounds
+    # An eventually-periodic walk whose start is off the cycle, or a Back walk
+    # re-entering a cycle (possibly through the start itself, when Back fails
+    # to invert a boundary branch): this happens only at isolated values.
+    if bounds[2] > bounds[0]:
+        raise AssertionError("positive-measure non-closing walk in a rational flow")
+    return None, 0, None, bounds
+
+
+def marked_trace(scaled, tables, sa: SignedArrow, c: Fraction, relabel=tuple):
+    """(marked trail or None, interval of start values giving it, its length)
+    for the arrow-flow (sa, c) of a flow scaled to integers.
+
+    Each Forward/Back branch shifts the value by a constant, so every branch
+    constraint pulls back to exact bounds on the start value.  `relabel` maps
+    the walk of signed arrows to the walk reported.
+    """
+    den, iv = scaled
+    if den % c.denominator:
+        k = c.denominator // gcd(den, c.denominator)
+        den, iv = den * k, {a: v * k for a, v in iv.items()}
+    walk, index, kind, (lo, lo_open, hi, hi_open) = _trace_ints(iv, tables, sa, int(c * den))
+    interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
+    if kind is None:
+        return None, interval, Q(0)
+    walk = relabel(walk)
+    trail = Band.of(walk) if kind == "band" else Route.of(walk)
+    return MarkedTrail(trail, walk, index), interval, interval.length
 
 
 def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     """Trace the arrow-flow (sa, c), pulling branch constraints back to the start.
 
     Returns (marked trail, interval of start values giving this marked trail,
-    interval length).  Each Forward/Back branch applies an affine shift to the
-    value, so every constraint translates into exact bounds on the start value.
+    interval length); the trail is None at an isolated value whose walk never
+    closes.
     """
     c = parse_rational(c)
     _check_arrow_flow(F, sa, c)
-    f = F.quiver
-    den, ints = F.scaled()
-    if c.denominator != 1 and den % c.denominator != 0:
-        from math import lcm
-        den2 = lcm(den, c.denominator)
-        ints = {a: v * (den2 // den) for a, v in ints.items()}
-        den = den2
-    c_int = int(c * den)
-    fwd_table, bwd_table = _step_tables(f)
+    return marked_trace(F.scaled(), _step_tables(F.quiver), sa, c)
 
-    def run(table, start_value):
-        sweep = _IntSweep(ints, table, ints[sa[0]])
-        walk: list[SignedArrow] = []
-        state, value = sa, start_value
-        visited = {(state, value)}
-        for _ in range(_MAX_STEPS):
-            nxt = sweep.step(state, value)
-            if nxt is None:
-                return walk, sweep, "route"
-            state, value = nxt
-            if (state, value) == (sa, start_value):
-                return walk, sweep, "band"
-            if (state, value) in visited:
-                return walk, sweep, "rho"
-            visited.add((state, value))
-            walk.append(state)
-        raise DomainError("flow tracing did not terminate")
 
-    def finish(lo, lo_open, hi, hi_open):
-        interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
-        return interval
+# -- tiling: one trace per trail orientation ------------------------------------------
 
-    fwd, sweep_f, kind = run(fwd_table, c_int)
-    if kind == "band":
-        interval = finish(sweep_f.lo, sweep_f.lo_open, sweep_f.hi, sweep_f.hi_open)
-        walk = (sa,) + tuple(fwd)
-        mt = MarkedTrail(Band.of(walk), walk, 0)
-        return mt, interval, interval.length
-    if kind == "rho":
-        # Eventually-periodic walk whose start is off the cycle: happens only
-        # at isolated boundary values (the cycle constraints repeat verbatim,
-        # so the interval is already stable and must be a single point).
-        interval = finish(sweep_f.lo, sweep_f.lo_open, sweep_f.hi, sweep_f.hi_open)
-        if interval.length != 0:
-            raise AssertionError("positive-measure non-closing walk in a rational flow")
-        return None, interval, Q(0)
+def tile_markings(scaled, tables, starts: dict[str, SignedArrow], probe, signed=tuple):
+    """Per key k of `starts`, the positive-length marked-trail tiles of [0, F(k)]
+    traced from the signed arrow starts[k], sorted along the interval.
 
-    bwd, sweep_b, kind = run(bwd_table, c_int)
-    lo, lo_open = max((sweep_f.lo, sweep_f.lo_open), (sweep_b.lo, sweep_b.lo_open))
-    hi, hi_open = min((sweep_f.hi, not sweep_f.hi_open), (sweep_b.hi, not sweep_b.hi_open))
-    hi_open = not hi_open
-    interval = finish(lo, lo_open, hi, hi_open)
-    if kind in ("rho", "band"):
-        # backward re-entered a cycle (possibly through the start itself, when
-        # Back fails to invert a boundary branch): again an isolated value
-        if interval.length != 0:
-            raise AssertionError("positive-measure non-closing walk in a rational flow")
-        return None, interval, Q(0)
-    walk = tuple(reversed(bwd)) + (sa,) + tuple(fwd)
-    mt = MarkedTrail(Route.of(walk), walk, len(bwd))
-    return mt, interval, interval.length
+    Keys are tiled in the order given.  Each gap of [0, F(k)] left by the
+    tiles known so far is probed at its midpoint with probe(k, c), the public
+    trace of (starts[k], c); single-point gaps are skipped, as isolated points
+    carry zero length.  A probe that finds a positive-length trail yields the
+    tiles of every marking of that trail at a start arrow, at once
+    (`_marking_tiles`), so each trail orientation is traced once.  `signed`
+    maps a reported walk back to signed arrows.
+    """
+    den, iv = scaled
+    half = 2 * den                         # tile midpoints are integers in 1/half units
+    iv2 = {a: 2 * v for a, v in iv.items()}
+    far = max(iv2.values(), default=0) + 1
+    found: dict[str, list] = {k: [] for k in starts}
+    covered: dict[str, list[tuple[int, int]]] = {k: [] for k in starts}
+    for k in starts:
+        while (gap := _first_gap(covered[k], iv2[k])) is not None:
+            mid = (gap[0] + gap[1]) // 2
+            mt, interval, length = probe(k, Q(mid, half))
+            if length == 0:
+                covered[k].append((mid, mid))
+                continue
+            tile = (int(interval.lo * half), interval.lo_open,
+                    int(interval.hi * half), interval.hi_open)
+            walk = signed(mt.walk)
+            for j, t in _marking_tiles(iv2, tables, walk, mt.index,
+                                       isinstance(mt.trail, Band), tile, far):
+                a = walk[j][0]
+                if starts.get(a) != walk[j]:
+                    continue
+                if j == mt.index and t != tile:
+                    raise AssertionError("re-walk disagrees with the traced tile")
+                if isinstance(mt.trail, Band):
+                    marked = MarkedTrail(mt.trail, mt.walk[j:] + mt.walk[:j], 0)
+                else:
+                    marked = MarkedTrail(mt.trail, mt.walk, j)
+                found[a].append((marked, t))
+                covered[a].append((t[0], t[2]))
+    return {k: [(mt, QInterval(Q(lo, half), Q(hi, half), lo_open, hi_open))
+                for mt, (lo, lo_open, hi, hi_open) in sorted(ts, key=lambda x: x[1][:2])]
+            for k, ts in found.items()}
+
+
+def _first_gap(covered: list[tuple[int, int]], cap: int):
+    """The first positive-length stretch of [0, cap] outside the covered spans."""
+    at = 0
+    for lo, hi in sorted(covered):
+        if lo > at:
+            return at, lo
+        at = max(at, hi)
+    return (at, cap) if cap > at else None
+
+
+def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, tile, far: int):
+    """The interval of every marking of one traced trail, from a single pass.
+
+    `tile` is the interval of the traced marking walk[index].  The values
+    along the walk are taken at the tile's midpoint, where no branch is tight,
+    and the walk is re-walked with Forward and with Back there.  Every branch
+    bounds the offset shared by all values; the marking at j keeps its
+    trail exactly for the offsets inside its cap [0, F(walk[j])], the Forward
+    bounds after j and the Back bounds up to j (for a band, all Forward
+    bounds of the cycle).  Yields (j, (lo, lo_open, hi, hi_open)) for the
+    positive-length ones.
+    """
+    fwd_table, bwd_table = tables
+    n = len(walk)
+    values: list[int | None] = [None] * n
+    values[index] = (tile[0] + tile[2]) // 2
+    unbounded = (-far, False, far, False)
+
+    def bound(table, k: int, j: int):
+        nxt, val, b, upper, strict = _branch(iv, table[walk[k]], walk[k][1], values[k])
+        if values[j] is None:
+            values[j] = val
+        if (nxt, val) != (walk[j], values[j]):
+            raise AssertionError("re-walk leaves the traced trail")
+        b -= values[k]
+        return (-far, False, b, strict) if upper else (b, strict, far, False)
+
+    if band:
+        common = unbounded
+        for k in range(n):
+            common = _meet(common, bound(fwd_table, k, (k + 1) % n))
+        after = before = [common] * n
+    else:
+        forward_at, back_at = [unbounded] * n, [unbounded] * n
+        for k in range(index, n - 1):
+            forward_at[k] = bound(fwd_table, k, k + 1)
+        for k in range(index, 0, -1):
+            back_at[k] = bound(bwd_table, k, k - 1)
+        for k in range(index):
+            forward_at[k] = bound(fwd_table, k, k + 1)
+        for k in range(index + 1, n):
+            back_at[k] = bound(bwd_table, k, k - 1)
+        after = forward_at[:]                  # suffix meets of the Forward bounds
+        for k in range(n - 2, -1, -1):
+            after[k] = _meet(forward_at[k], after[k + 1])
+        before = back_at[:]                    # prefix meets of the Back bounds
+        for k in range(1, n):
+            before[k] = _meet(before[k - 1], back_at[k])
+    for j in range(n):
+        v = values[j]
+        lo, lo_open, hi, hi_open = _meet(_meet((-v, False, iv[walk[j][0]] - v, False),
+                                               after[j]), before[j])
+        if hi > lo:
+            yield j, (lo + v, lo_open, hi + v, hi_open)
 
 
 # -- bundle decomposition ---------------------------------------------------------
@@ -415,41 +519,21 @@ class BundleCombination:
         }
 
 
-def _arrow_profile(F: Flow, a: str):
-    """The tiling of [0, F(a)] by marked-trail intervals at the arrow-flow (a, +1).
-
-    Returns a list of (MarkedTrail, QInterval) sorted along the interval;
-    zero-length tiles are included (they carry coefficient 0).
-    """
-    tiles = []
-    uncovered = [QInterval(Q(0), F[a])]
-    while uncovered:
-        u = uncovered.pop()
-        probe = u.lo if u.lo == u.hi else (u.lo + u.hi) / 2
-        mt, interval, _ = trace_interval(F, (a, 1), probe)
-        if mt is not None:
-            tiles.append((mt, interval))
-        uncovered.extend(u.minus(interval))
-    tiles.sort(key=lambda ti: (ti[1].lo, ti[1].lo_open))
-    return tiles
+def trail_coefficients(tiles: dict[str, list]) -> dict[Trail, Fraction]:
+    """Each trail's coefficient: the common length of the tiles of its markings."""
+    coeffs: dict[Trail, Fraction] = {}
+    for arrow_tiles in tiles.values():
+        for mt, interval in arrow_tiles:
+            prev = coeffs.setdefault(mt.trail, interval.length)
+            if prev != interval.length:
+                raise AssertionError(
+                    f"inconsistent coefficient for {mt.trail}: {prev} vs {interval.length}")
+    return coeffs
 
 
 def decompose_bundle(F: Flow) -> BundleCombination:
     """The unique positive bundle combination realizing a rational flow."""
-    coeffs: dict[Trail, Fraction] = {}
-    for a in sorted(F.quiver.arrows):
-        if F[a] == 0:
-            continue
-        for mt, interval in _arrow_profile(F, a):
-            if interval.length == 0:
-                continue
-            prev = coeffs.get(mt.trail)
-            if prev is None:
-                coeffs[mt.trail] = interval.length
-            elif prev != interval.length:
-                raise AssertionError(
-                    f"inconsistent coefficient for {mt.trail}: {prev} vs {interval.length}")
-    combo = BundleCombination(coeffs)
+    combo = BundleCombination(trail_coefficients(F.tiles()))
     _verify_combination(F, combo)
     return combo
 
@@ -513,10 +597,7 @@ class BlankSpace:
 
 
 def _route_tiles(F: Flow, a: str):
-    if F[a] == 0:
-        return []
-    return [(mt, iv) for mt, iv in _arrow_profile(F, a)
-            if isinstance(mt.trail, Route) and iv.length > 0]
+    return [(mt, iv) for mt, iv in F.tiles()[a] if isinstance(mt.trail, Route)]
 
 
 def blank_spaces(F: Flow) -> list[BlankSpace]:
@@ -528,12 +609,9 @@ def blank_spaces(F: Flow) -> list[BlankSpace]:
     blanks = []
     for a in sorted(F.quiver.arrows):
         tiles = _route_tiles(F, a)
-        lo_pt = QInterval(Q(0), Q(0))
-        hi_pt = QInterval(F[a], F[a])
-        bounds = [(None, lo_pt)] + tiles + [(None, hi_pt)]
-        for (mt1, i1), (mt2, i2) in zip(bounds, bounds[1:]):
-            gap = QInterval(i1.hi, i2.lo, not i1.hi_open, not i2.lo_open)
-            blanks.append(BlankSpace(a, gap, mt1, mt2))
+        marks = [None] + [mt for mt, _iv in tiles] + [None]
+        for gap, below, above in zip(_gaps_for(F, a, tiles), marks, marks[1:]):
+            blanks.append(BlankSpace(a, gap, below, above))
     return blanks
 
 

@@ -199,3 +199,29 @@ def _solve_exact(matrix, rhs):
         if rows[i][-1] != 0:
             return None
     return [rows[i][-1] for i in range(cols)]
+
+
+def oracle_arrow_profile(trace, cap):
+    """The tiling of [0, cap] by the marked-trail intervals of one start arrow,
+    probing every uncovered gap, single points included, at its midpoint.
+
+    `trace(c)` is the public trace of the start arrow at c.  Returns the
+    (MarkedTrail, QInterval) tiles sorted along the interval, zero-length ones
+    included: the reference for the one-trace-per-trail tiling.
+    """
+    from gentleflow.flows import QInterval
+
+    tiles = []
+    uncovered = [QInterval(Q(0), cap)]
+    while uncovered:
+        u = uncovered.pop()
+        probe = u.lo if u.lo == u.hi else (u.lo + u.hi) / 2
+        mt, interval, _ = trace(probe)
+        if mt is not None:
+            tiles.append((mt, interval))
+        for piece in (QInterval(u.lo, interval.lo, u.lo_open, not interval.lo_open),
+                      QInterval(interval.hi, u.hi, not interval.hi_open, u.hi_open)):
+            if not piece.is_empty():
+                uncovered.append(piece)
+    tiles.sort(key=lambda ti: (ti[1].lo, ti[1].lo_open))
+    return tiles

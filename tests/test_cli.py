@@ -181,3 +181,34 @@ def test_blanks_command(kron_file, capsys, tmp_path):
     assert payload["count"] == 9
     proper = [b for b in payload["blank_spaces"] if b["proper"]]
     assert {b["arrow"] for b in proper} == {"e2", "f2"}
+
+
+# each would be a valid flow on both kronecker and cube-dag if its values read as 1
+BAD_FLOWS = {
+    "zero denominator": '{"e1": "1/0", "f1": "1/0"}',
+    "nan": '{"e1": "nan", "f1": "nan"}',
+    "not a number": '{"e1": "abc", "f1": "abc"}',
+    "json list": '["e1", "f1"]',
+    "boolean": '{"e1": true, "f1": true}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_FLOWS.values(), ids=BAD_FLOWS.keys())
+def test_decompose_bad_flow_json_is_domain_error(kron_file, capsys, tmp_path, text):
+    flow = tmp_path / "bad.json"
+    flow.write_text(text)
+    code, out, err = run_cli(capsys, "decompose", kron_file, "--flow", str(flow))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("text", BAD_FLOWS.values(), ids=BAD_FLOWS.keys())
+def test_dag_decompose_bad_flow_json_is_domain_error(capsys, tmp_path, text):
+    from gentleflow.fixtures import CUBE_DAG
+    graph = tmp_path / "cube.fg"
+    graph.write_text(CUBE_DAG)
+    flow = tmp_path / "bad.json"
+    flow.write_text(text)
+    code, out, err = run_cli(capsys, "dag-decompose", str(graph), "--flow", str(flow))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"

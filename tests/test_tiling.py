@@ -1,0 +1,106 @@
+"""The one-trace-per-trail tiling against the per-gap probing oracle."""
+
+import random
+from fractions import Fraction as Q
+
+from gentleflow import dag, flows, quiver, trails
+from gentleflow.dag import DagFlow
+from gentleflow.fixtures import fixture_dag, fixture_quiver
+from gentleflow.flows import Flow, QInterval, decompose_bundle, trace_interval
+
+from oracles import oracle_arrow_profile
+
+
+def positive(tiles):
+    return [(mt.trail, mt.walk, mt.index, iv) for mt, iv in tiles if iv.length > 0]
+
+
+def assert_quiver_tiles_exact(F):
+    tiles = F.tiles()
+    for a in sorted(F.quiver.arrows):
+        oracle = oracle_arrow_profile(lambda c: trace_interval(F, (a, 1), c), F[a])
+        assert positive(tiles[a]) == positive(oracle), a
+
+
+def assert_dag_tiles_exact(F):
+    tiles = F.tiles()
+    for e in sorted(F.graph.edges):
+        oracle = oracle_arrow_profile(lambda c: dag.dag_trace_interval(F, e, c), F[e])
+        assert positive(tiles[e]) == positive(oracle), e
+
+
+def winding(outer, inner):
+    f = fixture_quiver("kronecker")
+    return Flow(f, {"e1": outer, "f1": outer, "e2": inner, "f2": inner})
+
+
+def test_tiles_match_oracle_on_pool(quiver_pool):
+    rng = random.Random(2024)
+    flows_checked = 0
+    for pool in quiver_pool:
+        for integral in (True, False):
+            for _ in range(5):
+                F, _coeffs = pool.random_bundle_combination(rng, integral=integral)
+                assert_quiver_tiles_exact(F)
+                flows_checked += 1
+    assert flows_checked == 400
+
+
+def test_tiles_match_oracle_on_windings():
+    for outer, inner in (("1", "1001/7"), ("3/2", "2003/13"), ("2/3", "5/7")):
+        assert_quiver_tiles_exact(winding(Q(outer), Q(inner)))
+
+
+def test_band_markings_are_traced_not_mirrored():
+    # mirroring the (a, +1) tiles onto (a, -1) would give [5, 9) at f2, but
+    # the trace of f2 at 5 is a walk that never closes
+    f = fixture_quiver("double-kronecker")
+    F = Flow(f, {"e1": 4, "e2": 10, "e3": 9, "e4": 5, "f1": 4, "f2": 10, "f3": 9, "f4": 5})
+    assert_quiver_tiles_exact(F)
+    assert trace_interval(F, ("f2", 1), Q(5))[0] is None
+
+
+def test_dag_tiles_match_oracle():
+    cases = [
+        DagFlow(fixture_dag("cube-dag"), {"e1": 1, "e2": 3, "f1": 3, "f2": 1}),
+        DagFlow(fixture_dag("difdagc-dag"), {"p1": 1, "m1": 1, "r1": 1}),
+    ]
+    rng = random.Random(7)
+    for name in ("kronecker", "double-kronecker", "triple-kronecker"):
+        f = fixture_quiver(name)
+        g = dag.from_paired(f, quiver.find_pairing(f))
+        universe = sorted(trails.enumerate_routes(f, len(f.arrows) + 2), key=trails.trail_key)
+        for _ in range(4):
+            vals: dict[str, Q] = {}
+            for t in rng.sample(universe, k=rng.randint(1, 4)):
+                c = Q(rng.randint(1, 8), rng.randint(1, 5))
+                for a, _e in t.walk:
+                    vals[a] = vals.get(a, Q(0)) + c
+            cases.append(DagFlow(g, vals))
+    for F in cases:
+        assert_dag_tiles_exact(F)
+
+
+def test_winding_decomposition_traces_each_orientation_once(monkeypatch):
+    calls = []
+    traced = flows.trace_interval
+
+    def counting(*args):
+        calls.append(args)
+        return traced(*args)
+
+    monkeypatch.setattr(flows, "trace_interval", counting)
+    combo = decompose_bundle(winding(Q(1), Q(400)))
+    route = trails.Route.of(trails.parse_walk(" ".join(["e1"] + ["e2 f2^-1"] * 400 + ["f1^-1"])))
+    assert combo.coefficients == {route: Q(1)}
+    assert len(calls) <= 2
+
+
+def test_long_route_needs_no_step_cap():
+    # the route e1 (e2 f2^-1)^k f1^-1 has 2k + 2 = 1000004 arrows
+    k = 500001
+    mt, interval, length = trace_interval(winding(Q(1), Q(k)), ("e1", 1), Q(1, 2))
+    assert isinstance(mt.trail, trails.Route)
+    assert len(mt.walk) == 2 * k + 2 and mt.index == 0
+    assert interval == QInterval(Q(0), Q(1), True, True)
+    assert length == 1
