@@ -266,7 +266,7 @@ def cmd_dag_decompose(args):
     if violations:
         raise DomainError("; ".join(violations))
     F = dag.DagFlow(g, flows.flow_values(json.loads(_read(args.flow))))
-    payload = dag.decomposition_json(dag.dag_decompose(F))
+    payload = flows.BundleCombination(dag.dag_decompose(F)).as_json()
     _report(args, payload, input_path=args.file)
     return 0
 

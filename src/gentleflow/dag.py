@@ -11,17 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .flows import (
+    BundleCombination,
     QInterval,
+    _verify_combination,
     marked_trace,
     parse_rational,
     scale_to_integers,
     tile_markings,
     trail_coefficients,
 )
-from .quiver import DomainError, FringedQuiver, StructuralError, _strip_comment
-from .trails import Band, MarkedTrail, Route, SignedArrow, Trail, trail_key
+from .quiver import DomainError, FringedQuiver, StructuralError, _strip_comment, cyclic_core, incidence
+from .trails import MarkedTrail, SignedArrow, Trail
 
 Q = Fraction
 
@@ -32,11 +35,15 @@ class FramedDirectedGraph:
     edges: dict[str, tuple[str, str]]   # id -> (tail, head)
     labels: dict[str, int]              # psi: id -> 1 | 2
 
+    @cached_property
+    def _incidence(self):
+        return incidence(self.edges)
+
     def edges_in(self, v: str) -> list[str]:
-        return sorted(e for e, (_t, h) in self.edges.items() if h == v)
+        return self._incidence[0].get(v, [])
 
     def edges_out(self, v: str) -> list[str]:
-        return sorted(e for e, (t, _h) in self.edges.items() if t == v)
+        return self._incidence[1].get(v, [])
 
     def check_structure(self) -> None:
         for e, (t, h) in self.edges.items():
@@ -48,19 +55,10 @@ class FramedDirectedGraph:
             if kind not in ("source", "sink", "internal"):
                 raise StructuralError(f"vertex {v} has unknown kind {kind!r}")
 
-    def is_acyclic(self) -> bool:
-        color = dict.fromkeys(self.vertices, 0)
-
-        def visit(v) -> bool:
-            color[v] = 1
-            for e in self.edges_out(v):
-                w = self.edges[e][1]
-                if color[w] == 1 or (color[w] == 0 and visit(w)):
-                    return True
-            color[v] = 2
-            return False
-
-        return not any(color[v] == 0 and visit(v) for v in self.vertices)
+    def is_acyclic(self, label: int | None = None) -> bool:
+        """No oriented cycle (of `label`-edges only, when a label is given)."""
+        return not cyclic_core(self.vertices, lambda v: [
+            self.edges[e][1] for e in self.edges_out(v) if label in (None, self.labels[e])])
 
 
 def validate_framed(g: FramedDirectedGraph) -> list[str]:
@@ -81,26 +79,9 @@ def validate_framed(g: FramedDirectedGraph) -> list[str]:
                 if {g.labels[e] for e in outs} != {1, 2}:
                     violations.append(f"out-edges of {v} do not realize the framing")
     for label in (1, 2):
-        if _has_monolabel_cycle(g, label):
+        if not g.is_acyclic(label):
             violations.append(f"oriented cycle using only {label}-edges")
     return violations
-
-
-def _has_monolabel_cycle(g: FramedDirectedGraph, label: int) -> bool:
-    color = dict.fromkeys(g.vertices, 0)
-
-    def visit(v) -> bool:
-        color[v] = 1
-        for e in g.edges_out(v):
-            if g.labels[e] != label:
-                continue
-            w = g.edges[e][1]
-            if color[w] == 1 or (color[w] == 0 and visit(w)):
-                return True
-        color[v] = 2
-        return False
-
-    return any(color[v] == 0 and visit(v) for v in g.vertices)
 
 
 def is_convenient(g: FramedDirectedGraph) -> bool:
@@ -155,11 +136,11 @@ def to_fringed_quiver(g: FramedDirectedGraph) -> tuple[FringedQuiver, dict[str, 
     internal = tuple(sorted(v for v, k in g.vertices.items() if k == "internal"))
     fringe = tuple(sorted(v for v, k in g.vertices.items() if k != "internal"))
 
+    ins, outs = incidence(arrows)
     relation_pairs = {}
     for v in internal:
-        ins = [a for a, (_t, h) in arrows.items() if h == v]
-        outs = [a for a, (t, _h) in arrows.items() if t == v]
-        pairs = sorted((a, b) for a in ins for b in outs if g.labels[a] != g.labels[b])
+        pairs = sorted((a, b) for a in ins.get(v, []) for b in outs.get(v, [])
+                       if g.labels[a] != g.labels[b])
         if len(pairs) != 2:
             raise DomainError(f"vertex {v} does not produce two relations")
         relation_pairs[v] = (pairs[0], pairs[1])
@@ -178,11 +159,10 @@ def from_paired(f: FringedQuiver, psi: dict[str, int]) -> FramedDirectedGraph:
     edges = {}
     for a, (t, h) in f.arrows.items():
         edges[a] = (t, h) if psi[a] == 1 else (h, t)
+    ins, outs = incidence(edges)
     vertices = {}
     for v in list(f.internal_vertices) + list(f.fringe_vertices):
-        ins = [e for e, (_t, h) in edges.items() if h == v]
-        outs = [e for e, (t, _h) in edges.items() if t == v]
-        vertices[v] = "source" if not ins else "sink" if not outs else "internal"
+        vertices[v] = "source" if v not in ins else "sink" if v not in outs else "internal"
     g = FramedDirectedGraph(vertices, edges, dict(psi))
     bad = validate_framed(g)
     if bad:
@@ -219,12 +199,35 @@ class DagFlow:
             self._scaled = scale_to_integers(self.values)
         return self._scaled
 
+    @cached_property
+    def step_tables(self):
+        """The (forward, backward) step tables of the flows on g, in the encoding
+        of the quiver tables: edge e is the signed arrow `_signed(g, e)`, and
+        its (b1, b2, companion) plays (alpha', beta, beta').
+
+        For a 1-labelled edge the branch threshold is F(b1); for a 2-labelled
+        edge it is F(b1) - F(companion), where the companion is the parallel
+        1-edge.
+        """
+        g = self.graph
+        fwd, bwd = {}, {}
+        for e, (t, h) in g.edges.items():
+            if g.vertices[h] == "internal":
+                outs = _labelled(g, g.edges_out(h))
+                comp = None if g.labels[e] == 1 else _labelled(g, g.edges_in(h))[1]
+                fwd[_signed(g, e)] = (outs[1], outs[2], comp)
+            if g.vertices[t] == "internal":
+                ins = _labelled(g, g.edges_in(t))
+                comp = None if g.labels[e] == 1 else _labelled(g, g.edges_out(t))[1]
+                bwd[_signed(g, e)] = (ins[1], ins[2], comp)
+        return fwd, bwd
+
     def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
         """Per edge e, the positive-length marked-trail tiles of [0, F(e)]."""
         if self._tiles is None:
             starts = {e: _signed(self.graph, e) for e in sorted(self.values)}
             self._tiles = tile_markings(
-                self.scaled(), _dag_step_tables(self.graph), starts,
+                self.scaled(), self.step_tables, starts,
                 lambda e, c: dag_trace_interval(self, e, c),
                 lambda walk: tuple(starts[e] for e, _s in walk))
         return self._tiles
@@ -242,64 +245,21 @@ def _labelled(g: FramedDirectedGraph, edges: list[str]) -> dict[int, str]:
     return out
 
 
-def _dag_step_tables(g: FramedDirectedGraph):
-    """The (forward, backward) step tables of the flows on g, in the encoding of
-    the quiver tables: edge e is the signed arrow `_signed(g, e)`, and its
-    (b1, b2, companion) plays (alpha', beta, beta').
-
-    For a 1-labelled edge the branch threshold is F(b1); for a 2-labelled edge
-    it is F(b1) - F(companion), where the companion is the parallel 1-edge.
-    """
-    tables = getattr(g, "_dag_step_tables", None)
-    if tables is not None:
-        return tables
-    fwd, bwd = {}, {}
-    for e, (t, h) in g.edges.items():
-        if g.vertices[h] == "internal":
-            outs = _labelled(g, g.edges_out(h))
-            comp = None if g.labels[e] == 1 else _labelled(g, g.edges_in(h))[1]
-            fwd[_signed(g, e)] = (outs[1], outs[2], comp)
-        if g.vertices[t] == "internal":
-            ins = _labelled(g, g.edges_in(t))
-            comp = None if g.labels[e] == 1 else _labelled(g, g.edges_out(t))[1]
-            bwd[_signed(g, e)] = (ins[1], ins[2], comp)
-    tables = (fwd, bwd)
-    object.__setattr__(g, "_dag_step_tables", tables)
-    return tables
-
-
 def dag_trace_interval(F: DagFlow, e: str, c: Fraction):
     """The quiver trace read on g: trace edge e at value c with the step tables
     of g, and report the walk as a path of edges, each with sign +1."""
     c = parse_rational(c)
     if not (0 <= c <= F[e]):
         raise DomainError(f"value {c} outside [0, F({e})]")
-    return marked_trace(F.scaled(), _dag_step_tables(F.graph), _signed(F.graph, e), c,
+    return marked_trace(F.scaled(), F.step_tables, _signed(F.graph, e), c,
                         lambda walk: tuple((x, 1) for x, _s in walk))
 
 
 def dag_decompose(F: DagFlow) -> dict[Trail, Fraction]:
     """Unique positive clique (plus band, when cyclic) combination of a flow."""
     coeffs = trail_coefficients(F.tiles())
-    total = {x: Q(0) for x in F.graph.edges}
-    for tr, coeff in coeffs.items():
-        for x, _s in tr.walk:
-            total[x] += coeff
-    if any(total[x] != F[x] for x in total):
-        raise AssertionError("clique combination does not reconstruct the flow")
+    _verify_combination(F.values, BundleCombination(coeffs))
     return coeffs
-
-
-def decomposition_json(coeffs: dict[Trail, Fraction]):
-    from .flows import format_rational
-    routes = {t: x for t, x in coeffs.items() if isinstance(t, Route)}
-    bands = {t: x for t, x in coeffs.items() if isinstance(t, Band)}
-    return {
-        "routes": [{"trail": str(t), "coeff": format_rational(x)}
-                   for t, x in sorted(routes.items(), key=lambda kv: trail_key(kv[0]))],
-        "bands": [{"trail": str(t), "coeff": format_rational(x)}
-                  for t, x in sorted(bands.items(), key=lambda kv: trail_key(kv[0]))],
-    }
 
 
 # -- framed-graph file format ------------------------------------------------------
@@ -314,19 +274,23 @@ def parse_framed_graph(text: str) -> FramedDirectedGraph:
         if not line:
             continue
         parts = line.split()
+        if parts[0] not in ("vertex", "edge"):
+            raise StructuralError(f"line {ln}: unknown directive {parts[0]!r}")
+        if len(parts) not in ((2, 3) if parts[0] == "vertex" else (7,)):
+            raise StructuralError(f"line {ln}: malformed line {raw!r}")
+        name = parts[1].rstrip(":") if parts[0] == "edge" else parts[1]
+        if name in (edges if parts[0] == "edge" else vertices):
+            raise StructuralError(f"line {ln}: duplicate {parts[0]} id {name}")
+        if parts[0] == "vertex":
+            vertices[name] = parts[2] if len(parts) == 3 else "internal"
+            continue
+        if parts[3] != "->" or parts[5] != "label":
+            raise StructuralError(f"line {ln}: expected 'edge id: u -> v label k'")
         try:
-            if parts[0] == "vertex":
-                vertices[parts[1]] = parts[2] if len(parts) > 2 else "internal"
-            elif parts[0] == "edge":
-                name = parts[1].rstrip(":")
-                if parts[3] != "->" or parts[5] != "label":
-                    raise StructuralError(f"line {ln}: expected 'edge id: u -> v label k'")
-                edges[name] = (parts[2], parts[4])
-                labels[name] = int(parts[6])
-            else:
-                raise StructuralError(f"line {ln}: unknown directive {parts[0]!r}")
-        except (IndexError, ValueError):
+            labels[name] = int(parts[6])
+        except ValueError:
             raise StructuralError(f"line {ln}: malformed line {raw!r}") from None
+        edges[name] = (parts[2], parts[4])
     g = FramedDirectedGraph(vertices, edges, labels)
     g.check_structure()
     return g

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .quiver import DomainError, FringedQuiver
@@ -43,7 +44,10 @@ def parse_rational(x) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    try:
+        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    except ValueError:  # over the interpreter's limit on digits of an int as text
+        raise DomainError(f"a rational of {x.numerator.bit_length()} bits is too long to print") from None
 
 
 # -- intervals ----------------------------------------------------------------
@@ -106,10 +110,24 @@ class Flow:
         """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at (a, +1)."""
         if self._tiles is None:
             self._tiles = tile_markings(
-                self.scaled(), _step_tables(self.quiver),
+                self.scaled(), self.step_tables,
                 {a: (a, 1) for a in sorted(self.values)},
                 lambda a, c: trace_interval(self, (a, 1), c))
         return self._tiles
+
+    @cached_property
+    def step_tables(self):
+        """The (forward, backward) tables of the (alpha', beta, beta') data of
+        every signed arrow whose head (tail) is internal."""
+        f = self.quiver
+        fwd, bwd = {}, {}
+        for a in f.arrows:
+            for eps in (1, -1):
+                if f.is_internal(f.signed_head(a, eps)):
+                    fwd[(a, eps)] = _forward_data(f, a, eps)
+                if f.is_internal(f.signed_tail(a, eps)):
+                    bwd[(a, eps)] = _backward_data(f, a, eps)
+        return fwd, bwd
 
     def _validate(self) -> None:
         for a, x in self.values.items():
@@ -200,22 +218,6 @@ def _backward_data(f: FringedQuiver, a: str, eps: int):
         beta_prime = mine[1]       # a . beta' is the relation through a
         alpha_prime, beta = other
     return alpha_prime, beta, beta_prime
-
-
-def _step_tables(f: FringedQuiver):
-    """Per-quiver cache of the (alpha', beta, beta') data of every signed arrow."""
-    tables = getattr(f, "_flow_step_tables", None)
-    if tables is None:
-        fwd, bwd = {}, {}
-        for a in f.arrows:
-            for eps in (1, -1):
-                if f.is_internal(f.signed_head(a, eps)):
-                    fwd[(a, eps)] = _forward_data(f, a, eps)
-                if f.is_internal(f.signed_tail(a, eps)):
-                    bwd[(a, eps)] = _backward_data(f, a, eps)
-        tables = (fwd, bwd)
-        object.__setattr__(f, "_flow_step_tables", tables)
-    return tables
 
 
 def _step(F: Flow, sa: SignedArrow, c: Fraction, data_fn):
@@ -375,7 +377,7 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     """
     c = parse_rational(c)
     _check_arrow_flow(F, sa, c)
-    return marked_trace(F.scaled(), _step_tables(F.quiver), sa, c)
+    return marked_trace(F.scaled(), F.step_tables, sa, c)
 
 
 # -- tiling: one trace per trail orientation ------------------------------------------
@@ -534,16 +536,17 @@ def trail_coefficients(tiles: dict[str, list]) -> dict[Trail, Fraction]:
 def decompose_bundle(F: Flow) -> BundleCombination:
     """The unique positive bundle combination realizing a rational flow."""
     combo = BundleCombination(trail_coefficients(F.tiles()))
-    _verify_combination(F, combo)
+    _verify_combination(F.values, combo)
     return combo
 
 
-def _verify_combination(F: Flow, combo: BundleCombination) -> None:
-    total = {a: Q(0) for a in F.quiver.arrows}
+def _verify_combination(values: dict[str, Fraction], combo: BundleCombination) -> None:
+    """Assert that the combination adds up to the flow `values` (per arrow or edge)."""
+    total = dict.fromkeys(values, Q(0))
     for t, x in combo.coefficients.items():
         for a, _e in t.walk:
             total[a] += x
-    if any(total[a] != F[a] for a in total):
+    if total != values:
         raise AssertionError("bundle combination does not reconstruct the flow")
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .flows import Flow, format_rational, indicator
-from .quiver import DomainError, FringedQuiver
+from .flows import format_rational, indicator
+from .quiver import DomainError, FringedQuiver, cyclic_core
 from .trails import (
-    Route,
     Trail,
     elementary_bands,
     elementary_routes,
@@ -35,12 +34,6 @@ class PolyhedronPresentation:
     vertices: list[tuple[Trail, dict]]      # (labelling trail, rational vector)
     rays: list[tuple[Trail, dict]]
     dimension: int
-
-    def vertex_vectors(self) -> list[dict]:
-        return [v for _t, v in self.vertices]
-
-    def ray_vectors(self) -> list[dict]:
-        return [v for _t, v in self.rays]
 
     def as_json(self):
         def vec(v):
@@ -118,17 +111,8 @@ def _restricted_reachable(f: FringedQuiver, allowed: set[str]):
 
 def _restricted_cyclic(f: FringedQuiver, allowed: set[str]) -> set[str]:
     """Arrows lying on a cycle of the transition graph restricted to `allowed`."""
-    from .trails import _cyclic_core
-
-    class _View:
-        def __init__(self, base):
-            self.base = base
-
-        def string_continuations(self, a, e):
-            return [x for x in self.base.string_continuations(a, e) if x[0] in allowed]
-
     nodes = [(a, e) for a in sorted(allowed) for e in (1, -1)]
-    core = _cyclic_core(_View(f), nodes)
+    core = cyclic_core(nodes, lambda n: [x for x in f.string_continuations(*n) if x[0] in allowed])
     return {a for a, _e in core}
 
 
@@ -174,13 +158,6 @@ class HalfSpace:
 
     def evaluate(self, x: dict[str, Fraction]) -> Fraction:
         return sum((self.coeffs[v] * Q(x.get(v, 0)) for v in self.coeffs), Q(0))
-
-    def satisfied_by(self, x: dict[str, Fraction]) -> bool:
-        val = self.evaluate(x)
-        return val <= self.rhs if self.relation == "<=" else val >= self.rhs
-
-    def tight_at(self, x: dict[str, Fraction]) -> bool:
-        return self.evaluate(x) == self.rhs
 
     def as_json(self):
         return {
@@ -258,10 +235,6 @@ def g_facets(f: FringedQuiver) -> list[tuple[frozenset[str], HalfSpace]]:
 
 # -- cells and unimodularity --------------------------------------------------------
 
-def clique_cell(f: FringedQuiver, routes) -> list[tuple[Route, dict]]:
-    return [(p, dict(indicator(f, p).values)) for p in routes]
-
-
 def _det(rows: list[list[Fraction]]) -> Fraction:
     n = len(rows)
     m = [row[:] for row in rows]
@@ -292,6 +265,3 @@ def unimodularity_check(f: FringedQuiver, clique_routes) -> bool:
     rows = [[Q(g_vector(f, p)[v]) for v in order] for p in bending]
     return abs(_det(rows)) == 1
 
-
-def flow_vector(F: Flow) -> dict[str, Fraction]:
-    return dict(F.values)

@@ -10,7 +10,8 @@ each internal vertex pair the two incoming with the two outgoing arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 
 class StructuralError(ValueError):
@@ -19,6 +20,67 @@ class StructuralError(ValueError):
 
 class DomainError(ValueError):
     """Operation contract violated (unpaired quiver, bad flow, unknown trail...)."""
+
+
+def incidence(edges: dict[str, tuple[str, str]]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """(ins, outs): per node, the sorted ids of the edges entering and leaving it.
+
+    Nodes without edges have no entry; lists are shared, so callers copy
+    before changing one.
+    """
+    ins: dict[str, list[str]] = {}
+    outs: dict[str, list[str]] = {}
+    for e in sorted(edges):
+        t, h = edges[e]
+        outs.setdefault(t, []).append(e)
+        ins.setdefault(h, []).append(e)
+    return ins, outs
+
+
+def cyclic_core(nodes, succ) -> set:
+    """Nodes on an oriented cycle of the graph given by succ(node): those in a
+    strongly connected component of two or more nodes, or with a self-loop.
+
+    Tarjan's algorithm with an explicit stack, so no depth limit applies.
+    """
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    onstack: set = set()
+    core: set = set()
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if w == node:
+                    core.add(node)  # a self-loop
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if w in onstack:
+                    low[node] = min(low[node], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        onstack.discard(comp[-1])
+                    if len(comp) > 1:
+                        core.update(comp)
+    return core
 
 
 @dataclass(frozen=True)
@@ -40,11 +102,15 @@ class GentleQuiver:
             if self.arrows[a][1] != self.arrows[b][0]:
                 raise StructuralError(f"relation {a} {b} between non-composable arrows")
 
+    @cached_property
+    def _incidence(self):
+        return incidence(self.arrows)
+
     def arrows_out(self, v: str) -> list[str]:
-        return sorted(a for a, (t, _h) in self.arrows.items() if t == v)
+        return self._incidence[1].get(v, [])
 
     def arrows_in(self, v: str) -> list[str]:
-        return sorted(a for a, (_t, h) in self.arrows.items() if h == v)
+        return self._incidence[0].get(v, [])
 
 
 def validate_gentle(q: GentleQuiver) -> list[str]:
@@ -61,42 +127,26 @@ def validate_gentle(q: GentleQuiver) -> list[str]:
         if len(q.arrows_out(v)) > 2:
             violations.append(f"vertex {v} has out-degree > 2")
     for a in sorted(q.arrows):
-        succ = [b for b in sorted(q.arrows) if q.arrows[a][1] == q.arrows[b][0]]
+        t, h = q.arrows[a]
+        succ = q.arrows_out(h)
         strings = [b for b in succ if (a, b) not in q.relations]
         rels = [b for b in succ if (a, b) in q.relations]
         if len(strings) > 1:
             violations.append(f"arrow {a} has two relation-free continuations {strings}")
         if len(rels) > 1:
             violations.append(f"arrow {a} has two relation continuations {rels}")
-        pred_strings = [b for b in sorted(q.arrows) if q.arrows[b][1] == q.arrows[a][0]
-                        and (b, a) not in q.relations]
-        pred_rels = [b for b in sorted(q.arrows) if q.arrows[b][1] == q.arrows[a][0]
-                     and (b, a) in q.relations]
+        pred = q.arrows_in(t)
+        pred_strings = [b for b in pred if (b, a) not in q.relations]
+        pred_rels = [b for b in pred if (b, a) in q.relations]
         if len(pred_strings) > 1:
             violations.append(f"arrow {a} has two relation-free predecessors {pred_strings}")
         if len(pred_rels) > 1:
             violations.append(f"arrow {a} has two relation predecessors {pred_rels}")
-    if _has_relation_free_cycle(q):
+    # arrow a -> b when ab is composable and not a relation
+    if cyclic_core(q.arrows, lambda a: [b for b in q.arrows_out(q.arrows[a][1])
+                                        if (a, b) not in q.relations]):
         violations.append("oriented relation-free cycle (algebra is infinite-dimensional)")
     return violations
-
-
-def _has_relation_free_cycle(q: GentleQuiver) -> bool:
-    # DFS over arrows; edge a -> b when ab is composable and not a relation.
-    succ = {a: [b for b in q.arrows
-                if q.arrows[a][1] == q.arrows[b][0] and (a, b) not in q.relations]
-            for a in q.arrows}
-    color = dict.fromkeys(q.arrows, 0)
-
-    def visit(a: str) -> bool:
-        color[a] = 1
-        for b in succ[a]:
-            if color[b] == 1 or (color[b] == 0 and visit(b)):
-                return True
-        color[a] = 2
-        return False
-
-    return any(color[a] == 0 and visit(a) for a in q.arrows)
 
 
 @dataclass(frozen=True)
@@ -113,23 +163,54 @@ class FringedQuiver:
     arrows: dict[str, tuple[str, str]]
     relation_pairs: dict[str, tuple[tuple[str, str], tuple[str, str]]]
 
-    _string_next: dict = field(default_factory=dict, compare=False, repr=False)
+    # -- the index, built on first use (so malformed input reaches validate) --
 
-    def __post_init__(self):
-        object.__setattr__(self, "_string_next", {})
+    @cached_property
+    def _incidence(self):
+        return incidence(self.arrows)
+
+    @cached_property
+    def _internal(self) -> frozenset[str]:
+        return frozenset(self.internal_vertices)
+
+    @cached_property
+    def relations(self) -> frozenset[tuple[str, str]]:
+        return frozenset(p for pair in self.relation_pairs.values() for p in pair)
+
+    @cached_property
+    def _continuations(self) -> dict[tuple[str, int], list[tuple[str, int]]]:
+        rels = self.relations
+        table = {}
+        for a in self.arrows:
+            for eps in (1, -1):
+                v = self.signed_head(a, eps)
+                out: list[tuple[str, int]] = []
+                if v in self._internal:
+                    for b in self.arrows_out(v):
+                        if eps == 1 and (a, b) in rels:
+                            continue
+                        if eps == -1 and b == a:
+                            continue  # a^-1 a backtrack
+                        out.append((b, 1))
+                    for b in self.arrows_in(v):
+                        if eps == 1 and b == a:
+                            continue  # a a^-1 backtrack
+                        if eps == -1 and (b, a) in rels:
+                            continue  # (a^-1)(b^-1) = (ba)^-1 crosses the relation ba
+                        out.append((b, -1))
+                table[(a, eps)] = out
+        return table
+
+    @cached_property
+    def calculus(self):
+        """The per-quiver cache of substring data, kissing and compatibility."""
+        from .trails import TrailCalculus
+        return TrailCalculus(self)
 
     # -- basic structure ---------------------------------------------------
 
-    @property
-    def relations(self) -> frozenset[tuple[str, str]]:
-        rels = set()
-        for (p1, p2) in self.relation_pairs.values():
-            rels.add(p1)
-            rels.add(p2)
-        return frozenset(rels)
-
     def is_internal(self, v: str) -> bool:
-        return v in set(self.internal_vertices)
+        return v in self._internal
 
     def tail(self, a: str) -> str:
         return self.arrows[a][0]
@@ -138,17 +219,17 @@ class FringedQuiver:
         return self.arrows[a][1]
 
     def internal_arrows(self) -> list[str]:
-        vi = set(self.internal_vertices)
+        vi = self._internal
         return sorted(a for a, (t, h) in self.arrows.items() if t in vi and h in vi)
 
     def fringe_arrows(self) -> list[str]:
         return sorted(set(self.arrows) - set(self.internal_arrows()))
 
     def arrows_out(self, v: str) -> list[str]:
-        return sorted(a for a, (t, _h) in self.arrows.items() if t == v)
+        return self._incidence[1].get(v, [])
 
     def arrows_in(self, v: str) -> list[str]:
-        return sorted(a for a, (_t, h) in self.arrows.items() if h == v)
+        return self._incidence[0].get(v, [])
 
     def straight_route_count(self) -> int:
         return 2 * len(self.internal_vertices) - len(self.internal_arrows())
@@ -163,36 +244,16 @@ class FringedQuiver:
 
     def string_continuations(self, a: str, eps: int) -> list[tuple[str, int]]:
         """Signed arrows x^z such that a^eps x^z is a string (at most one per sign)."""
-        key = (a, eps)
-        cached = self._string_next.get(key)
-        if cached is not None:
-            return cached
-        v = self.signed_head(a, eps)
-        out: list[tuple[str, int]] = []
-        if self.is_internal(v):
-            rels = self.relations
-            for b in self.arrows_out(v):
-                if eps == 1 and (a, b) in rels:
-                    continue
-                if eps == -1 and b == a:
-                    continue  # a^-1 a backtrack
-                out.append((b, 1))
-            for b in self.arrows_in(v):
-                if eps == 1 and b == a:
-                    continue  # a a^-1 backtrack
-                if eps == -1 and (b, a) in rels:
-                    continue  # (a^-1)(b^-1) = (ba)^-1 crosses the relation ba
-                out.append((b, -1))
-        self._string_next[key] = out
-        return out
+        return self._continuations[(a, eps)]
 
     def validate(self) -> None:
         """Check the fringed-quiver axioms; raise DomainError on failure."""
-        vi, vf = set(self.internal_vertices), set(self.fringe_vertices)
+        vi, vf = self._internal, frozenset(self.fringe_vertices)
         if vi & vf:
             raise DomainError("a vertex is both internal and fringe")
+        known = vi | vf
         for a, (t, h) in self.arrows.items():
-            if t not in vi | vf or h not in vi | vf:
+            if t not in known or h not in known:
                 raise StructuralError(f"arrow {a} has a dangling endpoint")
         for v in vf:
             deg = len(self.arrows_in(v)) + len(self.arrows_out(v))
@@ -208,20 +269,13 @@ class FringedQuiver:
             if sorted((a1, b1)) != ins or sorted((a2, b2)) != outs:
                 raise DomainError(f"relation pairs at {v} do not match its incident arrows")
         base = GentleQuiver(
-            vertices=tuple(sorted(vi | vf)),
+            vertices=tuple(sorted(known)),
             arrows=dict(self.arrows),
             relations=self.relations,
         )
         problems = validate_gentle(base)
         if problems:
             raise DomainError("; ".join(problems))
-
-    def underlying_gentle(self) -> GentleQuiver:
-        return GentleQuiver(
-            vertices=tuple(sorted(set(self.internal_vertices) | set(self.fringe_vertices))),
-            arrows=dict(self.arrows),
-            relations=self.relations,
-        )
 
 
 def fringe(q: GentleQuiver) -> FringedQuiver:
@@ -297,11 +351,10 @@ def find_pairing(f: FringedQuiver) -> dict[str, int] | None:
     # Composability graph on arrows: a ~ b whenever ab or ba is composable.
     constraints: dict[str, list[tuple[str, bool]]] = {a: [] for a in f.arrows}
     for a in f.arrows:
-        for b in f.arrows:
-            if f.head(a) == f.tail(b):
-                differ = (a, b) in rels
-                constraints[a].append((b, differ))
-                constraints[b].append((a, differ))
+        for b in f.arrows_out(f.head(a)):
+            differ = (a, b) in rels
+            constraints[a].append((b, differ))
+            constraints[b].append((a, differ))
     for start in sorted(f.arrows):
         if start in psi:
             continue
@@ -323,17 +376,7 @@ def find_pairing(f: FringedQuiver) -> dict[str, int] | None:
 def is_representation_finite(f: FringedQuiver) -> bool:
     """True iff no band exists: the signed-arrow transition graph is acyclic."""
     nodes = [(a, e) for a in f.arrows for e in (1, -1)]
-    color = dict.fromkeys(nodes, 0)
-
-    def visit(n) -> bool:
-        color[n] = 1
-        for m in f.string_continuations(*n):
-            if color[m] == 1 or (color[m] == 0 and visit(m)):
-                return True
-        color[n] = 2
-        return False
-
-    return not any(color[n] == 0 and visit(n) for n in nodes)
+    return not cyclic_core(nodes, lambda n: f.string_continuations(*n))
 
 
 # -- quiver file format ------------------------------------------------------
@@ -347,6 +390,10 @@ def _strip_comment(line: str) -> str:
         if ch == "#" and line[i - 1] in " \t":
             return line[:i]
     return line
+
+
+# the number of tokens on each kind of line
+_TOKENS = {"vertex": 2, "fringe-vertex": 2, "arrow": 5, "relation": 3}
 
 
 def parse_quiver_file(text: str):
@@ -369,25 +416,24 @@ def parse_quiver_file(text: str):
             fringed_marker = True
             continue
         parts = line.split()
-        try:
-            if parts[0] == "vertex":
-                vertices.append(parts[1])
-            elif parts[0] == "fringe-vertex":
-                fringe_vs.append(parts[1])
-            elif parts[0] == "arrow":
-                # arrow <id>: <tail> -> <head>
-                name = parts[1].rstrip(":")
-                if parts[3] != "->":
-                    raise StructuralError(f"line {ln}: expected '->'")
-                if name in arrows:
-                    raise StructuralError(f"line {ln}: duplicate arrow id {name}")
-                arrows[name] = (parts[2], parts[4])
-            elif parts[0] == "relation":
-                relations.add((parts[1], parts[2]))
-            else:
-                raise StructuralError(f"line {ln}: unknown directive {parts[0]!r}")
-        except IndexError:
-            raise StructuralError(f"line {ln}: malformed line {raw!r}") from None
+        if parts[0] not in _TOKENS:
+            raise StructuralError(f"line {ln}: unknown directive {parts[0]!r}")
+        if len(parts) != _TOKENS[parts[0]]:
+            raise StructuralError(f"line {ln}: malformed line {raw!r}")
+        if parts[0] == "vertex":
+            vertices.append(parts[1])
+        elif parts[0] == "fringe-vertex":
+            fringe_vs.append(parts[1])
+        elif parts[0] == "arrow":
+            # arrow <id>: <tail> -> <head>
+            name = parts[1].rstrip(":")
+            if parts[3] != "->":
+                raise StructuralError(f"line {ln}: expected '->'")
+            if name in arrows:
+                raise StructuralError(f"line {ln}: duplicate arrow id {name}")
+            arrows[name] = (parts[2], parts[4])
+        else:
+            relations.add((parts[1], parts[2]))
     if fringe_vs and not fringed_marker:
         raise StructuralError("fringe-vertex outside a 'fringed' file")
     if not fringed_marker:
@@ -398,12 +444,13 @@ def parse_quiver_file(text: str):
 
 
 def _fringed_from_parts(vertices, fringe_vs, arrows, relations):
+    at: dict[str, list[tuple[str, str]]] = {}  # internal vertex -> relations through it
+    for a, b in relations:
+        if a in arrows and b in arrows and arrows[a][1] == arrows[b][0]:
+            at.setdefault(arrows[a][1], []).append((a, b))
     relation_pairs = {}
-    f0 = FringedQuiver(tuple(vertices), tuple(fringe_vs), arrows, {})
     for v in vertices:
-        ins, outs = f0.arrows_in(v), f0.arrows_out(v)
-        pairs = sorted((a, b) for (a, b) in relations
-                       if a in ins and b in outs)
+        pairs = sorted(at.get(v, []))
         if len(pairs) != 2:
             raise DomainError(f"internal vertex {v} needs exactly 2 relations, found {len(pairs)}")
         relation_pairs[v] = (pairs[0], pairs[1])
@@ -423,9 +470,3 @@ def serialize_fringed(f: FringedQuiver) -> str:
     lines += [f"relation {a} {b}" for a, b in sorted(f.relations)]
     return "\n".join(lines) + "\n"
 
-
-def serialize_gentle(q: GentleQuiver) -> str:
-    lines = [f"vertex {v}" for v in q.vertices]
-    lines += [f"arrow {a}: {t} -> {h}" for a, (t, h) in sorted(q.arrows.items())]
-    lines += [f"relation {a} {b}" for a, b in sorted(q.relations)]
-    return "\n".join(lines) + "\n"

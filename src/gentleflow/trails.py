@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quiver import DomainError, FringedQuiver
+from .quiver import DomainError, FringedQuiver, cyclic_core
 
 SignedArrow = tuple[str, int]
 Walk = tuple[SignedArrow, ...]
@@ -193,7 +193,7 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
         raise DomainError("max_arrows must be >= 1")
     # Restrict to signed arrows lying on cycles of the transition graph.
     nodes = [(a, e) for a in sorted(f.arrows) for e in (1, -1)]
-    on_cycle = _cyclic_core(f, nodes)
+    on_cycle = cyclic_core(nodes, lambda n: f.string_continuations(*n))
     found: set[Band] = set()
     order = {n: i for i, n in enumerate(nodes)}
 
@@ -215,61 +215,6 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
         if s in on_cycle:
             extend(s, [s])
     return found
-
-
-def _cyclic_core(f: FringedQuiver, nodes) -> set:
-    # Tarjan SCC on the transition graph; keep nodes in a nontrivial SCC or
-    # with a self-loop.
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    onstack: set = set()
-    core: set = set()
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(f.string_continuations(*v)))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(f.string_continuations(*w))))
-                    advanced = True
-                    break
-                if w in onstack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                if len(comp) > 1:
-                    core.update(comp)
-                elif comp[0] in f.string_continuations(*comp[0]):
-                    core.add(comp[0])
-
-    for v in nodes:
-        if v not in index:
-            strongconnect(v)
-    return core
 
 
 # -- substrings: tops, bottoms, boosted, criss-crossed -------------------------
@@ -386,12 +331,7 @@ class TrailCalculus:
 
 
 def calculus(f: FringedQuiver) -> TrailCalculus:
-    # cached on the quiver object (quivers hold dicts, so lru_cache won't do)
-    calc = getattr(f, "_trail_calc", None)
-    if calc is None:
-        calc = TrailCalculus(f)
-        object.__setattr__(f, "_trail_calc", calc)
-    return calc
+    return f.calculus
 
 
 def kiss(f: FringedQuiver, p: Trail, q: Trail):
@@ -489,14 +429,6 @@ def _contains_sub(f: FringedQuiver, big, small) -> bool:
 
 def _maximal_only(f: FringedQuiver, subs: set) -> set:
     return {s for s in subs if not any(_contains_sub(f, other, s) for other in subs)}
-
-
-def boosted_substrings(f: FringedQuiver, t: Trail) -> set:
-    return boosted_and_crisscrossed(f, t)[0]
-
-
-def crisscrossed_substrings(f: FringedQuiver, t: Trail) -> set:
-    return boosted_and_crisscrossed(f, t)[1]
 
 
 # -- elementary trails ---------------------------------------------------------

@@ -190,6 +190,7 @@ BAD_FLOWS = {
     "not a number": '{"e1": "abc", "f1": "abc"}',
     "json list": '["e1", "f1"]',
     "boolean": '{"e1": true, "f1": true}',
+    "too many digits to print": '{"e1": "1e5000", "f1": "1e5000"}',
 }
 
 
@@ -212,3 +213,21 @@ def test_dag_decompose_bad_flow_json_is_domain_error(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "dag-decompose", str(graph), "--flow", str(flow))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DomainError"
+
+
+def test_structure_commands_on_a_deep_path(tmp_path, capsys):
+    # a linear A_3000 path: every graph search must be iterative
+    n = 3000
+    lines = [f"vertex u{i}" for i in range(n)]
+    lines += [f"arrow a{i}: u{i} -> u{i + 1}" for i in range(n - 1)]
+    p = tmp_path / "path.qv"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "validate", str(p))
+    assert code == 0
+    assert json.loads(out)["payload"] == {"kind": "gentle", "violations": []}
+    code, out, _ = run_cli(capsys, "fringe", str(p))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "pairing", str(p))
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["paired"] and payload["representation_finite"]

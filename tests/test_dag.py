@@ -172,3 +172,28 @@ def test_dag_agrees_with_quiver_decompose():
 def test_framed_graph_file_roundtrip():
     g = fixture_dag("difdagc-dag")
     assert parse_framed_graph(serialize_framed_graph(g)) == g
+
+
+@pytest.mark.parametrize("text", [
+    "vertex s source\nvertex s sink\n",
+    "vertex s source\nvertex t sink\nedge e: s -> t label 1\nedge e: s -> t label 2\n",
+    "vertex m internal junk\n",
+    "vertex s source\nvertex t sink\nedge e: s -> t label 1 extra\n",
+    "vertex s source\nvertex t sink\nedge e: s -> t label one\n",
+])
+def test_parse_framed_graph_errors(text):
+    with pytest.raises(quiver.StructuralError, match=r"line \d+: "):
+        parse_framed_graph(text)
+
+
+def test_long_framed_chain():
+    # sources s1, s2 -> v0 => v1 => ... => v2999 -> sinks t1, t2, parallel edges labelled 1, 2
+    n = 3000
+    vertices = {"s1": "source", "s2": "source", "t1": "sink", "t2": "sink"}
+    vertices.update({f"v{i}": "internal" for i in range(n)})
+    edges = {"p1": ("s1", "v0"), "p2": ("s2", "v0"),
+             "q1": (f"v{n - 1}", "t1"), "q2": (f"v{n - 1}", "t2")}
+    edges.update({f"e{i}_{k}": (f"v{i}", f"v{i + 1}") for i in range(n - 1) for k in (1, 2)})
+    g = FramedDirectedGraph(vertices, edges, {e: int(e[-1]) for e in edges})
+    assert validate_framed(g) == []
+    assert g.is_acyclic()

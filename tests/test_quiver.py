@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 
 from gentleflow import quiver
@@ -135,6 +138,26 @@ def test_parse_errors():
         parse_quiver_file("fringe-vertex w\n")  # outside a fringed file
     with pytest.raises(StructuralError):
         parse_quiver_file("vertex v\narrow x: v -> v\narrow x: v -> v\n")
+    for extra_tokens in ("vertex v junk\n",
+                         "vertex v\narrow a: v -> v extra tokens\nrelation a a\n",
+                         "vertex v\narrow a: v -> v\nrelation a a zzz\n",
+                         "fringed\nvertex v\nfringe-vertex w x\n"):
+        with pytest.raises(StructuralError, match=r"line \d+: malformed line"):
+            parse_quiver_file(extra_tokens)
+
+
+def test_cyclic_core_matches_networkx():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        succ = {v: sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))})
+                for v in range(n)}
+        g = nx.DiGraph()
+        g.add_nodes_from(succ)
+        g.add_edges_from((v, w) for v, ws in succ.items() for w in ws)
+        oracle = {v for comp in nx.strongly_connected_components(g)
+                  for v in comp if len(comp) > 1 or g.has_edge(v, v)}
+        assert quiver.cyclic_core(list(succ), succ.__getitem__) == oracle
 
 
 def test_fringed_quiver_validation_errors():
