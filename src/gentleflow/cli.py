@@ -46,6 +46,11 @@ def default_band_bound(f: FringedQuiver) -> int:
     return 2 * len(f.internal_vertices) + 2
 
 
+def _bound(given: int | None, default: int) -> int:
+    # 0 is a given bound (and an error downstream), not a missing one
+    return default if given is None else given
+
+
 def _report(args, payload, bounds=None, input_path=None):
     meta = {
         "tool": "gentleflow",
@@ -100,13 +105,13 @@ def cmd_pairing(args):
 
 def cmd_routes(args):
     f = _load_quiver(args.file)
-    bound = args.max_arrows or default_route_bound(f)
-    calc = trails.calculus(f)
+    bound = _bound(args.max_arrows, default_route_bound(f))
     routes = sorted(trails.enumerate_routes(f, bound), key=trails.trail_key)
+    compatible = trails.self_compatible_routes(f, bound)
     payload = [{"trail": str(p),
-                "self_compatible": calc.self_compatible(p),
+                "self_compatible": p in compatible,
                 "straight": trails.is_straight(p),
-                "elementary": trails.is_elementary_route(f, p)}
+                "elementary": p in compatible and trails.is_elementary_route(f, p)}
                for p in routes]
     _report(args, payload, bounds={"max_arrows": bound}, input_path=args.file)
     return 0
@@ -114,7 +119,7 @@ def cmd_routes(args):
 
 def cmd_bands(args):
     f = _load_quiver(args.file)
-    bound = args.max_arrows or default_band_bound(f)
+    bound = _bound(args.max_arrows, default_band_bound(f))
     calc = trails.calculus(f)
     bands = sorted(trails.enumerate_bands(f, bound), key=trails.trail_key)
     payload = [{"trail": str(b),
@@ -160,7 +165,7 @@ def cmd_blanks(args):
 
 def cmd_cliques(args):
     f = _load_quiver(args.file)
-    bound = args.max_arrows or default_route_bound(f)
+    bound = _bound(args.max_arrows, default_route_bound(f))
     ks = complexes.maximal_cliques(f, bound)
     payload = [(k.reduced() if args.reduced else k).as_json() for k in ks]
     _report(args, payload, bounds={"route_bound": bound}, input_path=args.file)
@@ -169,8 +174,8 @@ def cmd_cliques(args):
 
 def cmd_bundles(args):
     f = _load_quiver(args.file)
-    rb = args.max_arrows or default_route_bound(f)
-    bb = args.band_bound or default_band_bound(f)
+    rb = _bound(args.max_arrows, default_route_bound(f))
+    bb = _bound(args.band_bound, default_band_bound(f))
     bs = complexes.maximal_bundles(f, rb, bb)
     payload = {
         "bundles": [b.as_json() for b in bs],
@@ -183,8 +188,8 @@ def cmd_bundles(args):
 
 def cmd_band_stable(args):
     f = _load_quiver(args.file)
-    rb = args.max_arrows or default_route_bound(f)
-    bb = args.band_bound or default_band_bound(f)
+    rb = _bound(args.max_arrows, default_route_bound(f))
+    bb = _bound(args.band_bound, default_band_bound(f))
     ks = complexes.band_stable_cliques(f, rb, bb)
     maximal = {frozenset(k.routes) for k in complexes.maximal_cliques(f, rb)}
     payload = [{"clique": k.as_json(), "maximal": frozenset(k.routes) in maximal}
@@ -222,8 +227,8 @@ def cmd_facets(args):
 
 def cmd_cells(args):
     f = _load_quiver(args.file)
-    rb = args.max_arrows or default_route_bound(f)
-    bb = args.band_bound or default_band_bound(f)
+    rb = _bound(args.max_arrows, default_route_bound(f))
+    bb = _bound(args.band_bound, default_band_bound(f))
     if args.kind == "clique":
         payload = [k.as_json() for k in complexes.maximal_cliques(f, rb)]
     elif args.kind == "bundle":

@@ -17,9 +17,9 @@ from .trails import (
     calculus,
     countercurrent_compare,
     enumerate_bands,
-    enumerate_routes,
     is_straight,
     markings_at,
+    self_compatible_routes,
     straight_routes,
     trail_key,
 )
@@ -62,9 +62,7 @@ class Bundle:
 
 
 def bending_route_universe(f: FringedQuiver, route_bound: int) -> list[Route]:
-    calc = calculus(f)
-    return sorted((p for p in enumerate_routes(f, route_bound)
-                   if not is_straight(p) and calc.self_compatible(p)),
+    return sorted((p for p in self_compatible_routes(f, route_bound) if not is_straight(p)),
                   key=trail_key)
 
 
@@ -74,46 +72,59 @@ def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
                   key=trail_key)
 
 
-def _compat_sets(f: FringedQuiver, nodes: list[Trail]) -> dict[Trail, set[Trail]]:
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list[int]:
+    """Per trail of rows, the bitset of the trails of cols compatible with it;
+    when rows is cols, a trail's own bit is left out."""
     calc = calculus(f)
-    adj: dict[Trail, set[Trail]] = {t: set() for t in nodes}
-    for i, p in enumerate(nodes):
-        for q in nodes[i + 1:]:
-            if calc.compatible(p, q):
-                adj[p].add(q)
-                adj[q].add(p)
-    return adj
+    if rows is cols:
+        out = [0] * len(rows)
+        for i, p in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                if calc.compatible(p, rows[j]):
+                    out[i] |= 1 << j
+                    out[j] |= 1 << i
+        return out
+    return [sum(1 << j for j, q in enumerate(cols) if calc.compatible(p, q)) for p in rows]
 
 
-def _bron_kerbosch(nodes: list[Trail], adj) -> list[frozenset[Trail]]:
-    """Pivoted Bron-Kerbosch; deterministic through the canonical node order."""
-    cliques: list[frozenset[Trail]] = []
-    order = {t: i for i, t in enumerate(nodes)}
-
-    def expand(r: set, p: set, x: set):
-        if not p and not x:
-            cliques.append(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -order[u]))
-        for v in sorted(p - adj[pivot], key=lambda t: order[t]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(nodes), set())
+def _bron_kerbosch(adj: list[int]) -> list[int]:
+    """Maximal cliques of the graph on range(len(adj)) with neighbour bitsets
+    adj, as bitsets: Bron-Kerbosch with Tomita pivoting, on an explicit stack."""
+    cliques = []
+    stack = [(0, (1 << len(adj)) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                cliques.append(r)
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
     return cliques
+
+
+def _members(nodes: list, mask: int) -> frozenset:
+    return frozenset(nodes[i] for i in _bits(mask))
 
 
 def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
     """Maximal cliques within the bounded route universe, straight routes included."""
     if route_bound < 1:
         raise DomainError("route_bound must be >= 1")
-    straights = straight_routes(f)
+    straights = frozenset(straight_routes(f))
     bending = bending_route_universe(f, route_bound)
-    if not bending:
-        return [Clique(frozenset(straights))]
-    adj = _compat_sets(f, bending)
-    return sorted((Clique(frozenset(straights) | c) for c in _bron_kerbosch(bending, adj)),
+    cliques = _bron_kerbosch(_compat_rows(f, bending, bending))
+    return sorted((Clique(straights | _members(bending, c)) for c in cliques),
                   key=lambda k: tuple(trail_key(t) for t in k.sorted_routes()))
 
 
@@ -121,13 +132,11 @@ def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list
     """Maximal bundles within the bounded trail universe, straight routes included."""
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
-    straights = straight_routes(f)
+    straights = frozenset(straight_routes(f))
     nodes: list[Trail] = list(bending_route_universe(f, route_bound))
     nodes += band_universe(f, band_bound)
-    if not nodes:
-        return [Bundle(frozenset(straights))]
-    adj = _compat_sets(f, nodes)
-    return sorted((Bundle(frozenset(straights) | c) for c in _bron_kerbosch(nodes, adj)),
+    cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
+    return sorted((Bundle(straights | _members(nodes, c)) for c in cliques),
                   key=lambda k: tuple(trail_key(t) for t in k.sorted_trails()))
 
 
@@ -136,30 +145,41 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     route extension kills some K-compatible band.
 
     Stability reduces to single-route extensions: a clique K' ⊋ K contains a
-    route q ∉ K, and a K-compatible band kissing q is not K'-compatible.
+    route q ∉ K, and a K-compatible band kissing q is not K'-compatible.  The
+    candidates are the subsets of the maximal cliques of the bending graph.
+    For one candidate s, as bitsets, ext(s) is the routes outside s compatible
+    with all of s and ok(s) the bands compatible with all of s; s is stable
+    when every q in ext(s) kisses some band of ok(s).
     """
-    straights = set(straight_routes(f))
+    if route_bound < 1 or band_bound < 1:
+        raise DomainError("bounds must be >= 1")
+    straights = frozenset(straight_routes(f))
     bending = bending_route_universe(f, route_bound)
     bands = band_universe(f, band_bound)
-    calc = calculus(f)
-    adj = _compat_sets(f, bending)
+    rows = _compat_rows(f, bending, bending)
+    band_rows = _compat_rows(f, bending, bands)
 
-    # candidate cliques = subsets of maximal cliques of the bending graph
-    maximal = (_bron_kerbosch(bending, adj) if bending else [frozenset()])
-    seen: set[frozenset[Route]] = set()
-    for m in maximal:
-        members = sorted(m, key=trail_key)
-        for mask in range(1 << len(members)):
-            seen.add(frozenset(members[i] for i in range(len(members)) if mask >> i & 1))
-
+    # (ext, ok) per candidate; a nonempty one extends the candidate without
+    # its lowest route, visited before it since submasks go in increasing order
+    acc: dict[int, tuple[int, int]] = {}
     stable = []
-    for bend in seen:
-        compat_bands = [b for b in bands if all(calc.compatible(b, p) for p in bend)]
-        extensions = [q for q in bending if q not in bend
-                      and all(calc.compatible(q, p) for p in bend)]
-        ok = all(any(not calc.compatible(b, q) for b in compat_bands) for q in extensions)
-        if ok:
-            stable.append(Clique(frozenset(straights) | bend))
+    for m in _bron_kerbosch(rows):
+        subs = [m]
+        while subs[-1]:
+            subs.append((subs[-1] - 1) & m)
+        for s in reversed(subs):
+            if s in acc:
+                continue
+            if s:
+                low = s & -s
+                ext, ok = acc[s ^ low]
+                v = low.bit_length() - 1
+                ext, ok = ext & rows[v], ok & band_rows[v]
+            else:
+                ext, ok = (1 << len(bending)) - 1, (1 << len(bands)) - 1
+            acc[s] = ext, ok
+            if all(ok & ~band_rows[q] for q in _bits(ext)):
+                stable.append(Clique(straights | _members(bending, s)))
     return sorted(stable, key=lambda k: tuple(trail_key(t) for t in k.sorted_routes()))
 
 

@@ -9,6 +9,7 @@ kissing/compatibility, the countercurrent order and g-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .quiver import DomainError, FringedQuiver, cyclic_core
 
@@ -83,6 +84,10 @@ class Route:
             _route_cache[inv] = hit
         return hit
 
+    @cached_property
+    def sort_key(self):
+        return (False, _walk_key(self.walk))
+
     def __str__(self) -> str:
         return format_walk(self.walk)
 
@@ -108,6 +113,10 @@ class Band:
             _band_cache[w] = hit
         return hit
 
+    @cached_property
+    def sort_key(self):
+        return (True, _walk_key(self.walk))
+
     def __str__(self) -> str:
         return "band: " + format_walk(self.walk)
 
@@ -120,7 +129,7 @@ Trail = Route | Band
 
 def trail_key(t: Trail):
     """Deterministic sort key: routes before bands, then lexicographic."""
-    return (isinstance(t, Band), _walk_key(t.walk))
+    return t.sort_key
 
 
 def parse_trail(text: str) -> Trail:
@@ -159,6 +168,8 @@ def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     """All routes with at most max_arrows arrows, up to equivalence.
 
     Complete when f is representation-finite and the bound is at least |E|.
+    Depth-first with an explicit stack of continuation iterators, so no
+    recursion limit applies.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
@@ -169,21 +180,22 @@ def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
         if not f.is_internal(f.head(a)):
             starts.append((a, -1))
     found: set[Route] = set()
-
-    def extend(walk: list[SignedArrow]):
-        a, e = walk[-1]
-        if not f.is_internal(f.signed_head(a, e)):
+    walk: list[SignedArrow] = []
+    stack = [iter(starts)]
+    while stack:
+        x = next(stack[-1], None)
+        if x is None:
+            stack.pop()
+            if stack:
+                walk.pop()
+            continue
+        walk.append(x)
+        if not f.is_internal(f.signed_head(*x)):
             found.add(Route.of(tuple(walk)))
-            return
-        if len(walk) == max_arrows:
-            return
-        for nxt in f.string_continuations(a, e):
-            walk.append(nxt)
-            extend(walk)
-            walk.pop()
-
-    for s in starts:
-        extend([s])
+        elif len(walk) < max_arrows:
+            stack.append(iter(f.string_continuations(*x)))
+            continue
+        walk.pop()
     return found
 
 
@@ -197,9 +209,17 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
     found: set[Band] = set()
     order = {n: i for i, n in enumerate(nodes)}
 
-    def extend(start, walk: list[SignedArrow]):
-        a, e = walk[-1]
-        for nxt in f.string_continuations(a, e):
+    for start in nodes:
+        if start not in on_cycle:
+            continue
+        walk = [start]
+        stack = [iter(f.string_continuations(*start))]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                walk.pop()
+                continue
             if nxt not in on_cycle or order[nxt] < order[start]:
                 continue
             if nxt == start:
@@ -208,12 +228,7 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
                     found.add(Band.of(w))
             if len(walk) < max_arrows:
                 walk.append(nxt)
-                extend(start, walk)
-                walk.pop()
-
-    for s in nodes:
-        if s in on_cycle:
-            extend(s, [s])
+                stack.append(iter(f.string_continuations(*nxt)))
     return found
 
 
@@ -222,8 +237,13 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
 # A substring witness is either a nonempty signed word or a lazy string at an
 # internal vertex, carried as ("lazy", v).  Witnesses are canonical under
 # inversion (lex-min of the two orientations).
-
-Lazy = tuple[str, str]
+#
+# Kissing works on integer codes (FringedQuiver.signed_arrows): a word is a
+# tuple of codes, its inverse the reversed tuple with every code XORed with 1,
+# and its canonical form min(word, inverse).  The lazy string at the internal
+# vertex of rank r in sorted order is (r - |V_int|,), which sorts before every
+# word, so min() over witnesses picks lazy strings first, by vertex name, then
+# words in serialized order.
 
 
 def _canon_sub(s):
@@ -248,44 +268,36 @@ def _junctions(f: FringedQuiver, t: Trail):
         yield f.signed_head(a, e), e, z, ((a, e), (b, z))
 
 
-def _segment_occurrences(t: Trail, cap: int):
-    """Nonempty substring occurrences with both flanking signed arrows.
+def _inverse_codes(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c ^ 1 for c in reversed(w))
 
-    Yields (word, prev_signed, next_signed).  For a band the walk is read
-    cyclically, windings up to `cap` arrows long.
+
+def _closing_witnesses(w: tuple[int, ...], iw: tuple[int, ...], lazy, c: int) -> list:
+    """Canonical witnesses whose right flank is c, appended to the code word w
+    (iw is its inverse): the lazy string between w[-1] and c and the words
+    w[i:], i >= 1, whose left flank w[i - 1] has the other sign than c.
+
+    They are tops when c is forward, bottoms when c is backward.
     """
-    w = t.walk
+    r = c & 1
     n = len(w)
-    if isinstance(t, Route):
-        for i in range(1, n):
-            for j in range(i, min(n - 1, i + cap - 1)):
-                yield w[i:j + 1], w[i - 1], w[j + 1]
-    else:
-        for i in range(n):
-            for length in range(1, cap + 1):
-                word = tuple(w[(i + k) % n] for k in range(length))
-                yield word, w[(i - 1) % n], w[(i + length) % n]
+    out = [lazy[w[-1]]] if w[-1] & 1 != r else []
+    for i in range(1, n):
+        if w[i - 1] & 1 != r:
+            word, inv = w[i:], iw[:n - i]
+            out.append(word if word <= inv else inv)
+    return out
 
 
-def _tops_bottoms(f: FringedQuiver, t: Trail, cap: int) -> tuple[frozenset, frozenset]:
-    """Canonical top and bottom substrings of t^{±1} usable as kiss witnesses.
-
-    Only occurrences flanked by actual arrows count: a kiss needs the walk to
-    turn away (tops) or in (bottoms) on both sides of the witness.  Witnesses
-    longer than `cap` arrows are not collected.
-    """
+def _flanked_witnesses(u: tuple[int, ...], lazy, right_flanks, cap: int):
+    """(tops, bottoms) of the occurrences in u that end just before a
+    position of right_flanks and have at most cap arrows."""
     tops, bottoms = set(), set()
-    for v, prev_e, next_e, _word in _junctions(f, t):
-        if (prev_e, next_e) == (-1, 1):
-            tops.add(("lazy", v))
-        elif (prev_e, next_e) == (1, -1):
-            bottoms.add(("lazy", v))
-    for word, prev, nxt in _segment_occurrences(t, cap):
-        if prev[1] == -1 and nxt[1] == 1:
-            tops.add(_canon_sub(word))
-        elif prev[1] == 1 and nxt[1] == -1:
-            bottoms.add(_canon_sub(word))
-    return frozenset(tops), frozenset(bottoms)
+    for k in right_flanks:
+        w = u[max(0, k - cap - 1):k]
+        (bottoms if u[k] & 1 else tops).update(
+            _closing_witnesses(w, _inverse_codes(w), lazy, u[k]))
+    return tops, bottoms
 
 
 class TrailCalculus:
@@ -293,14 +305,38 @@ class TrailCalculus:
 
     def __init__(self, f: FringedQuiver):
         self.f = f
-        self._tb: dict[tuple[Trail, int], tuple[frozenset, frozenset]] = {}
+        self._inner = sorted(f.internal_vertices)
+        rank = {v: r - len(self._inner) for r, v in enumerate(self._inner)}
+        # lazy[c]: the lazy witness at the head of the signed arrow with code
+        # c, None when that head is a fringe vertex
+        heads = (f.signed_head(a, e) for a, e in f.signed_arrows)
+        self.lazy = [(rank[v],) if v in rank else None for v in heads]
+        self._tb: dict = {}
         self._kiss: dict[tuple[Trail, Trail], object] = {}
 
     def tops_bottoms(self, t: Trail, cap: int):
-        key = (t, cap)
-        if key not in self._tb:
-            self._tb[key] = _tops_bottoms(self.f, t, cap)
-        return self._tb[key]
+        """Canonical top and bottom substrings of t^{±1} usable as kiss
+        witnesses, as code tuples.
+
+        Only occurrences flanked by actual arrows count: a kiss needs the walk
+        to turn away (tops) or in (bottoms) on both sides of the witness.  A
+        band is read cyclically, with witnesses of at most `cap` arrows; a
+        route's witnesses are shorter than the route, so routes are cached
+        without the cap.
+        """
+        key = t if isinstance(t, Route) else (t, cap)
+        hit = self._tb.get(key)
+        if hit is None:
+            code = self.f.signed_code
+            w = tuple(code[s] for s in t.walk)
+            n = len(w)
+            if isinstance(t, Route):
+                hit = _flanked_witnesses(w, self.lazy, range(1, n), n)
+            else:
+                u = w * ((cap + 1) // n + 2)
+                hit = _flanked_witnesses(u, self.lazy, range(cap + 1, cap + 1 + n), cap)
+            self._tb[key] = hit
+        return hit
 
     def kiss(self, p: Trail, q: Trail):
         """An incompatibility witness between p and q, or None if compatible.
@@ -318,7 +354,11 @@ class TrailCalculus:
         hits = (tp & bq) | (tq & bp)
         witness = None
         if hits:
-            witness = min(hits, key=lambda s: (0, s[1]) if s[0] == "lazy" else (1, _walk_key(s)))
+            s = min(hits)
+            if s[0] < 0:
+                witness = ("lazy", self._inner[s[0]])
+            else:
+                witness = tuple(self.f.signed_arrows[c] for c in s)
         self._kiss[key] = witness
         self._kiss[(q, p)] = witness
         return witness
@@ -330,12 +370,62 @@ class TrailCalculus:
         return self.kiss(p, p) is None
 
 
+def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
+    """The routes of enumerate_routes(f, max_arrows) that do not kiss
+    themselves, generated instead of filtered.
+
+    The search keeps the tops and bottoms of the current prefix and cuts a
+    branch as soon as a new top equals a known bottom or a new bottom a known
+    top.  No self-compatible route is lost: a witness flanked inside a prefix
+    stays flanked in every extension, and the witnesses of a route are all
+    shorter than it, so no cap excludes one.  Appending a forward arrow adds
+    only tops, a backward arrow only bottoms.
+    """
+    if max_arrows < 1:
+        raise DomainError("max_arrows must be >= 1")
+    calc = f.calculus
+    lazy = calc.lazy
+    cont = f.code_continuations
+    signed = f.signed_arrows
+    found: set[Route] = set()
+    walk: tuple[int, ...] = ()
+    inv: tuple[int, ...] = ()
+    tops: set = set()
+    bottoms: set = set()
+    added = []  # per arrow of walk: (the set it added to, what it added)
+    stack = [iter([c for c in range(len(signed)) if lazy[c ^ 1] is None])]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if stack:
+                walk, inv = walk[:-1], inv[1:]
+                mine, new = added.pop()
+                mine -= new
+            continue
+        mine, other = (bottoms, tops) if c & 1 else (tops, bottoms)
+        new = set(_closing_witnesses(walk, inv, lazy, c)) if walk else set()
+        if not other.isdisjoint(new):
+            continue  # the prefix kisses itself, and so does every extension
+        new -= mine
+        mine |= new
+        walk, inv = walk + (c,), (c ^ 1,) + inv
+        if lazy[c] is None:
+            route = Route.of(tuple(signed[x] for x in walk))
+            found.add(route)
+            # the prefix witnesses are the route's: spare kiss computing them again
+            calc._tb.setdefault(route, (set(tops), set(bottoms)))
+        elif len(walk) < max_arrows:
+            stack.append(iter(cont[c]))
+            added.append((mine, new))
+            continue
+        walk, inv = walk[:-1], inv[1:]
+        mine -= new
+    return found
+
+
 def calculus(f: FringedQuiver) -> TrailCalculus:
     return f.calculus
-
-
-def kiss(f: FringedQuiver, p: Trail, q: Trail):
-    return calculus(f).kiss(p, q)
 
 
 def is_self_compatible(f: FringedQuiver, p: Trail) -> bool:
@@ -468,7 +558,7 @@ def elementary_trail_bound(f: FringedQuiver) -> int:
 
 def elementary_routes(f: FringedQuiver) -> list[Route]:
     bound = elementary_trail_bound(f)
-    return sorted((p for p in enumerate_routes(f, bound) if is_elementary_route(f, p)),
+    return sorted((p for p in self_compatible_routes(f, bound) if is_elementary_route(f, p)),
                   key=trail_key)
 
 

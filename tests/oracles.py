@@ -225,3 +225,93 @@ def oracle_arrow_profile(trace, cap):
                 uncovered.append(piece)
     tiles.sort(key=lambda ti: (ti[1].lo, ti[1].lo_open))
     return tiles
+
+
+def _oracle_segment_occurrences(t, cap):
+    """Nonempty substring occurrences of t with both flanking signed arrows,
+    as (word, prev, next); a band is read cyclically, up to `cap` arrows."""
+    from gentleflow.trails import Route
+    w = t.walk
+    n = len(w)
+    if isinstance(t, Route):
+        for i in range(1, n):
+            for j in range(i, min(n - 1, i + cap - 1)):
+                yield w[i:j + 1], w[i - 1], w[j + 1]
+    else:
+        for i in range(n):
+            for length in range(1, cap + 1):
+                word = tuple(w[(i + k) % n] for k in range(length))
+                yield word, w[(i - 1) % n], w[(i + length) % n]
+
+
+def oracle_kiss(f, p, q):
+    """The kiss witness of p and q on signed-arrow words: the smallest common
+    top/bottom pair, lazy strings ("lazy", v) first, or None."""
+    from gentleflow.trails import _canon_sub, _junctions, _walk_key
+
+    def tops_bottoms(t, cap):
+        tops, bottoms = set(), set()
+        for v, prev_e, next_e, _word in _junctions(f, t):
+            if (prev_e, next_e) == (-1, 1):
+                tops.add(("lazy", v))
+            elif (prev_e, next_e) == (1, -1):
+                bottoms.add(("lazy", v))
+        for word, prev, nxt in _oracle_segment_occurrences(t, cap):
+            if prev[1] == -1 and nxt[1] == 1:
+                tops.add(_canon_sub(word))
+            elif prev[1] == 1 and nxt[1] == -1:
+                bottoms.add(_canon_sub(word))
+        return tops, bottoms
+
+    cap = len(p.walk) + len(q.walk)
+    tp, bp = tops_bottoms(p, cap)
+    tq, bq = tops_bottoms(q, cap)
+    hits = (tp & bq) | (tq & bp)
+    if not hits:
+        return None
+    return min(hits, key=lambda s: (0, s[1]) if s[0] == "lazy" else (1, _walk_key(s)))
+
+
+def oracle_bron_kerbosch(nodes, adj):
+    """Maximal cliques by pivoted Bron-Kerbosch on Python sets; adj maps a
+    node to the set of its neighbours."""
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda u: len(adj[u] & p))
+        for v in list(p - adj[pivot]):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    expand(set(), set(nodes), set())
+    return cliques
+
+
+def oracle_band_stable_cliques(f, route_bound, band_bound):
+    """Band-stable cliques by testing every subset of every maximal clique of
+    the bending graph, one compatibility question at a time."""
+    from gentleflow.complexes import Clique, band_universe, bending_route_universe
+    from gentleflow.trails import calculus, straight_routes
+
+    calc = calculus(f)
+    straights = frozenset(straight_routes(f))
+    bending = bending_route_universe(f, route_bound)
+    bands = band_universe(f, band_bound)
+    adj = {p: {q for q in bending if q != p and calc.compatible(p, q)} for p in bending}
+    seen = set()
+    for m in oracle_bron_kerbosch(bending, adj):
+        members = sorted(m, key=bending.index)
+        for mask in range(1 << len(members)):
+            seen.add(frozenset(members[i] for i in range(len(members)) if mask >> i & 1))
+    stable = set()
+    for bend in seen:
+        compat_bands = [b for b in bands if all(calc.compatible(b, p) for p in bend)]
+        extensions = [q for q in bending if q not in bend
+                      and all(calc.compatible(q, p) for p in bend)]
+        if all(any(not calc.compatible(b, q) for b in compat_bands) for q in extensions):
+            stable.add(Clique(straights | bend))
+    return stable

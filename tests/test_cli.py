@@ -231,3 +231,49 @@ def test_structure_commands_on_a_deep_path(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)["payload"]
     assert payload["paired"] and payload["representation_finite"]
+
+
+ZERO_BOUNDS = [("routes", "--max-arrows", "0"), ("bands", "--max-arrows", "0"),
+               ("cliques", "--max-arrows", "0"), ("bundles", "--max-arrows", "0"),
+               ("bundles", "--band-bound", "0"), ("band-stable", "--max-arrows", "0"),
+               ("band-stable", "--band-bound", "0"),
+               ("cells", "--kind", "clique", "--max-arrows", "0"),
+               ("cells", "--kind", "vortex", "--band-bound", "0")]
+
+
+@pytest.mark.parametrize("argv", ZERO_BOUNDS, ids=[" ".join(a) for a in ZERO_BOUNDS])
+def test_zero_bound_is_domain_error(kron_file, capsys, argv):
+    # a bound of 0 is given, not missing: no default replaces it
+    code, out, err = run_cli(capsys, argv[0], kron_file, *argv[1:])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+def test_band_bound_past_the_recursion_limit(kron_file, capsys):
+    code, out, _ = run_cli(capsys, "bands", kron_file, "--max-arrows", "1200")
+    assert code == 0
+    assert [b["trail"] for b in json.loads(out)["payload"]] == ["band: e2 f2^-1"]
+    for cmd in ("bundles", "band-stable"):
+        code, _out, _err = run_cli(capsys, cmd, kron_file, "--max-arrows", "8",
+                                   "--band-bound", "1200")
+        assert code == 0
+
+
+def test_route_searches_keep_a_flat_stack(kron_file, capsys):
+    # Kissing is cubic in the route length, so route bounds past the
+    # recursion limit take minutes on kronecker.  Instead the limit is put a
+    # few dozen frames above this test: a depth-first search with one frame
+    # per arrow would exceed it at a bound of 60.
+    import inspect
+    import sys
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        codes = [run_cli(capsys, *argv)[0] for argv in (
+            ("routes", kron_file, "--max-arrows", "60"),
+            ("bands", kron_file, "--max-arrows", "60"),
+            ("cliques", kron_file, "--max-arrows", "60"),
+            ("band-stable", kron_file, "--max-arrows", "60", "--band-bound", "60"))]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert codes == [0, 0, 0, 0]

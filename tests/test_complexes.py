@@ -1,5 +1,7 @@
 from math import gcd
 
+import pytest
+
 from gentleflow import complexes, trails
 from gentleflow.complexes import (
     Bundle,
@@ -11,6 +13,7 @@ from gentleflow.complexes import (
 )
 from gentleflow.fixtures import fixture_quiver
 from gentleflow.flows import indicator
+from gentleflow.quiver import DomainError
 from gentleflow.trails import Band, Route, parse_walk
 
 
@@ -186,3 +189,65 @@ def test_bundle_cardinality_bounds(quiver_pool):
             if b.bands:
                 assert len(b.trails) < 3 * n - e_int
                 assert len(b.reduced().trails) <= n
+
+
+def test_bron_kerbosch_matches_networkx():
+    import random
+
+    import networkx as nx
+
+    assert complexes._bron_kerbosch([]) == [0]  # the empty graph has one, empty, clique
+    rng = random.Random(11)
+    graphs = [(n, [(i, j) for i in range(n) for j in range(i + 1, n)]) for n in (1, 2, 7)]
+    for _ in range(200):
+        n = rng.randint(1, 14)
+        density = rng.random()
+        graphs.append((n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < density]))
+    for n, edges in graphs:
+        adj = [0] * n
+        for i, j in edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        g = nx.Graph()
+        g.add_nodes_from(range(n))  # isolated nodes are cliques of their own
+        g.add_edges_from(edges)
+        expected = sorted(sorted(c) for c in nx.find_cliques(g))
+        got = sorted(sorted(complexes._bits(c)) for c in complexes._bron_kerbosch(adj))
+        assert got == expected
+
+
+def test_band_stable_matches_subset_oracle(quiver_pool):
+    from oracles import oracle_band_stable_cliques
+
+    for pool in quiver_pool:
+        f = pool.quiver
+        got = band_stable_cliques(f, pool.route_bound, pool.band_bound)
+        assert len(got) == len(set(got))
+        assert set(got) == oracle_band_stable_cliques(f, pool.route_bound, pool.band_bound)
+
+
+def test_band_stable_rejects_bounds_below_one():
+    f = fixture_quiver("kronecker")
+    for rb, bb in ((0, 4), (4, 0), (-1, 4)):
+        with pytest.raises(DomainError):
+            band_stable_cliques(f, rb, bb)
+
+
+def test_doubled_a5_clique_search():
+    # The doubled A5 path enumerates 59050 routes up to the default bound,
+    # of which 218 bend and are self-compatible: filtering them all out of
+    # the enumeration takes about a minute, generating them under a second.
+    import importlib.util
+    from pathlib import Path
+
+    from gentleflow.quiver import parse_quiver_file
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    f = parse_quiver_file(gen.doubled_path(5))
+    bound = len(f.arrows) + 2 * len(f.internal_vertices)
+    assert len(complexes.bending_route_universe(f, bound)) == 218
+    assert len(maximal_cliques(f, bound)) == 2084

@@ -2,7 +2,7 @@ import pytest
 
 from gentleflow import trails
 from gentleflow.fixtures import fixture_quiver
-from gentleflow.quiver import DomainError
+from gentleflow.quiver import DomainError, FringedQuiver
 from gentleflow.trails import (
     Band,
     Route,
@@ -20,7 +20,7 @@ from gentleflow.trails import (
     straight_routes,
 )
 
-from oracles import oracle_is_string, oracle_routes
+from oracles import oracle_is_string, oracle_kiss, oracle_routes
 
 
 def R(text):
@@ -80,6 +80,44 @@ def test_enumerate_bands():
     # powers of the unique band are not bands
     assert {str(b) for b in enumerate_bands(kron, 8)} == {"band: e2 f2^-1"}
     assert enumerate_bands(fixture_quiver("shard"), 10) == set()
+
+
+def test_enumeration_has_no_depth_limit():
+    # one stack frame per arrow would pass the interpreter's recursion limit
+    f = fixture_quiver("kronecker")
+    assert len(enumerate_routes(f, 1200)) == 2 * 1200 - 2
+    assert {str(b) for b in enumerate_bands(f, 1200)} == {"band: e2 f2^-1"}
+
+
+def test_self_compatible_routes_match_filter(quiver_pool):
+    # the pool holds triple-kronecker (the doubled A4 path) at index 4
+    for pool in quiver_pool:
+        g = pool.quiver
+        default = len(g.arrows) + 2 * len(g.internal_vertices)
+        for bound in {3, default // 2, default}:
+            # a fresh copy, so no witness in its calculus predates the generator
+            f = FringedQuiver(g.internal_vertices, g.fringe_vertices, g.arrows, g.relation_pairs)
+            calc = trails.TrailCalculus(f)
+            kept = {p for p in enumerate_routes(f, bound) if calc.self_compatible(p)}
+            assert trails.self_compatible_routes(f, bound) == kept
+            # the generator leaves each route's witnesses in the quiver's calculus
+            for p in kept:
+                assert f.calculus.tops_bottoms(p, 0) == calc.tops_bottoms(p, 0)
+
+
+def test_self_compatible_routes_bound_error():
+    with pytest.raises(DomainError):
+        trails.self_compatible_routes(fixture_quiver("kronecker"), 0)
+
+
+def test_kiss_matches_oracle(quiver_pool):
+    for pool in quiver_pool[:16]:
+        f = pool.quiver
+        calc = trails.TrailCalculus(f)
+        ts = pool.routes[:20] + sorted(enumerate_bands(f, 6), key=trails.trail_key)[:6]
+        for p in ts:
+            for q in ts:
+                assert calc.kiss(p, q) == oracle_kiss(f, p, q)
 
 
 def test_kissing_examples():
