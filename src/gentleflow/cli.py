@@ -28,15 +28,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_quiver(path: str, want_fringed: bool = True):
+def _load_quiver(path: str):
     q = parse_quiver_file(_read(path))
-    if want_fringed and isinstance(q, GentleQuiver):
+    if isinstance(q, GentleQuiver):
         return fringe(q)
     return q
 
 
 def _load_flow(f: FringedQuiver, path: str) -> flows.Flow:
-    return flows.flow_from_json(f, json.loads(_read(path)))
+    return flows.Flow(f, flows.flow_values(json.loads(_read(path))))
 
 
 def default_route_bound(f: FringedQuiver) -> int:
@@ -190,10 +190,8 @@ def cmd_band_stable(args):
     f = _load_quiver(args.file)
     rb = _bound(args.max_arrows, default_route_bound(f))
     bb = _bound(args.band_bound, default_band_bound(f))
-    ks = complexes.band_stable_cliques(f, rb, bb)
-    maximal = {frozenset(k.routes) for k in complexes.maximal_cliques(f, rb)}
-    payload = [{"clique": k.as_json(), "maximal": frozenset(k.routes) in maximal}
-               for k in ks]
+    payload = [{"clique": k.as_json(), "maximal": k.maximal}
+               for k in complexes.band_stable_cliques(f, rb, bb)]
     _report(args, payload, bounds={"route_bound": rb, "band_bound": bb},
             input_path=args.file)
     return 0
@@ -234,15 +232,9 @@ def cmd_cells(args):
     elif args.kind == "bundle":
         payload = [b.as_json() for b in complexes.maximal_bundles(f, rb, bb)]
     else:
-        cells = []
-        bands = complexes.band_universe(f, bb)
-        calc = trails.calculus(f)
-        for k in complexes.band_stable_cliques(f, rb, bb):
-            generators = [b for b in bands
-                          if all(calc.compatible(b, p) for p in k.routes)]
-            cells.append({"clique": k.as_json(),
-                          "band_generators": [str(b) for b in generators]})
-        payload = cells
+        payload = [{"clique": k.as_json(),
+                    "band_generators": [str(b) for b in k.band_generators]}
+                   for k in complexes.band_stable_cliques(f, rb, bb)]
     _report(args, payload, bounds={"route_bound": rb, "band_bound": bb},
             input_path=args.file)
     return 0
@@ -353,7 +345,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, StructuralError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DomainError, StructuralError, OSError, UnicodeError, json.JSONDecodeError) as exc:
+        # OSError and UnicodeError come from reading or writing a given path
         err = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
         return 1

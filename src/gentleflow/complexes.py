@@ -7,7 +7,7 @@ straight routes are re-attached afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .quiver import DomainError, FringedQuiver
 from .trails import (
@@ -28,6 +28,9 @@ from .trails import (
 @dataclass(frozen=True)
 class Clique:
     routes: frozenset[Route]
+    # set by band_stable_cliques: is it maximal, which bands are compatible with it
+    maximal: bool | None = field(default=None, compare=False)
+    band_generators: tuple[Band, ...] = field(default=(), compare=False)
 
     def reduced(self) -> "Clique":
         return Clique(frozenset(p for p in self.routes if not is_straight(p)))
@@ -81,17 +84,30 @@ def _bits(mask: int):
 
 def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list[int]:
     """Per trail of rows, the bitset of the trails of cols compatible with it;
-    when rows is cols, a trail's own bit is left out."""
+    when rows is cols, a trail's own bit is left out.
+
+    A row is the complement of the cols with a bottom among the row's tops or
+    a top among its bottoms.  Band witnesses up to the band's length plus the
+    longest trail's decide every pair as kiss does: route witnesses are
+    shorter than the route, and distinct bands share none longer (kiss).
+    """
     calc = calculus(f)
-    if rows is cols:
-        out = [0] * len(rows)
-        for i, p in enumerate(rows):
-            for j in range(i + 1, len(rows)):
-                if calc.compatible(p, rows[j]):
-                    out[i] |= 1 << j
-                    out[j] |= 1 << i
-        return out
-    return [sum(1 << j for j, q in enumerate(cols) if calc.compatible(p, q)) for p in rows]
+    longest = max(map(len, rows + cols), default=0)
+    having = ({}, {})  # per witness, the bitset of the cols with it as a top, as a bottom
+    for j, q in enumerate(cols):
+        for side, witnesses in zip(having, calc.tops_bottoms(q, len(q) + longest)):
+            for s in witnesses:
+                side[s] = side.get(s, 0) | 1 << j
+    out = []
+    for i, p in enumerate(rows):
+        tops, bottoms = calc.tops_bottoms(p, len(p) + longest)
+        kissed = 1 << i if rows is cols else 0
+        for s in tops:
+            kissed |= having[1].get(s, 0)
+        for s in bottoms:
+            kissed |= having[0].get(s, 0)
+        out.append(~kissed & ((1 << len(cols)) - 1))
+    return out
 
 
 def _bron_kerbosch(adj: list[int]) -> list[int]:
@@ -150,6 +166,10 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     For one candidate s, as bitsets, ext(s) is the routes outside s compatible
     with all of s and ok(s) the bands compatible with all of s; s is stable
     when every q in ext(s) kisses some band of ok(s).
+
+    Each clique also carries what the search knows: it is maximal exactly
+    when s equals the maximal clique m it is first reached from, and its band
+    generators are ok(s), since straight routes are compatible with all bands.
     """
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
@@ -179,7 +199,8 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
                 ext, ok = (1 << len(bending)) - 1, (1 << len(bands)) - 1
             acc[s] = ext, ok
             if all(ok & ~band_rows[q] for q in _bits(ext)):
-                stable.append(Clique(straights | _members(bending, s)))
+                stable.append(Clique(straights | _members(bending, s), s == m,
+                                     tuple(bands[b] for b in _bits(ok))))
     return sorted(stable, key=lambda k: tuple(trail_key(t) for t in k.sorted_routes()))
 
 

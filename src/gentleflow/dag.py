@@ -24,7 +24,7 @@ from .flows import (
     trail_coefficients,
 )
 from .quiver import DomainError, FringedQuiver, StructuralError, _strip_comment, cyclic_core, incidence
-from .trails import MarkedTrail, SignedArrow, Trail
+from .trails import MarkedTrail, SignedArrow, Trail, TrailUniverse
 
 Q = Fraction
 
@@ -38,6 +38,11 @@ class FramedDirectedGraph:
     @cached_property
     def _incidence(self):
         return incidence(self.edges)
+
+    @cached_property
+    def trail_universe(self) -> TrailUniverse:
+        """The routes and bands of g's flows, as walks of edges."""
+        return TrailUniverse(self.edges)
 
     def edges_in(self, v: str) -> list[str]:
         return self._incidence[0].get(v, [])
@@ -251,7 +256,7 @@ def dag_trace_interval(F: DagFlow, e: str, c: Fraction):
     c = parse_rational(c)
     if not (0 <= c <= F[e]):
         raise DomainError(f"value {c} outside [0, F({e})]")
-    return marked_trace(F.scaled(), F.step_tables, _signed(F.graph, e), c,
+    return marked_trace(F.scaled(), F.step_tables, F.graph.trail_universe, _signed(F.graph, e), c,
                         lambda walk: tuple((x, 1) for x, _s in walk))
 
 

@@ -174,10 +174,6 @@ def flow_values(data) -> dict[str, Fraction]:
     return {a: parse_rational(x) for a, x in data.items()}
 
 
-def flow_from_json(f: FringedQuiver, data) -> Flow:
-    return Flow(f, flow_values(data))
-
-
 def scale_to_integers(values: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
     """(common denominator d, the values times d as ints)."""
     den = lcm(*(x.denominator for x in values.values()), 1)
@@ -347,13 +343,14 @@ def _trace_ints(iv: dict[str, int], tables, sa: SignedArrow, c: int):
     return None, 0, None, bounds
 
 
-def marked_trace(scaled, tables, sa: SignedArrow, c: Fraction, relabel=tuple):
+def marked_trace(scaled, tables, universe, sa: SignedArrow, c: Fraction, relabel=tuple):
     """(marked trail or None, interval of start values giving it, its length)
     for the arrow-flow (sa, c) of a flow scaled to integers.
 
     Each Forward/Back branch shifts the value by a constant, so every branch
     constraint pulls back to exact bounds on the start value.  `relabel` maps
-    the walk of signed arrows to the walk reported.
+    the walk of signed arrows to the walk reported, whose trail is interned
+    in `universe`.
     """
     den, iv = scaled
     if den % c.denominator:
@@ -364,7 +361,8 @@ def marked_trace(scaled, tables, sa: SignedArrow, c: Fraction, relabel=tuple):
     if kind is None:
         return None, interval, Q(0)
     walk = relabel(walk)
-    trail = Band.of(walk) if kind == "band" else Route.of(walk)
+    word = universe.word(walk)
+    trail = universe.band(word) if kind == "band" else universe.route(word)
     return MarkedTrail(trail, walk, index), interval, interval.length
 
 
@@ -377,7 +375,7 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     """
     c = parse_rational(c)
     _check_arrow_flow(F, sa, c)
-    return marked_trace(F.scaled(), F.step_tables, sa, c)
+    return marked_trace(F.scaled(), F.step_tables, F.quiver.calculus.universe, sa, c)
 
 
 # -- tiling: one trace per trail orientation ------------------------------------------
@@ -513,12 +511,13 @@ class BundleCombination:
         return sum(self.routes.values(), Q(0))
 
     def as_json(self):
-        return {
-            "routes": [{"trail": str(t), "coeff": format_rational(x)}
-                       for t, x in sorted(self.routes.items(), key=lambda kv: trail_key(kv[0]))],
-            "bands": [{"trail": str(t), "coeff": format_rational(x)}
-                      for t, x in sorted(self.bands.items(), key=lambda kv: trail_key(kv[0]))],
-        }
+        return {"routes": _terms(self.routes), "bands": _terms(self.bands)}
+
+
+def _terms(coeffs: dict[Trail, Fraction]) -> list[dict]:
+    """The trails and coefficients of a combination as JSON, in trail_key order."""
+    return [{"trail": str(t), "coeff": format_rational(coeffs[t])}
+            for t in sorted(coeffs, key=trail_key)]
 
 
 def trail_coefficients(tiles: dict[str, list]) -> dict[Trail, Fraction]:
@@ -558,12 +557,7 @@ class VortexDecomposition:
     vortex: dict[Band, Fraction]    # the canonical vortex as a band combination
 
     def as_json(self):
-        return {
-            "routes": [{"trail": str(t), "coeff": format_rational(x)}
-                       for t, x in sorted(self.routes.items(), key=lambda kv: trail_key(kv[0]))],
-            "vortex": [{"trail": str(t), "coeff": format_rational(x)}
-                       for t, x in sorted(self.vortex.items(), key=lambda kv: trail_key(kv[0]))],
-        }
+        return {"routes": _terms(self.routes), "vortex": _terms(self.vortex)}
 
 
 def decompose_vortex(F: Flow) -> VortexDecomposition:

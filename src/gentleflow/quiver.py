@@ -202,25 +202,8 @@ class FringedQuiver:
         return table
 
     @cached_property
-    def signed_arrows(self) -> list[tuple[str, int]]:
-        """Signed arrows by integer code: a^e has code 2*i + (e == -1), where i
-        is the rank of a in sorted(arrows).  The code of a^-e is code ^ 1, and
-        code order is the serialized order of signed arrows."""
-        return [(a, e) for a in sorted(self.arrows) for e in (1, -1)]
-
-    @cached_property
-    def signed_code(self) -> dict[tuple[str, int], int]:
-        return {s: c for c, s in enumerate(self.signed_arrows)}
-
-    @cached_property
-    def code_continuations(self) -> list[tuple[int, ...]]:
-        """string_continuations on codes, indexed by code."""
-        code = self.signed_code
-        return [tuple(code[x] for x in self._continuations[s]) for s in self.signed_arrows]
-
-    @cached_property
     def calculus(self):
-        """The per-quiver cache of substring data, kissing and compatibility."""
+        """The per-quiver trail universe and cache of kissing data."""
         from .trails import TrailCalculus
         return TrailCalculus(self)
 

@@ -21,28 +21,12 @@ def inverse_walk(w: Walk) -> Walk:
     return tuple((a, -e) for a, e in reversed(w))
 
 
-def walk_head(f: FringedQuiver, w: Walk) -> str:
-    a, e = w[-1]
-    return f.signed_head(a, e)
-
-
-def walk_tail(f: FringedQuiver, w: Walk) -> str:
-    a, e = w[0]
-    return f.signed_tail(a, e)
-
-
 def format_walk(w: Walk) -> str:
     return " ".join(a if e == 1 else f"{a}^-1" for a, e in w)
 
 
 def parse_walk(text: str) -> Walk:
-    walk = []
-    for token in text.split():
-        if token.endswith("^-1"):
-            walk.append((token[:-3], -1))
-        else:
-            walk.append((token, 1))
-    return tuple(walk)
+    return tuple((t[:-3], -1) if t.endswith("^-1") else (t, 1) for t in text.split())
 
 
 def is_string(f: FringedQuiver, w: Walk) -> bool:
@@ -59,72 +43,131 @@ def is_string(f: FringedQuiver, w: Walk) -> bool:
     return True
 
 
-def _walk_key(w: Walk):
-    # +1 sorts before -1 so that "e1" < "e1^-1" as in the serialized form
-    return tuple((a, 0 if e == 1 else 1) for a, e in w)
-
-
 # -- Routes and bands ---------------------------------------------------------
+#
+# Trails are interned per universe (a quiver's arrows, a framed graph's edges)
+# by code word: a^e has code 2*i + (e == -1), i the rank of a in sorted order,
+# so a^-e has code ^ 1, and tuple order on code words is the serialized order
+# of walks ("e1" < "e1^-1" < "e10").
 
-_route_cache: dict[Walk, "Route"] = {}
-_band_cache: dict[Walk, "Band"] = {}
+
+def _inverse_codes(w: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(c ^ 1 for c in reversed(w))
 
 
-@dataclass(frozen=True)
-class Route:
-    walk: Walk  # canonical representative among {p, p^-1}
+def least_rotation(w: tuple) -> tuple:
+    """The least rotation of w in O(len(w)), by Booth's algorithm (Booth
+    1980): a Knuth-Morris-Pratt failure function over w + w whose candidate
+    start k moves past every mismatch that shows a smaller rotation."""
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        x = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != s[k + i + 1]:
+            if x < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != s[k + i + 1]:  # so i == -1
+            if x < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k:k + len(w)]
+
+
+class Trail:
+    """A route or a band of one universe: its canonical code word, walk,
+    hash, sort key and string, all computed once.
+
+    Trails are equal when they are of the same kind and have the same walk,
+    whatever their universe; sort keys order the trails of one universe.
+    """
+
+    __slots__ = ("universe", "codes", "walk", "sort_key", "_hash", "_str")
+    _prefix = ""
+
+    def __init__(self, universe: "TrailUniverse", codes: tuple[int, ...]):
+        self.universe = universe
+        self.codes = codes
+        self.walk = tuple(universe.signed[c] for c in codes)
+        self.sort_key = (isinstance(self, Band), codes)
+        self._hash = hash(self.walk)
+        self._str = self._prefix + " ".join(universe.tokens[c] for c in codes)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is type(self) and other.walk == self.walk)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __str__(self) -> str:
+        return self._str
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class Route(Trail):
+    """A route, as the least of its code words p and p^-1."""
+
+    __slots__ = ()
 
     @staticmethod
     def of(w: Walk) -> "Route":
-        hit = _route_cache.get(w)
-        if hit is None:
-            inv = inverse_walk(w)
-            hit = Route(w if _walk_key(w) <= _walk_key(inv) else inv)
-            _route_cache[w] = hit
-            _route_cache[inv] = hit
-        return hit
-
-    @cached_property
-    def sort_key(self):
-        return (False, _walk_key(self.walk))
-
-    def __str__(self) -> str:
-        return format_walk(self.walk)
-
-    def __len__(self) -> int:
-        return len(self.walk)
+        """The route of the walk w, outside any quiver (parsing, comparison)."""
+        u = TrailUniverse(a for a, _e in w)
+        return u.route(u.word(w))
 
 
-@dataclass(frozen=True)
-class Band:
-    walk: Walk  # lex-min over all rotations of B and B^-1
+class Band(Trail):
+    """A band, as the least rotation of its code words B and B^-1."""
+
+    __slots__ = ()
+    _prefix = "band: "
 
     @staticmethod
     def of(w: Walk) -> "Band":
-        hit = _band_cache.get(w)
+        """The band of the closed walk w, outside any quiver (parsing, comparison)."""
+        u = TrailUniverse(a for a, _e in w)
+        return u.band(u.word(w))
+
+
+class TrailUniverse:
+    """The routes and bands over a set of arrow names, each built once and
+    looked up by any of its code words."""
+
+    def __init__(self, names):
+        self.signed = [(a, e) for a in sorted(set(names)) for e in (1, -1)]  # by code
+        self.code = {s: c for c, s in enumerate(self.signed)}
+        self.tokens = [format_walk((s,)) for s in self.signed]
+        self._routes: dict[tuple[int, ...], Route] = {}
+        self._bands: dict[tuple[int, ...], Band] = {}
+
+    def word(self, w: Walk) -> tuple[int, ...]:
+        return tuple(map(self.code.__getitem__, w))
+
+    def route(self, word: tuple[int, ...]) -> Route:
+        hit = self._routes.get(word)
         if hit is None:
-            best = None
-            for cand in (w, inverse_walk(w)):
-                for i in range(len(cand)):
-                    rot = cand[i:] + cand[:i]
-                    if best is None or _walk_key(rot) < _walk_key(best):
-                        best = rot
-            hit = Band(best)
-            _band_cache[w] = hit
+            inv = _inverse_codes(word)
+            hit = self._routes[word] = self._routes[inv] = Route(self, min(word, inv))
         return hit
 
-    @cached_property
-    def sort_key(self):
-        return (True, _walk_key(self.walk))
-
-    def __str__(self) -> str:
-        return "band: " + format_walk(self.walk)
-
-    def __len__(self) -> int:
-        return len(self.walk)
-
-
-Trail = Route | Band
+    def band(self, word: tuple[int, ...]) -> Band:
+        hit = self._bands.get(word)
+        if hit is None:
+            canon = min(least_rotation(word), least_rotation(_inverse_codes(word)))
+            hit = self._bands.get(canon)
+            if hit is None:
+                hit = self._bands[canon] = Band(self, canon)
+            self._bands[word] = hit
+        return hit
 
 
 def trail_key(t: Trail):
@@ -140,117 +183,92 @@ def parse_trail(text: str) -> Trail:
 
 
 def is_route_walk(f: FringedQuiver, w: Walk) -> bool:
-    return (is_string(f, w)
-            and not f.is_internal(walk_tail(f, w))
-            and not f.is_internal(walk_head(f, w)))
+    return (bool(w) and is_string(f, w) and not f.is_internal(f.signed_tail(*w[0]))
+            and not f.is_internal(f.signed_head(*w[-1])))
 
 
-def _is_primitive(w: Walk) -> bool:
+def _is_primitive(w: tuple) -> bool:
     n = len(w)
-    for d in range(1, n):
-        if n % d == 0 and w == w[d:] + w[:d]:
-            return False
-    return True
+    return not any(n % d == 0 and w == w[d:] + w[:d] for d in range(1, n))
 
 
 def is_band_walk(f: FringedQuiver, w: Walk) -> bool:
     if not w or not is_string(f, w):
         return False
-    if walk_head(f, w) != walk_tail(f, w):
+    if f.signed_head(*w[-1]) != f.signed_tail(*w[0]):
         return False
-    a, e = w[-1]
-    if w[0] not in f.string_continuations(a, e):
-        return False
-    return _is_primitive(w)
+    return w[0] in f.string_continuations(*w[-1]) and _is_primitive(w)
 
 
 def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     """All routes with at most max_arrows arrows, up to equivalence.
 
     Complete when f is representation-finite and the bound is at least |E|.
-    Depth-first with an explicit stack of continuation iterators, so no
-    recursion limit applies.
+    Depth-first on codes with an explicit stack of continuation iterators, so
+    no recursion limit applies.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
-    starts = []
-    for a in f.arrows:
-        if not f.is_internal(f.tail(a)):
-            starts.append((a, 1))
-        if not f.is_internal(f.head(a)):
-            starts.append((a, -1))
+    calc = f.calculus
+    lazy, cont = calc.lazy, calc.cont
     found: set[Route] = set()
-    walk: list[SignedArrow] = []
-    stack = [iter(starts)]
+    walk: list[int] = []
+    stack = [iter([c for c in range(len(lazy)) if lazy[c ^ 1] is None])]
     while stack:
-        x = next(stack[-1], None)
-        if x is None:
+        c = next(stack[-1], None)
+        if c is None:
             stack.pop()
             if stack:
                 walk.pop()
             continue
-        walk.append(x)
-        if not f.is_internal(f.signed_head(*x)):
-            found.add(Route.of(tuple(walk)))
+        walk.append(c)
+        if lazy[c] is None:
+            found.add(calc.universe.route(tuple(walk)))
         elif len(walk) < max_arrows:
-            stack.append(iter(f.string_continuations(*x)))
+            stack.append(iter(cont[c]))
             continue
         walk.pop()
     return found
 
 
 def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
-    """All bands with at most max_arrows arrows, up to rotation and inversion."""
+    """All bands with at most max_arrows arrows, up to rotation and inversion.
+
+    Each closed walk is grown from its least code, among the codes that lie on
+    cycles of the transition graph.
+    """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
-    # Restrict to signed arrows lying on cycles of the transition graph.
-    nodes = [(a, e) for a in sorted(f.arrows) for e in (1, -1)]
-    on_cycle = cyclic_core(nodes, lambda n: f.string_continuations(*n))
+    calc = f.calculus
+    cont = calc.cont
+    on_cycle = cyclic_core(range(len(cont)), cont.__getitem__)
     found: set[Band] = set()
-    order = {n: i for i, n in enumerate(nodes)}
-
-    for start in nodes:
-        if start not in on_cycle:
-            continue
+    for start in sorted(on_cycle):
         walk = [start]
-        stack = [iter(f.string_continuations(*start))]
+        stack = [iter(cont[start])]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:
                 stack.pop()
                 walk.pop()
                 continue
-            if nxt not in on_cycle or order[nxt] < order[start]:
+            if nxt not in on_cycle or nxt < start:
                 continue
             if nxt == start:
                 w = tuple(walk)
                 if _is_primitive(w):
-                    found.add(Band.of(w))
+                    found.add(calc.universe.band(w))
             if len(walk) < max_arrows:
                 walk.append(nxt)
-                stack.append(iter(f.string_continuations(*nxt)))
+                stack.append(iter(cont[nxt]))
     return found
 
 
 # -- substrings: tops, bottoms, boosted, criss-crossed -------------------------
 
-# A substring witness is either a nonempty signed word or a lazy string at an
-# internal vertex, carried as ("lazy", v).  Witnesses are canonical under
-# inversion (lex-min of the two orientations).
-#
-# Kissing works on integer codes (FringedQuiver.signed_arrows): a word is a
-# tuple of codes, its inverse the reversed tuple with every code XORed with 1,
-# and its canonical form min(word, inverse).  The lazy string at the internal
-# vertex of rank r in sorted order is (r - |V_int|,), which sorts before every
-# word, so min() over witnesses picks lazy strings first, by vertex name, then
-# words in serialized order.
-
-
-def _canon_sub(s):
-    if s[0] == "lazy":
-        return s
-    inv = inverse_walk(s)
-    return s if _walk_key(s) <= _walk_key(inv) else inv
+# A kiss witness is a code word, canonical as min(word, inverse), or the lazy
+# string at the internal vertex of rank r, coded (r - |V_int|,): it sorts
+# before every word, so min() picks lazy strings first, by vertex name.
 
 
 def _junctions(f: FringedQuiver, t: Trail):
@@ -266,10 +284,6 @@ def _junctions(f: FringedQuiver, t: Trail):
         pairs = list(zip(w, w[1:] + w[:1]))
     for (a, e), (b, z) in pairs:
         yield f.signed_head(a, e), e, z, ((a, e), (b, z))
-
-
-def _inverse_codes(w: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(c ^ 1 for c in reversed(w))
 
 
 def _closing_witnesses(w: tuple[int, ...], iw: tuple[int, ...], lazy, c: int) -> list:
@@ -301,18 +315,44 @@ def _flanked_witnesses(u: tuple[int, ...], lazy, right_flanks, cap: int):
 
 
 class TrailCalculus:
-    """Per-quiver cache of substring data, kissing and compatibility."""
+    """Per-quiver trail universe, straight routes, substring data and kissing."""
 
     def __init__(self, f: FringedQuiver):
         self.f = f
+        self.universe = TrailUniverse(f.arrows)
+        signed = self.universe.signed
+        # cont[c]: string_continuations of the signed arrow with code c, as codes
+        self.cont = [self.universe.word(f.string_continuations(*s)) for s in signed]
         self._inner = sorted(f.internal_vertices)
         rank = {v: r - len(self._inner) for r, v in enumerate(self._inner)}
         # lazy[c]: the lazy witness at the head of the signed arrow with code
         # c, None when that head is a fringe vertex
-        heads = (f.signed_head(a, e) for a, e in f.signed_arrows)
+        heads = (f.signed_head(a, e) for a, e in signed)
         self.lazy = [(rank[v],) if v in rank else None for v in heads]
         self._tb: dict = {}
-        self._kiss: dict[tuple[Trail, Trail], object] = {}
+
+    def codes(self, t: Trail) -> tuple[int, ...]:
+        """The code word of t in this quiver's universe."""
+        return t.codes if t.universe is self.universe else self.universe.word(t.walk)
+
+    @cached_property
+    def straight(self) -> tuple[list[Route], dict[str, Route]]:
+        """The straight routes in trail_key order, and the first of them
+        through each arrow."""
+        lazy, cont = self.lazy, self.cont
+        routes = set()
+        for c in range(0, len(lazy), 2):  # forward codes
+            if lazy[c ^ 1] is not None:
+                continue  # the arrow's tail is internal
+            word = [c]
+            while lazy[word[-1]] is not None:
+                nxt = [x for x in cont[word[-1]] if not x & 1]
+                if len(nxt) != 1:
+                    raise DomainError("no unique oriented continuation (not a fringed quiver?)")
+                word.append(nxt[0])
+            routes.add(self.universe.route(tuple(word)))
+        routes = sorted(routes, key=trail_key)
+        return routes, {a: p for p in reversed(routes) for a, _e in p.walk}
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss
@@ -327,8 +367,7 @@ class TrailCalculus:
         key = t if isinstance(t, Route) else (t, cap)
         hit = self._tb.get(key)
         if hit is None:
-            code = self.f.signed_code
-            w = tuple(code[s] for s in t.walk)
+            w = self.codes(t)
             n = len(w)
             if isinstance(t, Route):
                 hit = _flanked_witnesses(w, self.lazy, range(1, n), n)
@@ -345,23 +384,16 @@ class TrailCalculus:
         routes that is automatic, and for bands a longer common factor of the
         periodic unrollings would force equal primitive bands (Fine and Wilf).
         """
-        key = (p, q)
-        if key in self._kiss:
-            return self._kiss[key]
-        cap = len(p.walk) + len(q.walk)
+        cap = len(p) + len(q)
         tp, bp = self.tops_bottoms(p, cap)
         tq, bq = self.tops_bottoms(q, cap)
         hits = (tp & bq) | (tq & bp)
-        witness = None
-        if hits:
-            s = min(hits)
-            if s[0] < 0:
-                witness = ("lazy", self._inner[s[0]])
-            else:
-                witness = tuple(self.f.signed_arrows[c] for c in s)
-        self._kiss[key] = witness
-        self._kiss[(q, p)] = witness
-        return witness
+        if not hits:
+            return None
+        s = min(hits)
+        if s[0] < 0:
+            return ("lazy", self._inner[s[0]])
+        return tuple(self.universe.signed[c] for c in s)
 
     def compatible(self, p: Trail, q: Trail) -> bool:
         return self.kiss(p, q) is None
@@ -384,16 +416,14 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
     calc = f.calculus
-    lazy = calc.lazy
-    cont = f.code_continuations
-    signed = f.signed_arrows
+    lazy, cont = calc.lazy, calc.cont
     found: set[Route] = set()
     walk: tuple[int, ...] = ()
     inv: tuple[int, ...] = ()
     tops: set = set()
     bottoms: set = set()
     added = []  # per arrow of walk: (the set it added to, what it added)
-    stack = [iter([c for c in range(len(signed)) if lazy[c ^ 1] is None])]
+    stack = [iter([c for c in range(len(lazy)) if lazy[c ^ 1] is None])]
     while stack:
         c = next(stack[-1], None)
         if c is None:
@@ -411,7 +441,7 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
         mine |= new
         walk, inv = walk + (c,), (c ^ 1,) + inv
         if lazy[c] is None:
-            route = Route.of(tuple(signed[x] for x in walk))
+            route = calc.universe.route(walk)
             found.add(route)
             # the prefix witnesses are the route's: spare kiss computing them again
             calc._tb.setdefault(route, (set(tops), set(bottoms)))
@@ -426,10 +456,6 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
 
 def calculus(f: FringedQuiver) -> TrailCalculus:
     return f.calculus
-
-
-def is_self_compatible(f: FringedQuiver, p: Trail) -> bool:
-    return calculus(f).self_compatible(p)
 
 
 # -- boosted / criss-crossed ---------------------------------------------------
@@ -449,21 +475,15 @@ def _st_class(f: FringedQuiver, v: str, word) -> str:
     return "T"
 
 
-def _nonlazy_occurrence_counts(t: Trail):
-    """Map word -> number of same-direction occurrences (band: per period)."""
-    counts: dict[Walk, int] = {}
-    w = t.walk
+def _occurrence_counts(t: Trail, w: tuple[int, ...]):
+    """Map code word -> number of same-direction occurrences in t, whose code
+    word is w (band: per period, words up to two periods long)."""
+    counts: dict[tuple[int, ...], int] = {}
     n = len(w)
-    if isinstance(t, Route):
-        for i in range(n):
-            for j in range(i, n):
-                word = w[i:j + 1]
-                counts[word] = counts.get(word, 0) + 1
-    else:
-        for i in range(n):
-            for length in range(1, 2 * n + 1):
-                word = tuple(w[(i + k) % n] for k in range(length))
-                counts[word] = counts.get(word, 0) + 1
+    u, longest = (w, n) if isinstance(t, Route) else (w * 3, 2 * n)
+    for i in range(n):
+        for j in range(i + 1, min(i + longest, len(u)) + 1):
+            counts[u[i:j]] = counts.get(u[i:j], 0) + 1
     return counts
 
 
@@ -481,24 +501,27 @@ def boosted_and_crisscrossed(f: FringedQuiver, t: Trail):
     A lazy substring at an internal vertex occurring three or more times is
     automatically boosted (its S or T family must repeat).
     """
-    counts = _nonlazy_occurrence_counts(t)
+    calc = f.calculus
+    counts = _occurrence_counts(t, calc.codes(t))
+    signed = calc.universe.signed
     boosted = set()
     criss = set()
     for word, c in counts.items():
-        if c >= 2:
-            boosted.add(_canon_sub(word))
-        if inverse_walk(word) in counts:
-            criss.add(_canon_sub(word))
-    s_count: dict[str, int] = {}
-    t_count: dict[str, int] = {}
+        inv = _inverse_codes(word)
+        if c >= 2 or inv in counts:
+            canon = tuple(signed[x] for x in min(word, inv))
+            if c >= 2:
+                boosted.add(canon)
+            if inv in counts:
+                criss.add(canon)
+    families: dict[str, list[str]] = {}  # per vertex, the family of each junction
     for v, _pe, _ne, word in _junctions(f, t):
-        fam = _st_class(f, v, word)
-        (s_count if fam == "S" else t_count)[v] = (s_count if fam == "S" else t_count).get(v, 0) + 1
-    lazy_boosted = {("lazy", v) for v in set(s_count) | set(t_count)
-                    if s_count.get(v, 0) >= 2 or t_count.get(v, 0) >= 2}
-    lazy_criss = {("lazy", v) for v in set(s_count) & set(t_count)}
-    boosted |= lazy_boosted
-    criss |= lazy_criss
+        families.setdefault(v, []).append(_st_class(f, v, word))
+    for v, fams in families.items():
+        if max(fams.count("S"), fams.count("T")) >= 2:
+            boosted.add(("lazy", v))
+        if len(set(fams)) == 2:
+            criss.add(("lazy", v))
     return _maximal_only(f, boosted), _maximal_only(f, criss)
 
 
@@ -526,7 +549,7 @@ def _maximal_only(f: FringedQuiver, subs: set) -> set:
 def is_elementary_route(f: FringedQuiver, p: Route) -> bool:
     """Simple routes and lollipops: no boosted substring, and any lone maximal
     criss-crossed substring must reach a fringe vertex."""
-    if not is_self_compatible(f, p):
+    if not f.calculus.self_compatible(p):
         return False
     boosted, criss = boosted_and_crisscrossed(f, p)
     if boosted:
@@ -545,7 +568,7 @@ def is_elementary_route(f: FringedQuiver, p: Route) -> bool:
 def is_elementary_band(f: FringedQuiver, b: Band) -> bool:
     """Simple bands and barbells: no boosted substring, at most one maximal
     criss-crossed substring."""
-    if not is_self_compatible(f, b):
+    if not f.calculus.self_compatible(b):
         return False
     boosted, criss = boosted_and_crisscrossed(f, b)
     return not boosted and len(criss) <= 1
@@ -569,32 +592,18 @@ def elementary_bands(f: FringedQuiver) -> list[Band]:
 
 
 def is_straight(t: Trail) -> bool:
-    if isinstance(t, Band):
-        return False
-    signs = {e for _a, e in t.walk}
-    return len(signs) == 1
+    return isinstance(t, Route) and len({e for _a, e in t.walk}) == 1
 
 
 def straight_routes(f: FringedQuiver) -> list[Route]:
-    routes = []
-    for a in sorted(f.arrows):
-        if f.is_internal(f.tail(a)):
-            continue
-        walk = [(a, 1)]
-        while f.is_internal(f.signed_head(*walk[-1])):
-            nxt = [x for x in f.string_continuations(*walk[-1]) if x[1] == 1]
-            if len(nxt) != 1:
-                raise DomainError("no unique oriented continuation (not a fringed quiver?)")
-            walk.append(nxt[0])
-        routes.append(Route.of(tuple(walk)))
-    return sorted(set(routes), key=trail_key)
+    return list(f.calculus.straight[0])
 
 
 def straight_route_through(f: FringedQuiver, a: str) -> Route:
-    for p in straight_routes(f):
-        if any(x == a for x, _e in p.walk):
-            return p
-    raise DomainError(f"no straight route through {a}")
+    p = f.calculus.straight[1].get(a)
+    if p is None:
+        raise DomainError(f"no straight route through {a}")
+    return p
 
 
 # -- g-vectors ------------------------------------------------------------------
@@ -678,12 +687,6 @@ def countercurrent_compare(f: FringedQuiver, p: MarkedTrail, q: MarkedTrail) -> 
     p_inv = p.viewed_at(a, -eps)
     q_inv = q.viewed_at(a, -eps)
     pre = -_cmp_post(f, p_inv, q_inv)
-    if post == 0 and pre == 0:
-        return 0
-    if post == 0:
-        return pre
-    if pre == 0:
-        return post
-    if post != pre:
+    if post and pre and post != pre:
         raise DomainError("not comparable")
-    return post
+    return post or pre

@@ -94,3 +94,17 @@ def quiver_pool():
         q = random_gentle_quiver(rng)
         pool.append(TrailPool(fringe(q)))
     return pool
+
+
+@pytest.fixture(scope="session")
+def doubled_a5():
+    """The fringed doubled A5 path of the benchmark's generator (218 bending
+    self-compatible routes, 2084 maximal cliques at the default bound)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return quiver.parse_quiver_file(gen.doubled_path(5))

@@ -244,10 +244,38 @@ def _oracle_segment_occurrences(t, cap):
                 yield word, w[(i - 1) % n], w[(i + length) % n]
 
 
+def oracle_walk_key(w):
+    """The serialized order of walks on names: +1 sorts before -1, so that
+    "e1" < "e1^-1" as in the serialized form."""
+    return tuple((a, 0 if e == 1 else 1) for a, e in w)
+
+
+def oracle_canon_sub(s):
+    """The least of a word and its inverse under oracle_walk_key."""
+    from gentleflow.trails import inverse_walk
+    if s[0] == "lazy":
+        return s
+    inv = inverse_walk(s)
+    return s if oracle_walk_key(s) <= oracle_walk_key(inv) else inv
+
+
+def oracle_band_walk(w):
+    """The canonical walk of a band: the least of all rotations of w and of
+    its inverse under oracle_walk_key, each compared in full."""
+    from gentleflow.trails import inverse_walk
+    best = None
+    for cand in (w, inverse_walk(w)):
+        for i in range(len(cand)):
+            rot = cand[i:] + cand[:i]
+            if best is None or oracle_walk_key(rot) < oracle_walk_key(best):
+                best = rot
+    return best
+
+
 def oracle_kiss(f, p, q):
     """The kiss witness of p and q on signed-arrow words: the smallest common
     top/bottom pair, lazy strings ("lazy", v) first, or None."""
-    from gentleflow.trails import _canon_sub, _junctions, _walk_key
+    from gentleflow.trails import _junctions
 
     def tops_bottoms(t, cap):
         tops, bottoms = set(), set()
@@ -258,9 +286,9 @@ def oracle_kiss(f, p, q):
                 bottoms.add(("lazy", v))
         for word, prev, nxt in _oracle_segment_occurrences(t, cap):
             if prev[1] == -1 and nxt[1] == 1:
-                tops.add(_canon_sub(word))
+                tops.add(oracle_canon_sub(word))
             elif prev[1] == 1 and nxt[1] == -1:
-                bottoms.add(_canon_sub(word))
+                bottoms.add(oracle_canon_sub(word))
         return tops, bottoms
 
     cap = len(p.walk) + len(q.walk)
@@ -269,7 +297,7 @@ def oracle_kiss(f, p, q):
     hits = (tp & bq) | (tq & bp)
     if not hits:
         return None
-    return min(hits, key=lambda s: (0, s[1]) if s[0] == "lazy" else (1, _walk_key(s)))
+    return min(hits, key=lambda s: (0, s[1]) if s[0] == "lazy" else (1, oracle_walk_key(s)))
 
 
 def oracle_bron_kerbosch(nodes, adj):

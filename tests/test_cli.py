@@ -277,3 +277,43 @@ def test_route_searches_keep_a_flat_stack(kron_file, capsys):
     finally:
         sys.setrecursionlimit(limit)
     assert codes == [0, 0, 0, 0]
+
+
+UNREADABLE = ["directory as quiver", "directory as flow", "quiver not UTF-8",
+              "fringe output is a directory"]
+
+
+def _unreadable_path(case, tmp_path, kron_file):
+    """(argv, error type) of a command whose input or output path cannot be
+    used."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    latin = tmp_path / "latin.qv"
+    latin.write_bytes("vertex v\xe9\n".encode("latin-1"))
+    base = tmp_path / "base.qv"
+    base.write_text("vertex 1\nvertex 2\narrow a: 1 -> 2\n")
+    return {
+        "directory as quiver": (("validate", str(folder)), "IsADirectoryError"),
+        "directory as flow": (("decompose", kron_file, "--flow", str(folder)),
+                              "IsADirectoryError"),
+        "quiver not UTF-8": (("validate", str(latin)), "UnicodeDecodeError"),
+        "fringe output is a directory": (("fringe", str(base), "-o", str(folder)),
+                                         "IsADirectoryError"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_path_is_json_error(tmp_path, kron_file, capsys, case):
+    # PermissionError takes the same OSError path, but root cannot provoke it
+    argv, error = _unreadable_path(case, tmp_path, kron_file)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == error and set(doc) == {"error", "message"}
+
+
+def test_empty_trail_is_domain_error(kron_file, capsys):
+    for trail in ("", "band:"):
+        code, _out, err = run_cli(capsys, "gvector", kron_file, "--trail", trail)
+        assert code == 1
+        assert json.loads(err)["error"] == "DomainError"
