@@ -120,7 +120,7 @@ def cmd_routes(args):
 def cmd_bands(args):
     f = _load_quiver(args.file)
     bound = _bound(args.max_arrows, default_band_bound(f))
-    calc = trails.calculus(f)
+    calc = f.calculus
     bands = sorted(trails.enumerate_bands(f, bound), key=trails.trail_key)
     payload = [{"trail": str(b),
                 "self_compatible": calc.self_compatible(b),
@@ -176,11 +176,10 @@ def cmd_bundles(args):
     f = _load_quiver(args.file)
     rb = _bound(args.max_arrows, default_route_bound(f))
     bb = _bound(args.band_bound, default_band_bound(f))
-    bs = complexes.maximal_bundles(f, rb, bb)
-    payload = {
-        "bundles": [b.as_json() for b in bs],
-        "with_bands": [b.as_json() for b in bs if b.bands],
-    }
+    rows = [b.as_json() for b in complexes.maximal_bundles(f, rb, bb)]
+    # routes sort before bands, so a bundle with a band lists one last
+    payload = {"bundles": rows,
+               "with_bands": [r for r in rows if r and r[-1].startswith("band:")]}
     _report(args, payload, bounds={"route_bound": rb, "band_bound": bb},
             input_path=args.file)
     return 0

@@ -14,7 +14,6 @@ from .trails import (
     Band,
     Route,
     Trail,
-    calculus,
     countercurrent_compare,
     enumerate_bands,
     is_straight,
@@ -70,7 +69,7 @@ def bending_route_universe(f: FringedQuiver, route_bound: int) -> list[Route]:
 
 
 def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
-    calc = calculus(f)
+    calc = f.calculus
     return sorted((b for b in enumerate_bands(f, band_bound) if calc.self_compatible(b)),
                   key=trail_key)
 
@@ -91,7 +90,7 @@ def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list
     longest trail's decide every pair as kiss does: route witnesses are
     shorter than the route, and distinct bands share none longer (kiss).
     """
-    calc = calculus(f)
+    calc = f.calculus
     longest = max(map(len, rows + cols), default=0)
     having = ({}, {})  # per witness, the bitset of the cols with it as a top, as a bottom
     for j, q in enumerate(cols):

@@ -3,8 +3,8 @@
 A full directed graph with edge labels in {1, 2} realizing the framing (and
 with every oriented cycle bilabelled) corresponds, when convenient and gently
 framed, to a paired fringed quiver: 1-edges keep their direction, 2-edges
-flip, and relations are the mixed-label compositions.  The flow algorithm
-specializes to a two-branch Forward map read off the labels.
+flip, and relations are the mixed-label compositions.  A flow on the graph
+is a flow on that quiver, traced by the same kernel.
 """
 
 from __future__ import annotations
@@ -13,20 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .flows import (
-    BundleCombination,
-    QInterval,
-    _verify_combination,
-    marked_trace,
-    parse_rational,
-    scale_to_integers,
-    tile_markings,
-    trail_coefficients,
-)
+from .flows import Flow, decompose_bundle, trace_interval
 from .quiver import DomainError, FringedQuiver, StructuralError, _strip_comment, cyclic_core, incidence
-from .trails import MarkedTrail, SignedArrow, Trail, TrailUniverse
-
-Q = Fraction
+from .trails import Band, SignedArrow, Trail, TrailUniverse
 
 
 @dataclass(frozen=True)
@@ -102,31 +91,31 @@ def is_gently_framed(g: FramedDirectedGraph) -> bool:
 def make_convenient(g: FramedDirectedGraph) -> FramedDirectedGraph:
     """Split every multi-edge source/sink into one vertex per incident edge.
 
-    New vertices are named ``old@edge`` so results can be mapped back.
+    New vertices are named ``old@edge`` so results can be mapped back (with
+    more ``@`` where that name is already taken).
     """
+    taken = set(g.vertices)
     vertices = {v: k for v, k in g.vertices.items() if k == "internal"}
-    edges = {}
-    for e, (t, h) in g.edges.items():
-        if g.vertices[t] != "internal":
-            nt = t if len(g.edges_out(t)) + len(g.edges_in(t)) == 1 else f"{t}@{e}"
-            vertices[nt] = g.vertices[t]
-        else:
-            nt = t
-        if g.vertices[h] != "internal":
-            nh = h if len(g.edges_out(h)) + len(g.edges_in(h)) == 1 else f"{h}@{e}"
-            vertices[nh] = g.vertices[h]
-        else:
-            nh = h
-        edges[e] = (nt, nh)
+
+    def end(v: str, e: str) -> str:
+        if g.vertices[v] != "internal" and len(g.edges_out(v)) + len(g.edges_in(v)) > 1:
+            at = "@"
+            while f"{v}{at}{e}" in taken:
+                at += "@"
+            v2 = f"{v}{at}{e}"
+            taken.add(v2)
+            vertices[v2] = g.vertices[v]
+            return v2
+        vertices[v] = g.vertices[v]
+        return v
+
+    edges = {e: (end(t, e), end(h, e)) for e, (t, h) in g.edges.items()}
     return FramedDirectedGraph(vertices, edges, dict(g.labels))
 
 
 def to_fringed_quiver(g: FramedDirectedGraph) -> tuple[FringedQuiver, dict[str, int]]:
-    """Keep 1-edges, reverse 2-edges; relations are the mixed-label pairs.
-
-    Requires a convenient gently framed graph; returns the fringed quiver and
-    the transported pairing.  Edge and vertex ids are preserved.
-    """
+    """The fringed quiver of a convenient gently framed graph, and the
+    transported pairing (see `fringed_quiver`)."""
     bad = validate_framed(g)
     if bad:
         raise DomainError("not amply framed: " + "; ".join(bad))
@@ -134,7 +123,15 @@ def to_fringed_quiver(g: FramedDirectedGraph) -> tuple[FringedQuiver, dict[str, 
         raise DomainError("graph is not convenient (split sources/sinks first)")
     if not is_gently_framed(g):
         raise DomainError("graph is not gently framed (source-to-sink edge)")
+    return fringed_quiver(g), dict(g.labels)
 
+
+def fringed_quiver(g: FramedDirectedGraph) -> FringedQuiver:
+    """Keep 1-edges, reverse 2-edges; relations are the mixed-label pairs.
+
+    Edge and vertex ids are preserved.  Every convenient amply framed graph
+    has one, source-to-sink edges included.
+    """
     arrows = {}
     for e, (t, h) in g.edges.items():
         arrows[e] = (t, h) if g.labels[e] == 1 else (h, t)
@@ -152,7 +149,7 @@ def to_fringed_quiver(g: FramedDirectedGraph) -> tuple[FringedQuiver, dict[str, 
 
     f = FringedQuiver(internal, fringe, arrows, relation_pairs)
     f.validate()
-    return f, dict(g.labels)
+    return f
 
 
 def from_paired(f: FringedQuiver, psi: dict[str, int]) -> FramedDirectedGraph:
@@ -177,94 +174,39 @@ def from_paired(f: FringedQuiver, psi: dict[str, int]) -> FramedDirectedGraph:
 
 # -- flows on framed directed graphs -------------------------------------------
 
-class DagFlow:
+class DagFlow(Flow):
+    """A flow on a framed graph g: a flow on the fringed quiver of g, whose
+    arrows are the edges of g.  Conservation at an internal vertex of g then
+    reads "in = out", and g's flows are traced by the quiver kernel."""
+
     def __init__(self, g: FramedDirectedGraph, values: dict[str, Fraction] | None = None):
         self.graph = g
-        vals = {e: Q(0) for e in g.edges}
-        for e, x in (values or {}).items():
-            if e not in vals:
-                raise DomainError(f"flow value on unknown edge {e}")
-            vals[e] = parse_rational(x)
-        self.values = vals
-        self._scaled: tuple[int, dict[str, int]] | None = None
-        self._tiles: dict[str, list[tuple[MarkedTrail, QInterval]]] | None = None
-        for e, x in vals.items():
-            if x < 0:
-                raise DomainError(f"negative flow on edge {e}")
-        for v, kind in g.vertices.items():
-            if kind == "internal":
-                if sum(vals[e] for e in g.edges_in(v)) != sum(vals[e] for e in g.edges_out(v)):
-                    raise DomainError(f"conservation of flow fails at vertex {v}")
+        super().__init__(fringed_quiver(make_convenient(g)), values)
 
-    def __getitem__(self, e: str) -> Fraction:
-        return self.values[e]
-
-    def scaled(self) -> tuple[int, dict[str, int]]:
-        if self._scaled is None:
-            self._scaled = scale_to_integers(self.values)
-        return self._scaled
-
-    @cached_property
-    def step_tables(self):
-        """The (forward, backward) step tables of the flows on g, in the encoding
-        of the quiver tables: edge e is the signed arrow `_signed(g, e)`, and
-        its (b1, b2, companion) plays (alpha', beta, beta').
-
-        For a 1-labelled edge the branch threshold is F(b1); for a 2-labelled
-        edge it is F(b1) - F(companion), where the companion is the parallel
-        1-edge.
-        """
-        g = self.graph
-        fwd, bwd = {}, {}
-        for e, (t, h) in g.edges.items():
-            if g.vertices[h] == "internal":
-                outs = _labelled(g, g.edges_out(h))
-                comp = None if g.labels[e] == 1 else _labelled(g, g.edges_in(h))[1]
-                fwd[_signed(g, e)] = (outs[1], outs[2], comp)
-            if g.vertices[t] == "internal":
-                ins = _labelled(g, g.edges_in(t))
-                comp = None if g.labels[e] == 1 else _labelled(g, g.edges_out(t))[1]
-                bwd[_signed(g, e)] = (ins[1], ins[2], comp)
-        return fwd, bwd
-
-    def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
-        """Per edge e, the positive-length marked-trail tiles of [0, F(e)]."""
-        if self._tiles is None:
-            starts = {e: _signed(self.graph, e) for e in sorted(self.values)}
-            self._tiles = tile_markings(
-                self.scaled(), self.step_tables, starts,
-                lambda e, c: dag_trace_interval(self, e, c),
-                lambda walk: tuple(starts[e] for e, _s in walk))
-        return self._tiles
-
-
-def _signed(g: FramedDirectedGraph, e: str) -> SignedArrow:
-    """A 1-edge is the arrow e of the fringed quiver of g, a 2-edge is e^-1."""
-    return (e, 1 if g.labels[e] == 1 else -1)
-
-
-def _labelled(g: FramedDirectedGraph, edges: list[str]) -> dict[int, str]:
-    out = {g.labels[e]: e for e in edges}
-    if len(out) != len(edges):
-        raise DomainError("framing not realized")
-    return out
+    def start(self, e: str) -> SignedArrow:
+        """Edge e in g's orientation: the arrow e for a 1-edge, e^-1 for a 2-edge."""
+        return (e, 1 if self.graph.labels[e] == 1 else -1)
 
 
 def dag_trace_interval(F: DagFlow, e: str, c: Fraction):
-    """The quiver trace read on g: trace edge e at value c with the step tables
-    of g, and report the walk as a path of edges, each with sign +1."""
-    c = parse_rational(c)
-    if not (0 <= c <= F[e]):
-        raise DomainError(f"value {c} outside [0, F({e})]")
-    return marked_trace(F.scaled(), F.step_tables, F.graph.trail_universe, _signed(F.graph, e), c,
-                        lambda walk: tuple((x, 1) for x, _s in walk))
+    """The trace of edge e of g at value c, in g's orientation."""
+    return trace_interval(F, F.start(e), c)
 
 
 def dag_decompose(F: DagFlow) -> dict[Trail, Fraction]:
-    """Unique positive clique (plus band, when cyclic) combination of a flow."""
-    coeffs = trail_coefficients(F.tiles())
-    _verify_combination(F.values, BundleCombination(coeffs))
-    return coeffs
+    """Unique positive clique (plus band, when cyclic) combination of a flow.
+
+    Each trail is read in g's orientation, as a walk of edges each with sign
+    +1: a traced trail runs along g, so its canonical walk is either that
+    orientation or its inverse.
+    """
+    u = F.graph.trail_universe
+    out = {}
+    for t, x in decompose_bundle(F).coefficients.items():
+        walk = t.walk if t.walk[0] == F.start(t.walk[0][0]) else reversed(t.walk)
+        word = u.word(tuple((e, 1) for e, _s in walk))
+        out[u.band(word) if isinstance(t, Band) else u.route(word)] = x
+    return out
 
 
 # -- framed-graph file format ------------------------------------------------------

@@ -23,6 +23,8 @@ from .trails import (
     SignedArrow,
     Trail,
     countercurrent_compare,
+    is_band_walk,
+    is_route_walk,
     markings_at,
     trail_key,
 )
@@ -106,13 +108,14 @@ class Flow:
             self._scaled = scale_to_integers(self.values)
         return self._scaled
 
+    def start(self, a: str) -> SignedArrow:
+        """The signed arrow whose arrow-flows tile [0, F(a)]."""
+        return (a, 1)
+
     def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
-        """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at (a, +1)."""
+        """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at start(a)."""
         if self._tiles is None:
-            self._tiles = tile_markings(
-                self.scaled(), self.step_tables,
-                {a: (a, 1) for a in sorted(self.values)},
-                lambda a, c: trace_interval(self, (a, 1), c))
+            self._tiles = tile_markings(self)
         return self._tiles
 
     @cached_property
@@ -157,7 +160,6 @@ class Flow:
 
 def indicator(f: FringedQuiver, t: Trail) -> Flow:
     """Arrow-use counts of a trail; a unit flow for routes, a vortex for bands."""
-    from .trails import is_band_walk, is_route_walk
     ok = is_band_walk(f, t.walk) if isinstance(t, Band) else is_route_walk(f, t.walk)
     if not ok:
         raise DomainError(f"not a trail of this quiver: {t}")
@@ -343,56 +345,47 @@ def _trace_ints(iv: dict[str, int], tables, sa: SignedArrow, c: int):
     return None, 0, None, bounds
 
 
-def marked_trace(scaled, tables, universe, sa: SignedArrow, c: Fraction, relabel=tuple):
-    """(marked trail or None, interval of start values giving it, its length)
-    for the arrow-flow (sa, c) of a flow scaled to integers.
-
-    Each Forward/Back branch shifts the value by a constant, so every branch
-    constraint pulls back to exact bounds on the start value.  `relabel` maps
-    the walk of signed arrows to the walk reported, whose trail is interned
-    in `universe`.
-    """
-    den, iv = scaled
-    if den % c.denominator:
-        k = c.denominator // gcd(den, c.denominator)
-        den, iv = den * k, {a: v * k for a, v in iv.items()}
-    walk, index, kind, (lo, lo_open, hi, hi_open) = _trace_ints(iv, tables, sa, int(c * den))
-    interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
-    if kind is None:
-        return None, interval, Q(0)
-    walk = relabel(walk)
-    word = universe.word(walk)
-    trail = universe.band(word) if kind == "band" else universe.route(word)
-    return MarkedTrail(trail, walk, index), interval, interval.length
-
-
 def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     """Trace the arrow-flow (sa, c), pulling branch constraints back to the start.
 
     Returns (marked trail, interval of start values giving this marked trail,
     interval length); the trail is None at an isolated value whose walk never
-    closes.
+    closes.  Tracing runs on the flow scaled to integers: each Forward/Back
+    branch shifts the value by a constant, so every branch constraint pulls
+    back to exact bounds on the start value.
     """
     c = parse_rational(c)
     _check_arrow_flow(F, sa, c)
-    return marked_trace(F.scaled(), F.step_tables, F.quiver.calculus.universe, sa, c)
+    den, iv = F.scaled()
+    if den % c.denominator:
+        k = c.denominator // gcd(den, c.denominator)
+        den, iv = den * k, {a: v * k for a, v in iv.items()}
+    walk, index, kind, (lo, lo_open, hi, hi_open) = _trace_ints(iv, F.step_tables, sa, int(c * den))
+    interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
+    if kind is None:
+        return None, interval, Q(0)
+    universe = F.quiver.calculus.universe
+    word = universe.word(walk)
+    trail = universe.band(word) if kind == "band" else universe.route(word)
+    return MarkedTrail(trail, walk, index), interval, interval.length
 
 
 # -- tiling: one trace per trail orientation ------------------------------------------
 
-def tile_markings(scaled, tables, starts: dict[str, SignedArrow], probe, signed=tuple):
-    """Per key k of `starts`, the positive-length marked-trail tiles of [0, F(k)]
-    traced from the signed arrow starts[k], sorted along the interval.
+def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
+    """Per arrow a, the positive-length marked-trail tiles of [0, F(a)]
+    traced from the signed arrow F.start(a), sorted along the interval.
 
-    Keys are tiled in the order given.  Each gap of [0, F(k)] left by the
-    tiles known so far is probed at its midpoint with probe(k, c), the public
-    trace of (starts[k], c); single-point gaps are skipped, as isolated points
-    carry zero length.  A probe that finds a positive-length trail yields the
-    tiles of every marking of that trail at a start arrow, at once
-    (`_marking_tiles`), so each trail orientation is traced once.  `signed`
-    maps a reported walk back to signed arrows.
+    Arrows are tiled in sorted order.  Each gap of [0, F(a)] left by the
+    tiles known so far is probed at its midpoint with `trace_interval`;
+    single-point gaps are skipped, as isolated points carry zero length.  A
+    probe that finds a positive-length trail yields the tiles of every
+    marking of that trail at a start arrow, at once (`_marking_tiles`), so
+    each trail orientation is traced once.
     """
-    den, iv = scaled
+    den, iv = F.scaled()
+    tables = F.step_tables
+    starts = {a: F.start(a) for a in sorted(iv)}
     half = 2 * den                         # tile midpoints are integers in 1/half units
     iv2 = {a: 2 * v for a, v in iv.items()}
     far = max(iv2.values(), default=0) + 1
@@ -401,17 +394,16 @@ def tile_markings(scaled, tables, starts: dict[str, SignedArrow], probe, signed=
     for k in starts:
         while (gap := _first_gap(covered[k], iv2[k])) is not None:
             mid = (gap[0] + gap[1]) // 2
-            mt, interval, length = probe(k, Q(mid, half))
+            mt, interval, length = trace_interval(F, starts[k], Q(mid, half))
             if length == 0:
                 covered[k].append((mid, mid))
                 continue
             tile = (int(interval.lo * half), interval.lo_open,
                     int(interval.hi * half), interval.hi_open)
-            walk = signed(mt.walk)
-            for j, t in _marking_tiles(iv2, tables, walk, mt.index,
+            for j, t in _marking_tiles(iv2, tables, mt.walk, mt.index,
                                        isinstance(mt.trail, Band), tile, far):
-                a = walk[j][0]
-                if starts.get(a) != walk[j]:
+                a = mt.walk[j][0]
+                if starts[a] != mt.walk[j]:
                     continue
                 if j == mt.index and t != tile:
                     raise AssertionError("re-walk disagrees with the traced tile")
@@ -614,8 +606,7 @@ def blank_spaces(F: Flow) -> list[BlankSpace]:
 
 def splitting_strength(F: Flow, b: Band) -> Fraction:
     """min |J| / N_{B,J} over the blank spaces J split by some marking of B."""
-    from .trails import calculus
-    calc = calculus(F.quiver)
+    calc = F.quiver.calculus
     route_part = {mt.trail for a in sorted(F.quiver.arrows) for mt, _ in _route_tiles(F, a)}
     for p in route_part:
         if not calc.compatible(b, p):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .flows import format_rational, indicator
 from .quiver import DomainError, FringedQuiver, cyclic_core
@@ -18,6 +19,7 @@ from .trails import (
     elementary_routes,
     g_vector,
     is_straight,
+    straight_route_through,
     straight_routes,
 )
 
@@ -170,7 +172,6 @@ class HalfSpace:
 
 def _suffix_weight(f: FringedQuiver, W: set[str], y: str) -> tuple[int, int]:
     """(#W-arrows weakly after y on its straight route, #W-arrows on the route)."""
-    from .trails import straight_route_through
     s = straight_route_through(f, y)
     walk = s.walk if any(e == 1 for _a, e in s.walk) else tuple((a, -e) for a, e in reversed(s.walk))
     arrows = [a for a, _e in walk]
@@ -218,7 +219,6 @@ def g_facet(f: FringedQuiver, W: set[str]) -> HalfSpace:
 
 def barely_crooked_sets(f: FringedQuiver) -> list[frozenset[str]]:
     """All barely crooked arrow sets: one arrow per straight route, then closed."""
-    from itertools import product
     routes = straight_routes(f)
     choices = [[a for a, _e in s.walk] for s in routes]
     out = []

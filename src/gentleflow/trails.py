@@ -454,10 +454,6 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     return found
 
 
-def calculus(f: FringedQuiver) -> TrailCalculus:
-    return f.calculus
-
-
 # -- boosted / criss-crossed ---------------------------------------------------
 
 def _st_class(f: FringedQuiver, v: str, word) -> str:

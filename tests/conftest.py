@@ -59,7 +59,7 @@ class TrailPool:
         self.routes = sorted(trails.enumerate_routes(f, self.route_bound), key=trails.trail_key)
         self.bands = complexes.band_universe(f, self.band_bound)
         self.trails = [p for p in self.routes
-                       if trails.calculus(f).self_compatible(p)] + list(self.bands)
+                       if f.calculus.self_compatible(p)] + list(self.bands)
         self.bundles = complexes.maximal_bundles(f, self.route_bound, self.band_bound)
 
     def random_bundle_combination(self, rng, integral=False, positive=True):

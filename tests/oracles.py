@@ -323,9 +323,9 @@ def oracle_band_stable_cliques(f, route_bound, band_bound):
     """Band-stable cliques by testing every subset of every maximal clique of
     the bending graph, one compatibility question at a time."""
     from gentleflow.complexes import Clique, band_universe, bending_route_universe
-    from gentleflow.trails import calculus, straight_routes
+    from gentleflow.trails import straight_routes
 
-    calc = calculus(f)
+    calc = f.calculus
     straights = frozenset(straight_routes(f))
     bending = bending_route_universe(f, route_bound)
     bands = band_universe(f, band_bound)

@@ -86,7 +86,7 @@ def test_criterion_2_kronecker_dissections():
 
 def test_criterion_3_shard():
     f = fixture_quiver("shard")
-    calc = trails.calculus(f)
+    calc = f.calculus
     routes = trails.enumerate_routes(f, 8)
     self_compat = {p for p in routes if calc.self_compatible(p)}
     # exactly eight self-compatible routes, listed explicitly
@@ -164,7 +164,7 @@ def dk_vec(f, t):
 
 def test_criterion_5_double_kronecker():
     f = fixture_quiver("double-kronecker")
-    calc = trails.calculus(f)
+    calc = f.calculus
 
     bands = trails.enumerate_bands(f, 16)
     got = {dk_vec(f, b2): b2 for b2 in bands if calc.self_compatible(b2)}
@@ -265,7 +265,7 @@ def test_criterion_6b_integrality(decompositions):
 def test_criterion_6c_output_compatible(decompositions):
     n = 0
     for pool, _coeffs, _F, combo in decompositions:
-        calc = trails.calculus(pool.quiver)
+        calc = pool.quiver.calculus
         ts = sorted(combo.coefficients, key=trails.trail_key)
         for i, p in enumerate(ts):
             assert calc.self_compatible(p)
@@ -398,7 +398,7 @@ def test_criterion_7_bridge_equivalence():
 
         routes = sorted(trails.enumerate_routes(f, len(f.arrows)), key=trails.trail_key)
         bands = [b for b in trails.enumerate_bands(f, 2 * len(f.internal_vertices) + 2)
-                 if trails.calculus(f).self_compatible(b)]
+                 if f.calculus.self_compatible(b)]
         universe = routes + bands
         for _ in range(100):
             vals: dict[str, Q] = {}

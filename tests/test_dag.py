@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gentleflow import dag, flows, quiver, trails
+from gentleflow import dag, fixtures, flows, quiver, trails
 from gentleflow.dag import (
     DagFlow,
     FramedDirectedGraph,
@@ -96,6 +96,17 @@ def test_make_convenient():
     assert set(f.arrows) == set(g.edges)
 
 
+def test_make_convenient_avoids_taken_names():
+    # the internal vertex already bears the name a split of s would get
+    g = parse_framed_graph(fixtures.CUBE_DAG.replace(" m", " s@e1"))
+    assert validate_framed(g) == []
+    g2 = make_convenient(g)
+    assert validate_framed(g2) == [] and is_convenient(g2)
+    assert sorted(g2.vertices) == ["s@@e1", "s@e1", "s@e2", "t@f1", "t@f2"]
+    dec = dag_decompose(DagFlow(g, {"e1": 1, "e2": 3, "f1": 3, "f2": 1}))
+    assert {format_walk(t.walk): x for t, x in dec.items()} == {"e1 f1": Q(1), "e2 f1": Q(2), "e2 f2": Q(1)}
+
+
 def test_cube_decomposition_golden():
     g = fixture_dag("cube-dag")
     F = DagFlow(g, {"e1": 1, "e2": 3, "f1": 3, "f2": 1})
@@ -148,7 +159,7 @@ def test_dag_agrees_with_quiver_decompose():
         bands = sorted(trails.enumerate_bands(f, 2 * len(f.internal_vertices) + 2),
                        key=trails.trail_key)
         universe = routes + [b for b in bands
-                             if trails.calculus(f).self_compatible(b)]
+                             if f.calculus.self_compatible(b)]
         for _ in range(25):
             vals: dict[str, Q] = {}
             for t in rng.sample(universe, k=rng.randint(1, 4)):
@@ -167,6 +178,118 @@ def test_dag_agrees_with_quiver_decompose():
                 return out
 
             assert norm(combo.coefficients) == norm(dec)
+
+
+# -- DAG trails read along g ---------------------------------------------------------
+
+NON_CONVENIENT = FramedDirectedGraph(
+    vertices={"s": "source", "m": "internal", "t1": "sink", "t2": "sink"},
+    edges={"a": ("s", "m"), "b": ("s", "m"), "c": ("m", "t1"), "d": ("m", "t2")},
+    labels={"a": 1, "b": 2, "c": 1, "d": 2},
+)
+SOURCE_TO_SINK = FramedDirectedGraph(
+    vertices={"s": "source", "t": "sink"}, edges={"a": ("s", "t")}, labels={"a": 1})
+
+
+def shuffled_doubled_path(n: int, rng: random.Random) -> FramedDirectedGraph:
+    """s1, s2 -> m1 => m2 => ... => mn -> t1, t2, edges named x0, x1, ... at random."""
+    ends = [("s1", "m1", 1), ("s2", "m1", 2)]
+    ends += [(f"m{i}", f"m{i + 1}", k) for i in range(1, n) for k in (1, 2)]
+    ends += [(f"m{n}", "t1", 1), (f"m{n}", "t2", 2)]
+    names = [f"x{i}" for i in range(len(ends))]
+    rng.shuffle(names)
+    vertices = {"s1": "source", "s2": "source", "t1": "sink", "t2": "sink"}
+    vertices.update({f"m{i}": "internal" for i in range(1, n + 1)})
+    return FramedDirectedGraph(vertices, {x: (t, h) for x, (t, h, _k) in zip(names, ends)},
+                               {x: k for x, (_t, _h, k) in zip(names, ends)})
+
+
+def path_flow(g: FramedDirectedGraph, rng: random.Random) -> dict[str, Q]:
+    """A positive combination of a few random source-to-sink paths of an acyclic g."""
+    vals = dict.fromkeys(g.edges, Q(0))
+    sources = sorted(v for v, kind in g.vertices.items() if kind == "source")
+    for _ in range(rng.randint(1, 4)):
+        v, c = rng.choice(sources), Q(rng.randint(1, 9), rng.randint(1, 4))
+        while g.edges_out(v):
+            e = rng.choice(g.edges_out(v))
+            vals[e] += c
+            v = g.edges[e][1]
+    return vals
+
+
+def trail_flow(f, rng: random.Random) -> dict[str, Q]:
+    """A positive combination of a few routes and self-compatible bands of f."""
+    universe = sorted(trails.enumerate_routes(f, len(f.arrows) + 2), key=trails.trail_key)
+    universe += [b for b in sorted(trails.enumerate_bands(f, 2 * len(f.internal_vertices) + 2),
+                                   key=trails.trail_key) if f.calculus.self_compatible(b)]
+    vals: dict[str, Q] = {}
+    for t in rng.sample(universe, k=rng.randint(1, min(4, len(universe)))):
+        c = Q(rng.randint(1, 8), rng.randint(1, 5))
+        for a, _e in t.walk:
+            vals[a] = vals.get(a, Q(0)) + c
+    return vals
+
+
+def dag_cases():
+    rng = random.Random(31)
+    cases = [(fixture_dag("cube-dag"), {"e1": 1, "e2": 3, "f1": 3, "f2": 1}),
+             (fixture_dag("difdagc-dag"), {"p1": 1, "m1": 1, "r1": 1}),
+             (SOURCE_TO_SINK, {"a": Q(7, 2)})]
+    for g in (fixture_dag("cube-dag"), fixture_dag("difdagc-dag"), NON_CONVENIENT):
+        cases += [(g, path_flow(g, rng)) for _ in range(5)]
+    for name in ("kronecker", "double-kronecker", "triple-kronecker", "single-vertex"):
+        f = fixture_quiver(name)
+        g = from_paired(f, quiver.find_pairing(f))
+        cases += [(g, trail_flow(f, rng)) for _ in range(5)]
+    for n in (1, 2, 5, 5, 5, 8):
+        g = shuffled_doubled_path(n, rng)
+        cases += [(g, path_flow(g, rng)) for _ in range(2)]
+    return cases
+
+
+def along_g(g: FramedDirectedGraph, t: trails.Trail) -> tuple[str, ...]:
+    """The edges of t in the orientation whose signs are all +1."""
+    walk = t.walk
+    if all(s == -1 for _e, s in walk):
+        walk = tuple((e, -s) for e, s in reversed(walk))
+    assert all(s == 1 for _e, s in walk), t
+    return tuple(e for e, _s in walk)
+
+
+def test_dag_trails_are_directed_paths_and_cycles():
+    inverted = 0
+    for g, vals in dag_cases():
+        dec = dag_decompose(DagFlow(g, vals))
+        assert dec and all(x > 0 for x in dec.values())
+        for t in dec:
+            edges = along_g(g, t)
+            tails = [g.edges[e][0] for e in edges]
+            heads = [g.edges[e][1] for e in edges]
+            assert heads[:-1] == tails[1:], t
+            if isinstance(t, trails.Band):
+                assert heads[-1] == tails[0], t
+                assert all(g.vertices[v] == "internal" for v in tails), t
+            else:
+                assert (g.vertices[tails[0]], g.vertices[heads[-1]]) == ("source", "sink"), t
+            inverted += "^-1" in str(t)
+    assert inverted  # some trails print against g's orientation
+
+
+def test_dag_traces_each_trail_once(monkeypatch):
+    found = []
+    traced = flows.trace_interval
+
+    def recording(*args):
+        out = traced(*args)
+        if out[2] > 0:
+            found.append(out[0].trail)
+        return out
+
+    monkeypatch.setattr(flows, "trace_interval", recording)
+    for g, vals in dag_cases():
+        found.clear()
+        dec = dag_decompose(DagFlow(g, vals))
+        assert len(found) == len(set(found)) == len(dec)
 
 
 def test_framed_graph_file_roundtrip():

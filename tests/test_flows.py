@@ -226,7 +226,7 @@ def test_decompose_vortex_only_double_kronecker():
     # one has pairwise-compatible self-compatible support
     bands = sorted(trails.enumerate_bands(f, 8), key=trails.trail_key)
     sols = solve_nonneg_band_combination(f, bands, F.values)
-    calc = trails.calculus(f)
+    calc = f.calculus
     bundle_sols = [s for s in sols
                    if all(calc.compatible(x, y) for x in s for y in s)]
     assert bundle_sols == [{b11: Q(2)}]

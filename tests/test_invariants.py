@@ -50,7 +50,7 @@ def test_vortex_part_is_a_vortex(quiver_pool):
         f = pool.quiver
         F, _ = pool.random_bundle_combination(rng)
         vd = decompose_vortex(F)
-        calc = trails.calculus(f)
+        calc = f.calculus
         fringe = set(f.fringe_arrows())
         for band in vd.vortex:
             assert not any(a in fringe for a, _e in band.walk)
@@ -115,7 +115,7 @@ def test_kiss_handles_equivalent_representatives():
     from gentleflow.fixtures import fixture_quiver
     from gentleflow.trails import Band, Route, parse_walk
     f = fixture_quiver("kronecker")
-    calc = trails.calculus(f)
+    calc = f.calculus
     b1 = Band.of(parse_walk("e2 f2^-1"))
     b2 = Band.of(parse_walk("f2^-1 e2"))
     b3 = Band.of(parse_walk("f2 e2^-1"))

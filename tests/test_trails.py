@@ -7,7 +7,6 @@ from gentleflow.trails import (
     Band,
     Route,
     boosted_and_crisscrossed,
-    calculus,
     countercurrent_compare,
     enumerate_bands,
     enumerate_routes,
@@ -122,7 +121,7 @@ def test_kiss_matches_oracle(quiver_pool):
 
 def test_kissing_examples():
     f = fixture_quiver("kronecker")
-    calc = calculus(f)
+    calc = f.calculus
     band = B("e2 f2^-1")
     assert calc.kiss(band, R("e1 e2 f2^-1 f1^-1")) == tuple(parse_walk("e2 f2^-1"))
     for p in enumerate_routes(f, 8):
@@ -135,7 +134,7 @@ def test_kissing_examples():
 def test_kiss_symmetry_and_equivalence_invariance(quiver_pool):
     for pool in quiver_pool[:8]:
         f = pool.quiver
-        calc = calculus(f)
+        calc = f.calculus
         ts = pool.trails[:8]
         for p in ts:
             for q in ts:
@@ -146,7 +145,7 @@ def test_band_winding_witness():
     # a route wrapping the band three times still kisses it: the witness needs
     # more than two windings of the band
     f = fixture_quiver("kronecker")
-    calc = calculus(f)
+    calc = f.calculus
     band = B("e2 f2^-1")
     r3 = R("e1 e2 f2^-1 e2 f2^-1 e2 f2^-1 f1^-1")
     assert not calc.compatible(band, r3)

@@ -12,7 +12,7 @@ def B(text):
 
 def test_outer_bands_compatible_middle_band_not():
     f = fixture_quiver("triple-kronecker")
-    calc = trails.calculus(f)
+    calc = f.calculus
     b2, b3, b4 = B("e2 f2^-1"), B("e3 f3^-1"), B("e4 f4^-1")
     assert calc.compatible(b2, b4)
     assert not calc.compatible(b2, b3)
@@ -36,7 +36,7 @@ def test_two_band_wall_inside_empty_vortex_wall():
     # the straights-only clique contains the two-band bundle wall strictly
     # (it also holds the middle band the wall lacks)
     f = fixture_quiver("triple-kronecker")
-    calc = trails.calculus(f)
+    calc = f.calculus
     stable = complexes.band_stable_cliques(f, 10, 8)
     straights = frozenset(trails.straight_routes(f))
     assert any(k.routes == straights for k in stable)
