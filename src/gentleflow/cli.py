@@ -28,8 +28,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_quiver(path: str):
-    q = parse_quiver_file(_read(path))
+def _load_quiver(text: str):
+    q = parse_quiver_file(text)
     if isinstance(q, GentleQuiver):
         return fringe(q)
     return q
@@ -40,7 +40,9 @@ def _load_flow(f: FringedQuiver, path: str) -> flows.Flow:
 
 
 def default_route_bound(f: FringedQuiver) -> int:
-    return len(f.arrows) + 2 * len(f.internal_vertices)
+    # at least 1, the least bound enumeration accepts, on the empty quiver too
+    return max(1, len(f.arrows) + 2 * len(f.internal_vertices))
+
 
 def default_band_bound(f: FringedQuiver) -> int:
     return 2 * len(f.internal_vertices) + 2
@@ -51,14 +53,14 @@ def _bound(given: int | None, default: int) -> int:
     return default if given is None else given
 
 
-def _report(args, payload, bounds=None, input_path=None):
+def _report(args, payload, bounds=None):
     meta = {
         "tool": "gentleflow",
         "version": __version__,
         "command": args.command,
     }
-    if input_path:
-        meta["input_sha256"] = hashlib.sha256(_read(input_path).encode()).hexdigest()
+    if args.text is not None:
+        meta["input_sha256"] = hashlib.sha256(args.text.encode()).hexdigest()
     if bounds:
         meta["bounds"] = bounds
     doc = {"meta": meta, "payload": payload}
@@ -67,13 +69,13 @@ def _report(args, payload, bounds=None, input_path=None):
 
 
 def cmd_validate(args):
-    q = parse_quiver_file(_read(args.file))
+    q = parse_quiver_file(args.text)
     if isinstance(q, FringedQuiver):
         q.validate()
         payload = {"kind": "fringed", "violations": []}
     else:
         payload = {"kind": "gentle", "violations": validate_gentle(q)}
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     if payload["violations"]:
         err = {"error": "DomainError", "message": "; ".join(payload["violations"])}
         print(json.dumps(err, sort_keys=True), file=sys.stderr)
@@ -82,7 +84,7 @@ def cmd_validate(args):
 
 
 def cmd_fringe(args):
-    q = parse_quiver_file(_read(args.file))
+    q = parse_quiver_file(args.text)
     if isinstance(q, FringedQuiver):
         raise DomainError("input is already fringed")
     f = fringe(q)
@@ -90,21 +92,21 @@ def cmd_fringe(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    _report(args, {"fringed": text}, input_path=args.file)
+    _report(args, {"fringed": text})
     return 0
 
 
 def cmd_pairing(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     psi = find_pairing(f)
     payload = {"paired": psi is not None, "pairing": psi,
                "representation_finite": is_representation_finite(f)}
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
 def cmd_routes(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     bound = _bound(args.max_arrows, default_route_bound(f))
     routes = sorted(trails.enumerate_routes(f, bound), key=trails.trail_key)
     compatible = trails.self_compatible_routes(f, bound)
@@ -113,12 +115,12 @@ def cmd_routes(args):
                 "straight": trails.is_straight(p),
                 "elementary": p in compatible and trails.is_elementary_route(f, p)}
                for p in routes]
-    _report(args, payload, bounds={"max_arrows": bound}, input_path=args.file)
+    _report(args, payload, bounds={"max_arrows": bound})
     return 0
 
 
 def cmd_bands(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     bound = _bound(args.max_arrows, default_band_bound(f))
     calc = f.calculus
     bands = sorted(trails.enumerate_bands(f, bound), key=trails.trail_key)
@@ -126,12 +128,12 @@ def cmd_bands(args):
                 "self_compatible": calc.self_compatible(b),
                 "elementary": trails.is_elementary_band(f, b)}
                for b in bands]
-    _report(args, payload, bounds={"max_arrows": bound}, input_path=args.file)
+    _report(args, payload, bounds={"max_arrows": bound})
     return 0
 
 
 def cmd_gvector(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     t = trails.parse_trail(args.trail)
     if isinstance(t, trails.Band):
         if not trails.is_band_walk(f, t.walk):
@@ -139,91 +141,89 @@ def cmd_gvector(args):
     elif not trails.is_route_walk(f, t.walk):
         raise DomainError("not a route of this quiver")
     g = trails.g_vector(f, t)
-    _report(args, {v: g[v] for v in sorted(g)}, input_path=args.file)
+    _report(args, {v: g[v] for v in sorted(g)})
     return 0
 
 
 def cmd_decompose(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     F = _load_flow(f, args.flow)
     if args.vortex:
         payload = flows.decompose_vortex(F).as_json()
     else:
         payload = flows.decompose_bundle(F).as_json()
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
 def cmd_blanks(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     F = _load_flow(f, args.flow)
     spaces = flows.blank_spaces(F)
     payload = {"count": len(spaces), "blank_spaces": [b.as_json() for b in spaces]}
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
 def cmd_cliques(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     bound = _bound(args.max_arrows, default_route_bound(f))
     ks = complexes.maximal_cliques(f, bound)
     payload = [(k.reduced() if args.reduced else k).as_json() for k in ks]
-    _report(args, payload, bounds={"route_bound": bound}, input_path=args.file)
+    _report(args, payload, bounds={"route_bound": bound})
     return 0
 
 
 def cmd_bundles(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     rb = _bound(args.max_arrows, default_route_bound(f))
     bb = _bound(args.band_bound, default_band_bound(f))
     rows = [b.as_json() for b in complexes.maximal_bundles(f, rb, bb)]
     # routes sort before bands, so a bundle with a band lists one last
     payload = {"bundles": rows,
                "with_bands": [r for r in rows if r and r[-1].startswith("band:")]}
-    _report(args, payload, bounds={"route_bound": rb, "band_bound": bb},
-            input_path=args.file)
+    _report(args, payload, bounds={"route_bound": rb, "band_bound": bb})
     return 0
 
 
 def cmd_band_stable(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     rb = _bound(args.max_arrows, default_route_bound(f))
     bb = _bound(args.band_bound, default_band_bound(f))
     payload = [{"clique": k.as_json(), "maximal": k.maximal}
                for k in complexes.band_stable_cliques(f, rb, bb)]
-    _report(args, payload, bounds={"route_bound": rb, "band_bound": bb},
-            input_path=args.file)
+    _report(args, payload, bounds={"route_bound": rb, "band_bound": bb})
     return 0
 
 
 def cmd_vertices(args):
-    f = _load_quiver(args.file)
-    _report(args, polyhedra.turbulence_presentation(f).as_json(), input_path=args.file)
+    f = _load_quiver(args.text)
+    _report(args, polyhedra.turbulence_presentation(f).as_json())
     return 0
 
 
 def cmd_rays(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     turb = polyhedra.turbulence_presentation(f)
     gpoly = polyhedra.g_polyhedron_presentation(f)
     payload = {
         "turbulence_rays": turb.as_json()["rays"],
         "g_polyhedron": gpoly.as_json(),
     }
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
 def cmd_facets(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     payload = [{"avoided": sorted(W), "halfspace": hs.as_json()}
                for W, hs in polyhedra.g_facets(f)]
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
 def cmd_cells(args):
-    f = _load_quiver(args.file)
+    f = _load_quiver(args.text)
     rb = _bound(args.max_arrows, default_route_bound(f))
     bb = _bound(args.band_bound, default_band_bound(f))
     if args.kind == "clique":
@@ -234,13 +234,12 @@ def cmd_cells(args):
         payload = [{"clique": k.as_json(),
                     "band_generators": [str(b) for b in k.band_generators]}
                    for k in complexes.band_stable_cliques(f, rb, bb)]
-    _report(args, payload, bounds={"route_bound": rb, "band_bound": bb},
-            input_path=args.file)
+    _report(args, payload, bounds={"route_bound": rb, "band_bound": bb})
     return 0
 
 
 def cmd_convert_dag(args):
-    g = dag.parse_framed_graph(_read(args.file))
+    g = dag.parse_framed_graph(args.text)
     violations = dag.validate_framed(g)
     if violations:
         raise DomainError("; ".join(violations))
@@ -252,18 +251,18 @@ def cmd_convert_dag(args):
         "fringed": serialize_fringed(f),
         "pairing": psi,
     }
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
 def cmd_dag_decompose(args):
-    g = dag.parse_framed_graph(_read(args.file))
+    g = dag.parse_framed_graph(args.text)
     violations = dag.validate_framed(g)
     if violations:
         raise DomainError("; ".join(violations))
     F = dag.DagFlow(g, flows.flow_values(json.loads(_read(args.flow))))
     payload = flows.BundleCombination(dag.dag_decompose(F)).as_json()
-    _report(args, payload, input_path=args.file)
+    _report(args, payload)
     return 0
 
 
@@ -286,6 +285,7 @@ def cmd_examples(args):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gentleflow")
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
+    ap.set_defaults(file=None)  # for the commands without an input file
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, with_file=True):
@@ -343,6 +343,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # the one read of the input file: commands parse this text, reports hash it
+        args.text = None if args.file is None else _read(args.file)
         return args.fn(args)
     except (DomainError, StructuralError, OSError, UnicodeError, json.JSONDecodeError) as exc:
         # OSError and UnicodeError come from reading or writing a given path

@@ -202,20 +202,10 @@ def _forward_data(f: FringedQuiver, a: str, eps: int):
 
 
 def _backward_data(f: FringedQuiver, a: str, eps: int):
-    """The arrows governing Back at the tail of a^eps (mirror of Forward)."""
-    v = f.signed_tail(a, eps)
-    if not f.is_internal(v):
-        raise DomainError("boundary reached")
-    p1, p2 = f.relation_pairs[v]
-    if eps == 1:
-        mine, other = (p1, p2) if p1[1] == a else (p2, p1)
-        beta_prime = mine[0]       # beta' . a is the relation into a
-        alpha_prime, beta = other  # alpha' . beta is the other relation
-    else:
-        mine, other = (p1, p2) if p1[0] == a else (p2, p1)
-        beta_prime = mine[1]       # a . beta' is the relation through a
-        alpha_prime, beta = other
-    return alpha_prime, beta, beta_prime
+    """The arrows governing Back at the tail of a^eps: those of Forward at the
+    head of a^-eps, the same vertex, with alpha' and beta swapped."""
+    alpha_prime, beta, beta_prime = _forward_data(f, a, -eps)
+    return beta, alpha_prime, beta_prime
 
 
 def _step(F: Flow, sa: SignedArrow, c: Fraction, data_fn):

@@ -96,41 +96,34 @@ def g_polyhedron_presentation(f: FringedQuiver) -> PolyhedronPresentation:
 
 # -- closed and crooked arrow sets ----------------------------------------------
 
-def _restricted_reachable(f: FringedQuiver, allowed: set[str]):
-    """Forward-reachable signed arrows from fringe starts, within `allowed`."""
-    starts = [(a, 1) for a in allowed if not f.is_internal(f.tail(a))]
-    starts += [(a, -1) for a in allowed if not f.is_internal(f.head(a))]
-    seen = set(starts)
-    stack = list(starts)
-    while stack:
-        node = stack.pop()
-        for nxt in f.string_continuations(*node):
-            if nxt[0] in allowed and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
-
-
-def _restricted_cyclic(f: FringedQuiver, allowed: set[str]) -> set[str]:
-    """Arrows lying on a cycle of the transition graph restricted to `allowed`."""
-    nodes = [(a, e) for a in sorted(allowed) for e in (1, -1)]
-    core = cyclic_core(nodes, lambda n: [x for x in f.string_continuations(*n) if x[0] in allowed])
-    return {a for a, _e in core}
-
-
 def closure(f: FringedQuiver, W: set[str]) -> set[str]:
     """Smallest closed arrow set containing W (all of E when no W-avoiding
-    route survives, matching the empty face)."""
+    route survives, matching the empty face).
+
+    Searches the transition graph of signed-arrow codes outside W: the arrows
+    reached both ways from the fringe lie on W-avoiding routes, those on its
+    cycles on W-avoiding bands.
+    """
     for a in W:
         if a not in f.arrows:
             raise DomainError(f"unknown arrow {a}")
-    allowed = set(f.arrows) - set(W)
-    reach = _restricted_reachable(f, allowed)
-    on_route = {a for a, e in reach if (a, -e) in reach}
+    calc = f.calculus
+    lazy, cont = calc.lazy, calc.cont
+    ok = [a not in W for a, _e in calc.universe.signed]  # per code: its arrow avoids W
+    reach = {c for c in range(len(ok)) if ok[c] and lazy[c ^ 1] is None}  # fringe tails
+    stack = list(reach)
+    while stack:
+        for d in cont[stack.pop()]:
+            if ok[d] and d not in reach:
+                reach.add(d)
+                stack.append(d)
+    on_route = {c >> 1 for c in reach if c ^ 1 in reach}
     if not on_route:
         return set(f.arrows)
-    on_band = _restricted_cyclic(f, allowed)
-    return set(f.arrows) - (on_route | on_band)
+    on_band = cyclic_core([c for c in range(len(ok)) if ok[c]],
+                          lambda c: [d for d in cont[c] if ok[d]])
+    avoided = on_route | {c >> 1 for c in on_band}  # arrow i has codes 2i and 2i + 1
+    return set(f.arrows) - {calc.universe.signed[2 * i][0] for i in avoided}
 
 
 def is_closed(f: FringedQuiver, W: set[str]) -> bool:

@@ -271,19 +271,12 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
 # before every word, so min() picks lazy strings first, by vertex name.
 
 
-def _junctions(f: FringedQuiver, t: Trail):
-    """Occurrences of internal lazy substrings with both flank signs.
-
-    Yields (vertex, prev_sign, next_sign, junction_word); junctions at fringe
-    vertices never occur (routes end there, bands never reach them).
-    """
-    w = t.walk
-    if isinstance(t, Route):
-        pairs = list(zip(w, w[1:]))
-    else:
-        pairs = list(zip(w, w[1:] + w[:1]))
-    for (a, e), (b, z) in pairs:
-        yield f.signed_head(a, e), e, z, ((a, e), (b, z))
+def _junction_pairs(t: Trail, w: tuple[int, ...]):
+    """The junctions of t, whose code word is w: its consecutive code pairs
+    (c, d), cyclically for a band.  Each is the lazy string lazy[c] at the
+    internal head of c, a top when c is backward and d forward, a bottom
+    when the reverse."""
+    return zip(w, w[1:] + w[:1]) if isinstance(t, Band) else zip(w, w[1:])
 
 
 def _closing_witnesses(w: tuple[int, ...], iw: tuple[int, ...], lazy, c: int) -> list:
@@ -320,16 +313,43 @@ class TrailCalculus:
     def __init__(self, f: FringedQuiver):
         self.f = f
         self.universe = TrailUniverse(f.arrows)
-        signed = self.universe.signed
-        # cont[c]: string_continuations of the signed arrow with code c, as codes
-        self.cont = [self.universe.word(f.string_continuations(*s)) for s in signed]
         self._inner = sorted(f.internal_vertices)
-        rank = {v: r - len(self._inner) for r, v in enumerate(self._inner)}
-        # lazy[c]: the lazy witness at the head of the signed arrow with code
-        # c, None when that head is a fringe vertex
-        heads = (f.signed_head(a, e) for a, e in signed)
-        self.lazy = [(rank[v],) if v in rank else None for v in heads]
         self._tb: dict = {}
+
+    # The tables are built on first use: decomposition only interns trails.
+
+    @cached_property
+    def cont(self) -> list[tuple[int, ...]]:
+        """cont[c]: string_continuations of the signed arrow with code c, as codes."""
+        return [self.universe.word(self.f.string_continuations(*s)) for s in self.universe.signed]
+
+    @cached_property
+    def lazy(self) -> list[tuple[int] | None]:
+        """lazy[c]: the lazy witness at the head of the signed arrow with code
+        c, None when that head is a fringe vertex (so lazy[c ^ 1] is at its tail)."""
+        f = self.f
+        rank = {v: r - len(self._inner) for r, v in enumerate(self._inner)}
+        heads = (f.signed_head(a, e) for a, e in self.universe.signed)
+        return [(rank[v],) if v in rank else None for v in heads]
+
+    @cached_property
+    def family(self) -> list[int | None]:
+        """family[c]: the family, S (0) or T (1), of the junctions that code c
+        opens at its internal head v: S when c enters v via a1 or backwards
+        via a2, (a1, a2) the first relation pair at v; None at a fringe head."""
+        f = self.f
+
+        def of(a, e):
+            (a1, a2), _ = f.relation_pairs[f.signed_head(a, e)]
+            return 0 if (a, e) in ((a1, 1), (a2, -1)) else 1
+
+        return [of(*s) if z else None for s, z in zip(self.universe.signed, self.lazy)]
+
+    def witness(self, s: tuple[int, ...]):
+        """A code witness as a walk, or as ("lazy", v) for a lazy string."""
+        if s[0] < 0:
+            return ("lazy", self._inner[s[0]])
+        return tuple(self.universe.signed[c] for c in s)
 
     def codes(self, t: Trail) -> tuple[int, ...]:
         """The code word of t in this quiver's universe."""
@@ -390,10 +410,7 @@ class TrailCalculus:
         hits = (tp & bq) | (tq & bp)
         if not hits:
             return None
-        s = min(hits)
-        if s[0] < 0:
-            return ("lazy", self._inner[s[0]])
-        return tuple(self.universe.signed[c] for c in s)
+        return self.witness(min(hits))
 
     def compatible(self, p: Trail, q: Trail) -> bool:
         return self.kiss(p, q) is None
@@ -456,21 +473,6 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
 
 # -- boosted / criss-crossed ---------------------------------------------------
 
-def _st_class(f: FringedQuiver, v: str, word) -> str:
-    """Classify a length-two junction word through v into the S or T family.
-
-    The eight length-two strings through v split into four and their inverses;
-    a lazy substring is boosted when one family repeats and criss-crossed when
-    both appear.
-    """
-    (a1, a2), (_b1, _b2) = f.relation_pairs[v]
-    (x, ex), _ = word
-    # S = walks whose first signed arrow enters v via a1 or backwards via a2
-    if (x, ex) in ((a1, 1), (a2, -1)):
-        return "S"
-    return "T"
-
-
 def _occurrence_counts(t: Trail, w: tuple[int, ...]):
     """Map code word -> number of same-direction occurrences in t, whose code
     word is w (band: per period, words up to two periods long)."""
@@ -483,61 +485,58 @@ def _occurrence_counts(t: Trail, w: tuple[int, ...]):
     return counts
 
 
-def _word_vertices(f: FringedQuiver, word: Walk) -> set[str]:
-    vs = {f.signed_tail(*word[0])}
-    for a, e in word:
-        vs.add(f.signed_head(a, e))
-    return vs
+def _boosted_crisscrossed_codes(calc: TrailCalculus, t: Trail):
+    """(maximal boosted, maximal criss-crossed) substrings of t as code
+    witnesses.  A lazy substring is boosted when one family of its junctions
+    repeats (so when it occurs three or more times), criss-crossed when both
+    families meet there."""
+    w = calc.codes(t)
+    counts = _occurrence_counts(t, w)
+    boosted, criss = set(), set()
+    for word, c in counts.items():
+        inv = _inverse_codes(word)
+        if c >= 2 or inv in counts:
+            canon = min(word, inv)
+            if c >= 2:
+                boosted.add(canon)
+            if inv in counts:
+                criss.add(canon)
+    lazy, family = calc.lazy, calc.family
+    families: dict[tuple[int], list[int]] = {}  # per lazy witness, its S and T junctions
+    for c, _d in _junction_pairs(t, w):
+        families.setdefault(lazy[c], [0, 0])[family[c]] += 1
+    for s, (n_s, n_t) in families.items():
+        if max(n_s, n_t) >= 2:
+            boosted.add(s)
+        if n_s and n_t:
+            criss.add(s)
+    return _maximal_only(lazy, boosted), _maximal_only(lazy, criss)
+
+
+def _maximal_only(lazy, subs: set) -> set:
+    """The code witnesses of subs inside no other one: a lazy string lies in
+    every word through its vertex, a word in every longer word that contains
+    it or its inverse."""
+    words = [s for s in subs if s[0] >= 0]
+    passed = {lazy[c] for u in words for c in (u[0] ^ 1, *u)}
+    both_ways = [x for u in words for x in (u, _inverse_codes(u))]
+
+    def inside(s):
+        m = len(s)
+        return any(len(x) > m and any(x[i:i + m] == s for i in range(len(x) - m + 1))
+                   for x in both_ways)
+
+    return {s for s in subs if (s not in passed if s[0] < 0 else not inside(s))}
 
 
 def boosted_and_crisscrossed(f: FringedQuiver, t: Trail):
     """Maximal boosted and maximal criss-crossed substrings of t.
 
     Nonempty witnesses are canonical words; lazy witnesses are ("lazy", v).
-    A lazy substring at an internal vertex occurring three or more times is
-    automatically boosted (its S or T family must repeat).
     """
     calc = f.calculus
-    counts = _occurrence_counts(t, calc.codes(t))
-    signed = calc.universe.signed
-    boosted = set()
-    criss = set()
-    for word, c in counts.items():
-        inv = _inverse_codes(word)
-        if c >= 2 or inv in counts:
-            canon = tuple(signed[x] for x in min(word, inv))
-            if c >= 2:
-                boosted.add(canon)
-            if inv in counts:
-                criss.add(canon)
-    families: dict[str, list[str]] = {}  # per vertex, the family of each junction
-    for v, _pe, _ne, word in _junctions(f, t):
-        families.setdefault(v, []).append(_st_class(f, v, word))
-    for v, fams in families.items():
-        if max(fams.count("S"), fams.count("T")) >= 2:
-            boosted.add(("lazy", v))
-        if len(set(fams)) == 2:
-            criss.add(("lazy", v))
-    return _maximal_only(f, boosted), _maximal_only(f, criss)
-
-
-def _contains_sub(f: FringedQuiver, big, small) -> bool:
-    if small == big:
-        return False
-    if big[0] == "lazy":
-        return False
-    if small[0] == "lazy":
-        return small[1] in _word_vertices(f, big)
-    for word in (big, inverse_walk(big)):
-        n, m = len(word), len(small)
-        for i in range(n - m + 1):
-            if word[i:i + m] == small:
-                return True
-    return False
-
-
-def _maximal_only(f: FringedQuiver, subs: set) -> set:
-    return {s for s in subs if not any(_contains_sub(f, other, s) for other in subs)}
+    boosted, criss = _boosted_crisscrossed_codes(calc, t)
+    return set(map(calc.witness, boosted)), set(map(calc.witness, criss))
 
 
 # -- elementary trails ---------------------------------------------------------
@@ -545,28 +544,28 @@ def _maximal_only(f: FringedQuiver, subs: set) -> set:
 def is_elementary_route(f: FringedQuiver, p: Route) -> bool:
     """Simple routes and lollipops: no boosted substring, and any lone maximal
     criss-crossed substring must reach a fringe vertex."""
-    if not f.calculus.self_compatible(p):
+    calc = f.calculus
+    if not calc.self_compatible(p):
         return False
-    boosted, criss = boosted_and_crisscrossed(f, p)
-    if boosted:
+    boosted, criss = _boosted_crisscrossed_codes(calc, p)
+    if boosted or len(criss) > 1:
         return False
     if not criss:
         return True
-    if len(criss) > 1:
-        return False
     (sub,) = criss
-    if sub[0] == "lazy":
-        return False  # internal lazy vertex: no fringe vertex inside
-    fringe = set(f.fringe_vertices)
-    return bool(_word_vertices(f, sub) & fringe)
+    # a lazy witness sits at an internal vertex; a word reaches the fringe
+    # where some code's head, or the first code's tail, has no lazy witness
+    lazy = calc.lazy
+    return sub[0] >= 0 and (lazy[sub[0] ^ 1] is None or any(lazy[c] is None for c in sub))
 
 
 def is_elementary_band(f: FringedQuiver, b: Band) -> bool:
     """Simple bands and barbells: no boosted substring, at most one maximal
     criss-crossed substring."""
-    if not f.calculus.self_compatible(b):
+    calc = f.calculus
+    if not calc.self_compatible(b):
         return False
-    boosted, criss = boosted_and_crisscrossed(f, b)
+    boosted, criss = _boosted_crisscrossed_codes(calc, b)
     return not boosted and len(criss) <= 1
 
 
@@ -606,12 +605,12 @@ def straight_route_through(f: FringedQuiver, a: str) -> Route:
 
 def g_vector(f: FringedQuiver, t: Trail) -> dict[str, int]:
     """Top-minus-bottom counts of internal lazy substrings, indexed by V_int."""
+    calc = f.calculus
+    lazy = calc.lazy
     g = dict.fromkeys(f.internal_vertices, 0)
-    for v, prev_e, next_e, _w in _junctions(f, t):
-        if (prev_e, next_e) == (-1, 1):
-            g[v] += 1
-        elif (prev_e, next_e) == (1, -1):
-            g[v] -= 1
+    for c, d in _junction_pairs(t, calc.codes(t)):
+        if c & 1 != d & 1:
+            g[calc._inner[lazy[c][0]]] += 1 if c & 1 else -1
     return g
 
 

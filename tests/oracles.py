@@ -272,14 +272,23 @@ def oracle_band_walk(w):
     return best
 
 
+def oracle_junctions(f, t):
+    """Occurrences of internal lazy substrings with both flank signs, read
+    off the walk: (vertex, prev_sign, next_sign, first signed arrow)."""
+    from gentleflow.trails import Route
+    w = t.walk
+    pairs = zip(w, w[1:]) if isinstance(t, Route) else zip(w, w[1:] + w[:1])
+    for (a, e), (_b, z) in pairs:
+        yield (f.head(a) if e == 1 else f.tail(a)), e, z, (a, e)
+
+
 def oracle_kiss(f, p, q):
     """The kiss witness of p and q on signed-arrow words: the smallest common
     top/bottom pair, lazy strings ("lazy", v) first, or None."""
-    from gentleflow.trails import _junctions
 
     def tops_bottoms(t, cap):
         tops, bottoms = set(), set()
-        for v, prev_e, next_e, _word in _junctions(f, t):
+        for v, prev_e, next_e, _first in oracle_junctions(f, t):
             if (prev_e, next_e) == (-1, 1):
                 tops.add(("lazy", v))
             elif (prev_e, next_e) == (1, -1):
@@ -298,6 +307,121 @@ def oracle_kiss(f, p, q):
     if not hits:
         return None
     return min(hits, key=lambda s: (0, s[1]) if s[0] == "lazy" else (1, oracle_walk_key(s)))
+
+
+def oracle_g_vector(f, t):
+    """Top-minus-bottom counts of the lazy substrings at internal vertices,
+    read off the walk."""
+    g = dict.fromkeys(f.internal_vertices, 0)
+    for v, prev_e, next_e, _first in oracle_junctions(f, t):
+        if (prev_e, next_e) == (-1, 1):
+            g[v] += 1
+        elif (prev_e, next_e) == (1, -1):
+            g[v] -= 1
+    return g
+
+
+def _oracle_word_vertices(f, word):
+    vs = {f.tail(word[0][0]) if word[0][1] == 1 else f.head(word[0][0])}
+    for a, e in word:
+        vs.add(f.head(a) if e == 1 else f.tail(a))
+    return vs
+
+
+def oracle_boosted_and_crisscrossed(f, t):
+    """Maximal boosted and criss-crossed substrings of t on walks: a word is
+    boosted when it occurs twice in one direction and criss-crossed when it
+    occurs in both; a lazy string at v is boosted when one of the S and T
+    families of its junctions repeats, criss-crossed when both appear."""
+    from gentleflow.trails import Route, inverse_walk
+    w = t.walk
+    n = len(w)
+    u, longest = (w, n) if isinstance(t, Route) else (w * 3, 2 * n)
+    counts = {}
+    for i in range(n):
+        for j in range(i + 1, min(i + longest, len(u)) + 1):
+            counts[u[i:j]] = counts.get(u[i:j], 0) + 1
+    boosted, criss = set(), set()
+    for word, c in counts.items():
+        crossed = inverse_walk(word) in counts
+        if c >= 2 or crossed:
+            canon = oracle_canon_sub(word)
+            if c >= 2:
+                boosted.add(canon)
+            if crossed:
+                criss.add(canon)
+    families = {}
+    for v, _pe, _ne, first in oracle_junctions(f, t):
+        (a1, a2), _ = f.relation_pairs[v]
+        families.setdefault(v, []).append("S" if first in ((a1, 1), (a2, -1)) else "T")
+    for v, fams in families.items():
+        if max(fams.count("S"), fams.count("T")) >= 2:
+            boosted.add(("lazy", v))
+        if len(set(fams)) == 2:
+            criss.add(("lazy", v))
+
+    def maximal(subs):
+        words = [(o, inverse_walk(o), _oracle_word_vertices(f, o))
+                 for o in subs if o[0] != "lazy"]
+
+        def inside(s):
+            if s[0] == "lazy":
+                return any(s[1] in vs for _o, _inv, vs in words)
+            m = len(s)
+            return any(o != s and any(x[i:i + m] == s for x in (o, inv)
+                                      for i in range(len(x) - m + 1))
+                       for o, inv, _vs in words)
+
+        return {s for s in subs if not inside(s)}
+
+    return maximal(boosted), maximal(criss)
+
+
+def oracle_is_elementary(f, t):
+    """Elementarity of a self-compatible trail, on walks: nothing boosted,
+    and at most one maximal criss-crossed substring, which for a route must
+    be a word through a fringe vertex."""
+    from gentleflow.trails import Band
+    boosted, criss = oracle_boosted_and_crisscrossed(f, t)
+    if boosted or len(criss) > 1:
+        return False
+    if isinstance(t, Band) or not criss:
+        return True
+    (sub,) = criss
+    return sub[0] != "lazy" and bool(_oracle_word_vertices(f, sub) & set(f.fringe_vertices))
+
+
+def oracle_closure(f, W):
+    """The smallest closed arrow set containing W: E minus the arrows of the
+    W-avoiding routes and bands, found by searching the signed arrows outside
+    W (all of E when no W-avoiding route exists)."""
+    allowed = set(f.arrows) - set(W)
+    fringe = set(f.fringe_vertices)
+    starts = [(a, 1) for a in allowed if f.tail(a) in fringe]
+    starts += [(a, -1) for a in allowed if f.head(a) in fringe]
+    reach, stack = set(starts), list(starts)
+    while stack:
+        for nxt in f.string_continuations(*stack.pop()):
+            if nxt[0] in allowed and nxt not in reach:
+                reach.add(nxt)
+                stack.append(nxt)
+    on_route = {a for a, e in reach if (a, -e) in reach}
+    if not on_route:
+        return set(f.arrows)
+    nodes = [(a, e) for a in allowed for e in (1, -1)]
+    succ = {n: [x for x in f.string_continuations(*n) if x[0] in allowed] for n in nodes}
+    on_band = set()
+    for n in nodes:  # n lies on a cycle when it can reach itself
+        seen, stack = set(), list(succ[n])
+        while stack:
+            x = stack.pop()
+            if x == n:
+                on_band.add(n[0])
+                break
+            if x not in seen:
+                seen.add(x)
+                stack.extend(succ[x])
+    return set(f.arrows) - (on_route | on_band)
 
 
 def oracle_bron_kerbosch(nodes, adj):

@@ -317,3 +317,62 @@ def test_empty_trail_is_domain_error(kron_file, capsys):
         code, _out, err = run_cli(capsys, "gvector", kron_file, "--trail", trail)
         assert code == 1
         assert json.loads(err)["error"] == "DomainError"
+
+
+EMPTY_DEFAULTS = [("routes",), ("bands",), ("cliques",), ("cliques", "--reduced"),
+                  ("bundles",), ("band-stable",), ("cells", "--kind", "clique"),
+                  ("cells", "--kind", "bundle"), ("cells", "--kind", "vortex")]
+
+
+@pytest.mark.parametrize("argv", EMPTY_DEFAULTS, ids=[" ".join(a) for a in EMPTY_DEFAULTS])
+def test_empty_quiver_default_bounds(tmp_path, capsys, argv):
+    # no bound given: the defaults stay valid when the quiver has no arrows
+    p = tmp_path / "empty.qv"
+    p.write_text("")
+    code, out, err = run_cli(capsys, argv[0], str(p), *argv[1:])
+    assert code == 0 and err == ""
+    bounds = json.loads(out)["meta"]["bounds"]
+    if argv[0] in ("routes", "bands"):
+        assert bounds == {"max_arrows": 1 if argv[0] == "routes" else 2}
+    elif argv[0] == "cliques":
+        assert bounds == {"route_bound": 1}
+    else:
+        assert bounds == {"route_bound": 1, "band_bound": 2}
+
+
+FILE_COMMANDS = [("validate",), ("fringe",), ("pairing",), ("routes",), ("bands",),
+                 ("gvector", "--trail", "e1 e2 e3"), ("decompose", "--flow", "FLOW"),
+                 ("decompose", "--flow", "FLOW", "--vortex"), ("blanks", "--flow", "FLOW"),
+                 ("cliques",), ("bundles",), ("band-stable",), ("vertices",), ("rays",),
+                 ("facets",), ("cells", "--kind", "vortex"), ("convert-dag",),
+                 ("dag-decompose", "--flow", "FLOW")]
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=[" ".join(a) for a in FILE_COMMANDS])
+def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
+    # the report's input_sha256 hashes the very text the command parsed
+    import builtins
+    import hashlib
+    from gentleflow.fixtures import CUBE_DAG
+    dag_command = argv[0] in ("convert-dag", "dag-decompose")
+    text = (CUBE_DAG if dag_command
+            else "vertex 1\nvertex 2\narrow a: 1 -> 2\n" if argv[0] == "fringe" else KRONECKER)
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flow = tmp_path / "flow.json"
+    flow.write_text('{"e1": 1, "e2": 3, "f1": 3, "f2": 1}' if dag_command
+                    else '{"e1": 1, "e2": "6", "e3": 1, "f2": 5}')
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    rest = [str(flow) if a == "FLOW" else a for a in argv[1:]]
+    code, out, err = run_cli(capsys, argv[0], str(path), *rest)
+    monkeypatch.undo()
+    assert code == 0, err
+    assert opened.count(str(path)) == 1
+    assert json.loads(out)["meta"]["input_sha256"] == hashlib.sha256(text.encode()).hexdigest()

@@ -1,6 +1,7 @@
 """Renaming arrows and vertices changes every integer code and the canonical
-orientation of trails, but no answer: the complexes, decompositions and
-g-vectors of a renamed quiver are the originals renamed."""
+orientation of trails, but no answer: the complexes, decompositions,
+g-vectors, elementary trails, polyhedron presentations and barely crooked
+arrow sets of a renamed quiver are the originals renamed."""
 
 import random
 from fractions import Fraction
@@ -8,8 +9,13 @@ from fractions import Fraction
 from gentleflow import cli
 from gentleflow.complexes import band_stable_cliques, maximal_bundles, maximal_cliques
 from gentleflow.flows import Flow, decompose_bundle
+from gentleflow.polyhedra import (
+    barely_crooked_sets,
+    g_polyhedron_presentation,
+    turbulence_presentation,
+)
 from gentleflow.quiver import parse_quiver_file, serialize_fringed
-from gentleflow.trails import g_vector, trail_key
+from gentleflow.trails import elementary_bands, elementary_routes, g_vector, trail_key
 
 
 class Renaming:
@@ -80,6 +86,35 @@ def _check_flows(f, g: Renaming, trails, flows):
                                   for v, x in g_vector(g.quiver, g.to(t)).items()}
 
 
+def _generators(pres, trail, coordinate):
+    """The vertices and rays of a presentation, trails and coordinates mapped."""
+    return {(kind, trail(t), frozenset((coordinate[k], x) for k, x in v.items()))
+            for kind, rows in (("vertex", pres.vertices), ("ray", pres.rays)) for t, v in rows}
+
+
+def _check_polyhedra(f, g: Renaming):
+    """Elementary routes and bands, the turbulence and g-polyhedron
+    presentations and the barely crooked arrow sets agree up to the renaming."""
+    h = g.quiver
+    assert set(elementary_routes(f)) == g.back_set(elementary_routes(h))
+    assert set(elementary_bands(f)) == g.back_set(elementary_bands(h))
+    for present, coordinate in ((turbulence_presentation, g.back_arrow),
+                                (g_polyhedron_presentation, g.back_vertex)):
+        mine, theirs = present(f), present(h)
+        assert sorted(mine.ambient) == sorted(coordinate[k] for k in theirs.ambient)
+        assert mine.dimension == theirs.dimension
+        same = {k: k for k in mine.ambient}
+        assert _generators(mine, lambda t: t, same) == _generators(theirs, g.back, coordinate)
+    assert (set(barely_crooked_sets(f))
+            == {frozenset(g.back_arrow[a] for a in W) for W in barely_crooked_sets(h)})
+
+
+def test_renaming_keeps_polyhedra(quiver_pool):
+    rng = random.Random(303)
+    for pool in quiver_pool:
+        _check_polyhedra(pool.quiver, Renaming(pool.quiver, rng))
+
+
 def test_renaming_keeps_complexes(quiver_pool):
     rng = random.Random(101)
     for pool in quiver_pool:
@@ -98,6 +133,7 @@ def test_renaming_keeps_doubled_a5(doubled_a5):
     f = doubled_a5
     g = Renaming(f, random.Random(5))
     bundles = _check_complexes(f, g, cli.default_route_bound(f), cli.default_band_bound(f))
+    _check_polyhedra(f, g)
     rng = random.Random(6)
     flows = []
     for bundle in rng.sample(bundles, 4):

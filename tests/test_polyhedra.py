@@ -21,7 +21,7 @@ from gentleflow.polyhedra import (
 from gentleflow.quiver import DomainError, fringe, GentleQuiver
 from gentleflow.trails import Band, Route, g_vector, parse_walk
 
-from oracles import hull_edges_2d
+from oracles import hull_edges_2d, oracle_closure
 
 
 def R(text):
@@ -127,6 +127,17 @@ def test_closure_fixpoint():
     cl = closure(shard, {"e2", "e3"})
     assert cl == {"e1", "e2", "e3", "e4"}
     assert is_closed(shard, cl)
+
+
+def test_closure_matches_oracle(quiver_pool):
+    import random
+    rng = random.Random(13)
+    for pool in quiver_pool:
+        f = pool.quiver
+        arrows = sorted(f.arrows)
+        for _ in range(25):
+            W = set(rng.sample(arrows, rng.randint(0, len(arrows))))
+            assert closure(f, W) == oracle_closure(f, W)
 
 
 def test_facet_examples_shard():

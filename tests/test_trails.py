@@ -1,6 +1,6 @@
 import pytest
 
-from gentleflow import trails
+from gentleflow import cli, trails
 from gentleflow.fixtures import fixture_quiver
 from gentleflow.quiver import DomainError, FringedQuiver
 from gentleflow.trails import (
@@ -19,7 +19,14 @@ from gentleflow.trails import (
     straight_routes,
 )
 
-from oracles import oracle_is_string, oracle_kiss, oracle_routes
+from oracles import (
+    oracle_boosted_and_crisscrossed,
+    oracle_g_vector,
+    oracle_is_elementary,
+    oracle_is_string,
+    oracle_kiss,
+    oracle_routes,
+)
 
 
 def R(text):
@@ -164,6 +171,21 @@ def test_boosted_crisscrossed_examples():
 
     boosted, criss = boosted_and_crisscrossed(kron, R("e1 f1^-1"))
     assert boosted == set() and criss == set()
+
+
+def test_substrings_and_g_vectors_match_oracles(quiver_pool):
+    # every route and band at the command line's default bounds
+    for pool in quiver_pool:
+        f = pool.quiver
+        ts = (sorted(enumerate_routes(f, cli.default_route_bound(f)), key=trails.trail_key)
+              + sorted(enumerate_bands(f, cli.default_band_bound(f)), key=trails.trail_key))
+        for t in ts:
+            assert boosted_and_crisscrossed(f, t) == oracle_boosted_and_crisscrossed(f, t)
+            assert g_vector(f, t) == oracle_g_vector(f, t)
+            # self-compatibility is the kiss, checked against its oracle above
+            elementary = (is_elementary_band if isinstance(t, Band) else is_elementary_route)
+            assert elementary(f, t) == (f.calculus.self_compatible(t)
+                                        and oracle_is_elementary(f, t))
 
 
 def test_elementary_routes_kronecker():
