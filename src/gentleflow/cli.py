@@ -227,6 +227,8 @@ def cmd_cells(args):
     rb = _bound(args.max_arrows, default_route_bound(f))
     bb = _bound(args.band_bound, default_band_bound(f))
     if args.kind == "clique":
+        if bb < 1:  # unused here, but reported in meta like the other kinds'
+            raise DomainError("bounds must be >= 1")
         payload = [k.as_json() for k in complexes.maximal_cliques(f, rb)]
     elif args.kind == "bundle":
         payload = [b.as_json() for b in complexes.maximal_bundles(f, rb, bb)]
@@ -282,66 +284,81 @@ def cmd_examples(args):
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gentleflow")
+_FILE = (("file",), {})
+_MAX_ARROWS = (("--max-arrows",), {"type": int})
+_BAND_BOUND = (("--band-bound",), {"type": int})
+_FLOW = (("--flow",), {"required": True})
+
+# name -> (handler, arguments), in the order the help lists them
+COMMANDS = {
+    "validate": (cmd_validate, [_FILE]),
+    "pairing": (cmd_pairing, [_FILE]),
+    "vertices": (cmd_vertices, [_FILE]),
+    "rays": (cmd_rays, [_FILE]),
+    "facets": (cmd_facets, [_FILE]),
+    "convert-dag": (cmd_convert_dag, [_FILE]),
+    "fringe": (cmd_fringe, [_FILE, (("-o", "--output"), {})]),
+    "routes": (cmd_routes, [_FILE, _MAX_ARROWS]),
+    "bands": (cmd_bands, [_FILE, _MAX_ARROWS]),
+    "gvector": (cmd_gvector, [_FILE, (("--trail",), {"required": True})]),
+    "decompose": (cmd_decompose, [_FILE, _FLOW, (("--vortex",), {"action": "store_true"})]),
+    "blanks": (cmd_blanks, [_FILE, _FLOW]),
+    "cliques": (cmd_cliques, [_FILE, _MAX_ARROWS, (("--reduced",), {"action": "store_true"})]),
+    "bundles": (cmd_bundles, [_FILE, _MAX_ARROWS, _BAND_BOUND]),
+    "band-stable": (cmd_band_stable, [_FILE, _MAX_ARROWS, _BAND_BOUND]),
+    "cells": (cmd_cells, [_FILE, (("--kind",), {"choices": ["clique", "bundle", "vortex"],
+                                                 "required": True}),
+                          _MAX_ARROWS, _BAND_BOUND]),
+    "dag-decompose": (cmd_dag_decompose, [_FILE, _FLOW]),
+    "examples": (cmd_examples, [(("name",), {})]),
+}
+
+
+class _UsageError(Exception):
+    """A usage error met by a one-command parser."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    # raises instead of printing: the message must come from the full parser,
+    # whose usage line lists every command
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    A one-command parser raises `_UsageError` on a usage error instead of
+    printing it and exiting; `main` then parses again with the full parser.
+    """
+    cls = argparse.ArgumentParser if command is None else _OneCommandParser
+    ap = cls(prog="gentleflow")
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     ap.set_defaults(file=None)  # for the commands without an input file
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, with_file=True):
+    for name in COMMANDS if command is None else [command]:
+        fn, arguments = COMMANDS[name]
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if with_file:
-            p.add_argument("file")
-        return p
-
-    for cmd, fn in [("validate", cmd_validate), ("pairing", cmd_pairing),
-                    ("vertices", cmd_vertices), ("rays", cmd_rays),
-                    ("facets", cmd_facets), ("convert-dag", cmd_convert_dag)]:
-        add(cmd, fn)
-
-    p = add("fringe", cmd_fringe)
-    p.add_argument("-o", "--output")
-
-    for cmd, fn in [("routes", cmd_routes), ("bands", cmd_bands)]:
-        p = add(cmd, fn)
-        p.add_argument("--max-arrows", type=int)
-
-    p = add("gvector", cmd_gvector)
-    p.add_argument("--trail", required=True)
-
-    p = add("decompose", cmd_decompose)
-    p.add_argument("--flow", required=True)
-    p.add_argument("--vortex", action="store_true")
-
-    p = add("blanks", cmd_blanks)
-    p.add_argument("--flow", required=True)
-
-    p = add("cliques", cmd_cliques)
-    p.add_argument("--max-arrows", type=int)
-    p.add_argument("--reduced", action="store_true")
-
-    for cmd, fn in [("bundles", cmd_bundles), ("band-stable", cmd_band_stable)]:
-        p = add(cmd, fn)
-        p.add_argument("--max-arrows", type=int)
-        p.add_argument("--band-bound", type=int)
-
-    p = add("cells", cmd_cells)
-    p.add_argument("--kind", choices=["clique", "bundle", "vortex"], required=True)
-    p.add_argument("--max-arrows", type=int)
-    p.add_argument("--band-bound", type=int)
-
-    p = add("dag-decompose", cmd_dag_decompose)
-    p.add_argument("--flow", required=True)
-
-    p = add("examples", cmd_examples, with_file=False)
-    p.add_argument("name")
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return ap
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse with the parser of the command argv names, after an optional
+    leading --pretty, and with the full parser otherwise or on a usage error."""
+    named = argv[1:2] if argv[:1] == ["--pretty"] else argv[:1]
+    if named and named[0] in COMMANDS:
+        try:
+            return build_parser(named[0]).parse_args(argv)
+        except _UsageError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         # the one read of the input file: commands parse this text, reports hash it
         args.text = None if args.file is None else _read(args.file)

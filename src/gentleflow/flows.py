@@ -99,6 +99,7 @@ class Flow:
             vals[a] = parse_rational(x)
         self.values = vals
         self._scaled: tuple[int, dict[str, int]] | None = None
+        self._integer_tiles: dict[str, list[tuple[MarkedTrail, tuple]]] | None = None
         self._tiles: dict[str, list[tuple[MarkedTrail, QInterval]]] | None = None
         self._validate()
 
@@ -112,10 +113,20 @@ class Flow:
         """The signed arrow whose arrow-flows tile [0, F(a)]."""
         return (a, 1)
 
+    def integer_tiles(self) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
+        """`tiles` in units of 1/(2 * den), den the common denominator of the
+        flow: each interval as (lo, lo_open, hi, hi_open) on ints."""
+        if self._integer_tiles is None:
+            self._integer_tiles = tile_markings(self)
+        return self._integer_tiles
+
     def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
         """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at start(a)."""
         if self._tiles is None:
-            self._tiles = tile_markings(self)
+            half = 2 * self.scaled()[0]
+            self._tiles = {k: [(mt, QInterval(Q(lo, half), Q(hi, half), lo_open, hi_open))
+                               for mt, (lo, lo_open, hi, hi_open) in ts]
+                           for k, ts in self.integer_tiles().items()}
         return self._tiles
 
     @cached_property
@@ -362,9 +373,11 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
 
 # -- tiling: one trace per trail orientation ------------------------------------------
 
-def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
+def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
     """Per arrow a, the positive-length marked-trail tiles of [0, F(a)]
     traced from the signed arrow F.start(a), sorted along the interval.
+    Each tile is (lo, lo_open, hi, hi_open) on ints in units of 1/(2 * den),
+    den the flow's common denominator.
 
     Arrows are tiled in sorted order.  Each gap of [0, F(a)] left by the
     tiles known so far is probed at its midpoint with `trace_interval`;
@@ -403,9 +416,7 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
                     marked = MarkedTrail(mt.trail, mt.walk, j)
                 found[a].append((marked, t))
                 covered[a].append((t[0], t[2]))
-    return {k: [(mt, QInterval(Q(lo, half), Q(hi, half), lo_open, hi_open))
-                for mt, (lo, lo_open, hi, hi_open) in sorted(ts, key=lambda x: x[1][:2])]
-            for k, ts in found.items()}
+    return {k: sorted(ts, key=lambda x: x[1][:2]) for k, ts in found.items()}
 
 
 def _first_gap(covered: list[tuple[int, int]], cap: int):
@@ -502,31 +513,34 @@ def _terms(coeffs: dict[Trail, Fraction]) -> list[dict]:
             for t in sorted(coeffs, key=trail_key)]
 
 
-def trail_coefficients(tiles: dict[str, list]) -> dict[Trail, Fraction]:
-    """Each trail's coefficient: the common length of the tiles of its markings."""
-    coeffs: dict[Trail, Fraction] = {}
-    for arrow_tiles in tiles.values():
-        for mt, interval in arrow_tiles:
-            prev = coeffs.setdefault(mt.trail, interval.length)
-            if prev != interval.length:
-                raise AssertionError(
-                    f"inconsistent coefficient for {mt.trail}: {prev} vs {interval.length}")
-    return coeffs
+def trail_coefficients(F: Flow) -> dict[Trail, Fraction]:
+    """Each trail's coefficient: the common length of the tiles of its
+    markings, checked to add up to the flow."""
+    den, iv = F.scaled()
+    half = 2 * den
+    lengths: dict[Trail, int] = {}            # in units of 1/half, like the tiles
+    for arrow_tiles in F.integer_tiles().values():
+        for mt, (lo, _lo_open, hi, _hi_open) in arrow_tiles:
+            prev = lengths.setdefault(mt.trail, hi - lo)
+            if prev != hi - lo:
+                raise AssertionError(f"inconsistent coefficient for {mt.trail}: "
+                                     f"{Q(prev, half)} vs {Q(hi - lo, half)}")
+    _verify_combination({a: 2 * v for a, v in iv.items()}, lengths)
+    return {t: Q(n, half) for t, n in lengths.items()}
 
 
 def decompose_bundle(F: Flow) -> BundleCombination:
     """The unique positive bundle combination realizing a rational flow."""
-    combo = BundleCombination(trail_coefficients(F.tiles()))
-    _verify_combination(F.values, combo)
-    return combo
+    return BundleCombination(trail_coefficients(F))
 
 
-def _verify_combination(values: dict[str, Fraction], combo: BundleCombination) -> None:
-    """Assert that the combination adds up to the flow `values` (per arrow or edge)."""
-    total = dict.fromkeys(values, Q(0))
-    for t, x in combo.coefficients.items():
+def _verify_combination(values: dict[str, int], lengths: dict[Trail, int]) -> None:
+    """Assert that the trails, with these coefficients, add up to the flow
+    `values` (per arrow or edge, both in one integer unit)."""
+    total = dict.fromkeys(values, 0)
+    for t, n in lengths.items():
         for a, _e in t.walk:
-            total[a] += x
+            total[a] += n
     if total != values:
         raise AssertionError("bundle combination does not reconstruct the flow")
 

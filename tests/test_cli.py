@@ -238,6 +238,8 @@ ZERO_BOUNDS = [("routes", "--max-arrows", "0"), ("bands", "--max-arrows", "0"),
                ("bundles", "--band-bound", "0"), ("band-stable", "--max-arrows", "0"),
                ("band-stable", "--band-bound", "0"),
                ("cells", "--kind", "clique", "--max-arrows", "0"),
+               ("cells", "--kind", "clique", "--band-bound", "0"),
+               ("cells", "--kind", "clique", "--band-bound", "-1"),
                ("cells", "--kind", "vortex", "--band-bound", "0")]
 
 
@@ -348,11 +350,9 @@ FILE_COMMANDS = [("validate",), ("fringe",), ("pairing",), ("routes",), ("bands"
                  ("dag-decompose", "--flow", "FLOW")]
 
 
-@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=[" ".join(a) for a in FILE_COMMANDS])
-def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
-    # the report's input_sha256 hashes the very text the command parsed
-    import builtins
-    import hashlib
+def _command_argv(tmp_path, argv):
+    """(argv with an input file and FLOW filled in, the input text) for one
+    of FILE_COMMANDS, on a fixture it runs on."""
     from gentleflow.fixtures import CUBE_DAG
     dag_command = argv[0] in ("convert-dag", "dag-decompose")
     text = (CUBE_DAG if dag_command
@@ -362,6 +362,16 @@ def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
     flow = tmp_path / "flow.json"
     flow.write_text('{"e1": 1, "e2": 3, "f1": 3, "f2": 1}' if dag_command
                     else '{"e1": 1, "e2": "6", "e3": 1, "f2": 5}')
+    rest = [str(flow) if a == "FLOW" else a for a in argv[1:]]
+    return [argv[0], str(path), *rest], text
+
+
+@pytest.mark.parametrize("argv", FILE_COMMANDS, ids=[" ".join(a) for a in FILE_COMMANDS])
+def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
+    # the report's input_sha256 hashes the very text the command parsed
+    import builtins
+    import hashlib
+    argv, text = _command_argv(tmp_path, argv)
     opened = []
     real_open = builtins.open
 
@@ -370,9 +380,66 @@ def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
-    rest = [str(flow) if a == "FLOW" else a for a in argv[1:]]
-    code, out, err = run_cli(capsys, argv[0], str(path), *rest)
+    code, out, err = run_cli(capsys, *argv)
     monkeypatch.undo()
     assert code == 0, err
-    assert opened.count(str(path)) == 1
+    assert opened.count(argv[1]) == 1
     assert json.loads(out)["meta"]["input_sha256"] == hashlib.sha256(text.encode()).hexdigest()
+
+
+ALL_COMMANDS = FILE_COMMANDS + [("examples", "kronecker")]
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=[" ".join(a) for a in ALL_COMMANDS])
+def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch, argv):
+    # building all 18 subparsers took most of a short command's time
+    import argparse
+    if argv[0] != "examples":
+        argv, _text = _command_argv(tmp_path, argv)
+    built = []
+    real_add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return real_add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert built == [argv[0]]
+
+
+USAGE_CASES = [[], ["--help"], ["--pretty"], ["--pretty", "--help"], ["bogus"], ["deco"],
+               ["decompose"], ["decompose", "--help"], ["decompose", "x.qv", "--flow"],
+               ["decompose", "x.qv", "--flow", "y", "--pretty"],
+               ["cells", "x.qv", "--kind", "nope"], ["routes", "x.qv", "--max-arrows", "two"],
+               ["examples"], ["validate", "a", "b"], ["-x", "validate", "y"]]
+
+
+def _exit(capsys, fn, argv):
+    """(stdout, stderr, exit code) of fn(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        fn(argv)
+    out = capsys.readouterr()
+    return out.out, out.err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=[" ".join(a) for a in USAGE_CASES])
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    from gentleflow.cli import build_parser
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _exit(capsys, build_parser().parse_args, argv)
+    assert _exit(capsys, main, argv) == expected
+    assert expected[2] == (0 if "--help" in argv else 2)
+
+
+PARSED_CASES = [["routes", "x", "--max", "3"], ["--pretty", "cliques", "x", "--red"],
+                ["fringe", "x", "-oy"], ["gvector", "--trail=e1 e2", "x"],
+                ["cells", "x", "--kind", "vortex", "--band", "2", "--max-arrows", "-1"]]
+
+
+@pytest.mark.parametrize("argv", PARSED_CASES, ids=[" ".join(a) for a in PARSED_CASES])
+def test_one_command_parser_parses_like_the_full_one(argv):
+    # abbreviated options included
+    from gentleflow.cli import _parse, build_parser
+    assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
