@@ -169,15 +169,24 @@ class Flow:
         return isinstance(other, Flow) and self.values == other.values
 
 
-def indicator(f: FringedQuiver, t: Trail) -> Flow:
-    """Arrow-use counts of a trail; a unit flow for routes, a vortex for bands."""
+def trail_counts(f: FringedQuiver, t: Trail) -> dict[str, int]:
+    """Arrow-use counts of a trail on every arrow, as ints: a unit flow for
+    routes, a vortex for bands, so conserved at every relation pair."""
     ok = is_band_walk(f, t.walk) if isinstance(t, Band) else is_route_walk(f, t.walk)
     if not ok:
         raise DomainError(f"not a trail of this quiver: {t}")
-    vals: dict[str, Fraction] = {}
+    counts = dict.fromkeys(f.arrows, 0)
     for a, _e in t.walk:
-        vals[a] = vals.get(a, Q(0)) + 1
-    return Flow(f, vals)
+        counts[a] += 1
+    for v, ((a1, a2), (b1, b2)) in f.relation_pairs.items():
+        if counts[a1] + counts[a2] != counts[b1] + counts[b2]:
+            raise DomainError(f"conservation of flow fails at vertex {v}")
+    return counts
+
+
+def indicator(f: FringedQuiver, t: Trail) -> Flow:
+    """trail_counts as a Flow."""
+    return Flow(f, trail_counts(f, t))
 
 
 def flow_values(data) -> dict[str, Fraction]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .flows import format_rational, indicator
+from .flows import format_rational, trail_counts
 from .quiver import DomainError, FringedQuiver, cyclic_core
 from .trails import (
     Trail,
@@ -19,7 +19,6 @@ from .trails import (
     elementary_routes,
     g_vector,
     is_straight,
-    straight_route_through,
     straight_routes,
 )
 
@@ -33,13 +32,13 @@ def turbulence_dimension(f: FringedQuiver) -> int:
 @dataclass
 class PolyhedronPresentation:
     ambient: list[str]                      # coordinate labels
-    vertices: list[tuple[Trail, dict]]      # (labelling trail, rational vector)
-    rays: list[tuple[Trail, dict]]
+    vertices: list[tuple[Trail, dict]]      # (labelling trail, integer vector)
+    rays: list[tuple[Trail, dict]]          # (labelling trail, integer vector)
     dimension: int
 
     def as_json(self):
         def vec(v):
-            return {k: format_rational(Q(x)) for k, x in sorted(v.items())}
+            return {k: str(x) for k, x in sorted(v.items())}
         return {
             "ambient": list(self.ambient),
             "dimension": self.dimension,
@@ -50,8 +49,8 @@ class PolyhedronPresentation:
 
 def turbulence_presentation(f: FringedQuiver) -> PolyhedronPresentation:
     """Vertices are indicators of elementary routes; rays of elementary bands."""
-    verts = [(p, dict(indicator(f, p).values)) for p in elementary_routes(f)]
-    rays = [(b, dict(indicator(f, b).values)) for b in elementary_bands(f)]
+    verts = [(p, trail_counts(f, p)) for p in elementary_routes(f)]
+    rays = [(b, trail_counts(f, b)) for b in elementary_bands(f)]
     return PolyhedronPresentation(
         ambient=sorted(f.arrows),
         vertices=verts,
@@ -77,14 +76,9 @@ def phi(f: FringedQuiver, vec: dict[str, Fraction]) -> dict[str, Fraction]:
 
 def g_polyhedron_presentation(f: FringedQuiver) -> PolyhedronPresentation:
     """Vertices are g-vectors of elementary bending routes; rays of elementary bands."""
-    verts = []
-    for p in elementary_routes(f):
-        if is_straight(p):
-            continue
-        verts.append((p, {v: Q(x) for v, x in g_vector(f, p).items()}))
-    rays = [(b, {v: Q(x) for v, x in g_vector(f, b).items()}) for b in elementary_bands(f)]
-    seen = [v for _t, v in verts]
-    if any(seen[i] == seen[j] for i in range(len(seen)) for j in range(i + 1, len(seen))):
+    verts = [(p, g_vector(f, p)) for p in elementary_routes(f) if not is_straight(p)]
+    rays = [(b, g_vector(f, b)) for b in elementary_bands(f)]
+    if len({tuple(v.values()) for _t, v in verts}) < len(verts):  # keys in one order
         raise AssertionError("elementary bending routes produced equal g-vectors")
     return PolyhedronPresentation(
         ambient=sorted(f.internal_vertices),
@@ -120,8 +114,10 @@ def closure(f: FringedQuiver, W: set[str]) -> set[str]:
     on_route = {c >> 1 for c in reach if c ^ 1 in reach}
     if not on_route:
         return set(f.arrows)
-    on_band = cyclic_core([c for c in range(len(ok)) if ok[c]],
-                          lambda c: [d for d in cont[c] if ok[d]])
+    # Tarjan's components of the nodes reached from these roots are components
+    # of the whole graph, so rooting only at the arrows still in doubt suffices
+    roots = [c for c in range(len(ok)) if ok[c] and c >> 1 not in on_route]
+    on_band = cyclic_core(roots, lambda c: [d for d in cont[c] if ok[d]]) if roots else ()
     avoided = on_route | {c >> 1 for c in on_band}  # arrow i has codes 2i and 2i + 1
     return set(f.arrows) - {calc.universe.signed[2 * i][0] for i in avoided}
 
@@ -163,30 +159,29 @@ class HalfSpace:
         }
 
 
-def _suffix_weight(f: FringedQuiver, W: set[str], y: str) -> tuple[int, int]:
-    """(#W-arrows weakly after y on its straight route, #W-arrows on the route)."""
-    s = straight_route_through(f, y)
-    walk = s.walk if any(e == 1 for _a, e in s.walk) else tuple((a, -e) for a, e in reversed(s.walk))
-    arrows = [a for a, _e in walk]
-    i = arrows.index(y)
-    return sum(1 for a in arrows[i:] if a in W), sum(1 for a in arrows if a in W)
-
-
 def s_coefficients(f: FringedQuiver, W: set[str]) -> dict[str, Fraction]:
     """The S_v facet data of a crooked arrow set.
 
     S_v sums, over the two arrows y leaving v, the fraction of its straight
-    route's W-arrows sitting weakly after v, recentered by 1/2.
+    route's W-arrows sitting weakly after v, recentered by 1/2: the sum of
+    (2 after - n) / 2n, kept as one integer fraction per vertex.
     """
+    weight = {}  # y -> (#W-arrows weakly after y on its straight route, #W-arrows on it)
+    for s in straight_routes(f):
+        arrows = [a for a, _e in s.walk]
+        n, after = sum(a in W for a in arrows), 0
+        for a in reversed(arrows) if s.walk[0][1] == 1 else arrows:  # from the head end
+            after += a in W
+            weight[a] = after, n
     out = {}
     for v in f.internal_vertices:
-        total = Q(0)
+        num, den = 0, 1
         for y in f.arrows_out(v):
-            after, on_route = _suffix_weight(f, W, y)
-            if on_route == 0:
+            after, n = weight[y]  # every arrow lies on one straight route
+            if n == 0:
                 raise DomainError(f"arrow set misses the straight route of {y} (not crooked)")
-            total += Q(after, on_route) - Q(1, 2)
-        out[v] = total
+            num, den = num * 2 * n + (2 * after - n) * den, den * 2 * n
+        out[v] = Q(num, den)
     return out
 
 

@@ -356,9 +356,8 @@ class TrailCalculus:
         return t.codes if t.universe is self.universe else self.universe.word(t.walk)
 
     @cached_property
-    def straight(self) -> tuple[list[Route], dict[str, Route]]:
-        """The straight routes in trail_key order, and the first of them
-        through each arrow."""
+    def straight(self) -> list[Route]:
+        """The straight routes in trail_key order."""
         lazy, cont = self.lazy, self.cont
         routes = set()
         for c in range(0, len(lazy), 2):  # forward codes
@@ -371,8 +370,17 @@ class TrailCalculus:
                     raise DomainError("no unique oriented continuation (not a fringed quiver?)")
                 word.append(nxt[0])
             routes.add(self.universe.route(tuple(word)))
-        routes = sorted(routes, key=trail_key)
-        return routes, {a: p for p in reversed(routes) for a, _e in p.walk}
+        return sorted(routes, key=trail_key)
+
+    @cached_property
+    def elementary(self) -> tuple[list[Route], list[Band]]:
+        """The elementary routes and bands in trail_key order, searched once
+        up to elementary_trail_bound."""
+        f = self.f
+        bound = elementary_trail_bound(f)
+        routes = [p for p in self_compatible_routes(f, bound) if is_elementary_route(f, p)]
+        bands = [b for b in enumerate_bands(f, bound) if is_elementary_band(f, b)]
+        return sorted(routes, key=trail_key), sorted(bands, key=trail_key)
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss
@@ -489,10 +497,18 @@ def _boosted_crisscrossed_codes(calc: TrailCalculus, t: Trail):
     """(maximal boosted, maximal criss-crossed) substrings of t as code
     witnesses.  A lazy substring is boosted when one family of its junctions
     repeats (so when it occurs three or more times), criss-crossed when both
-    families meet there."""
+    families meet there.
+
+    When no arrow occurs twice in w, no word is boosted or criss-crossed, so
+    only the lazy families are counted.  Proof: two same-direction occurrences
+    of a word (for a band, at two starts within one period) would start with
+    the same code at two positions of w; an occurrence of a word and one of
+    its inverse would hold the codes c and c ^ 1 of one arrow, which are
+    different codes, so again at two positions of w.
+    """
     w = calc.codes(t)
-    counts = _occurrence_counts(t, w)
     boosted, criss = set(), set()
+    counts = _occurrence_counts(t, w) if len({c >> 1 for c in w}) < len(w) else {}
     for word, c in counts.items():
         inv = _inverse_codes(word)
         if c >= 2 or inv in counts:
@@ -541,32 +557,42 @@ def boosted_and_crisscrossed(f: FringedQuiver, t: Trail):
 
 # -- elementary trails ---------------------------------------------------------
 
+def _criss_if_unboosted(calc: TrailCalculus, t: Trail):
+    """The maximal criss-crossed substrings of t when t is self-compatible
+    and nothing in it is boosted, else None.
+
+    A code that repeats in the code word of t is a one-code word occurring
+    twice in one direction (for a band, at two starts within one period), so
+    it is boosted, and so is the longest boosted word containing it: such a
+    t is settled in O(len(t)), before the substring pass.
+    """
+    w = calc.codes(t)
+    if len(set(w)) < len(w) or not calc.self_compatible(t):
+        return None
+    boosted, criss = _boosted_crisscrossed_codes(calc, t)
+    return None if boosted else criss
+
+
 def is_elementary_route(f: FringedQuiver, p: Route) -> bool:
     """Simple routes and lollipops: no boosted substring, and any lone maximal
     criss-crossed substring must reach a fringe vertex."""
-    calc = f.calculus
-    if not calc.self_compatible(p):
-        return False
-    boosted, criss = _boosted_crisscrossed_codes(calc, p)
-    if boosted or len(criss) > 1:
+    criss = _criss_if_unboosted(f.calculus, p)
+    if criss is None or len(criss) > 1:
         return False
     if not criss:
         return True
     (sub,) = criss
     # a lazy witness sits at an internal vertex; a word reaches the fringe
     # where some code's head, or the first code's tail, has no lazy witness
-    lazy = calc.lazy
+    lazy = f.calculus.lazy
     return sub[0] >= 0 and (lazy[sub[0] ^ 1] is None or any(lazy[c] is None for c in sub))
 
 
 def is_elementary_band(f: FringedQuiver, b: Band) -> bool:
     """Simple bands and barbells: no boosted substring, at most one maximal
     criss-crossed substring."""
-    calc = f.calculus
-    if not calc.self_compatible(b):
-        return False
-    boosted, criss = _boosted_crisscrossed_codes(calc, b)
-    return not boosted and len(criss) <= 1
+    criss = _criss_if_unboosted(f.calculus, b)
+    return criss is not None and len(criss) <= 1
 
 
 def elementary_trail_bound(f: FringedQuiver) -> int:
@@ -575,15 +601,11 @@ def elementary_trail_bound(f: FringedQuiver) -> int:
 
 
 def elementary_routes(f: FringedQuiver) -> list[Route]:
-    bound = elementary_trail_bound(f)
-    return sorted((p for p in self_compatible_routes(f, bound) if is_elementary_route(f, p)),
-                  key=trail_key)
+    return list(f.calculus.elementary[0])
 
 
 def elementary_bands(f: FringedQuiver) -> list[Band]:
-    bound = elementary_trail_bound(f)
-    return sorted((b for b in enumerate_bands(f, bound) if is_elementary_band(f, b)),
-                  key=trail_key)
+    return list(f.calculus.elementary[1])
 
 
 def is_straight(t: Trail) -> bool:
@@ -591,14 +613,7 @@ def is_straight(t: Trail) -> bool:
 
 
 def straight_routes(f: FringedQuiver) -> list[Route]:
-    return list(f.calculus.straight[0])
-
-
-def straight_route_through(f: FringedQuiver, a: str) -> Route:
-    p = f.calculus.straight[1].get(a)
-    if p is None:
-        raise DomainError(f"no straight route through {a}")
-    return p
+    return list(f.calculus.straight)
 
 
 # -- g-vectors ------------------------------------------------------------------

@@ -97,9 +97,8 @@ def quiver_pool():
 
 
 @pytest.fixture(scope="session")
-def doubled_a5():
-    """The fringed doubled A5 path of the benchmark's generator (218 bending
-    self-compatible routes, 2084 maximal cliques at the default bound)."""
+def perfbench_gen():
+    """The benchmark's input generator, perfbench/gen.py."""
     import importlib.util
     from pathlib import Path
 
@@ -107,4 +106,19 @@ def doubled_a5():
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return quiver.parse_quiver_file(gen.doubled_path(5))
+    return gen
+
+
+@pytest.fixture(scope="session")
+def seven_vertex_quivers(perfbench_gen):
+    """Two fringed 7-vertex random quivers of the benchmark's generator
+    (seeds 1 and 5), of the shape its facet inputs have."""
+    return [fringe(quiver.parse_quiver_file(perfbench_gen.random_gentle_quiver(s, 7)))
+            for s in (1, 5)]
+
+
+@pytest.fixture(scope="session")
+def doubled_a5(perfbench_gen):
+    """The fringed doubled A5 path of the benchmark's generator (218 bending
+    self-compatible routes, 2084 maximal cliques at the default bound)."""
+    return quiver.parse_quiver_file(perfbench_gen.doubled_path(5))

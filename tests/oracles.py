@@ -467,3 +467,40 @@ def oracle_band_stable_cliques(f, route_bound, band_bound):
         if all(any(not calc.compatible(b, q) for b in compat_bands) for q in extensions):
             stable.add(Clique(straights | bend))
     return stable
+
+
+def oracle_barely_crooked_sets(f):
+    """The barely crooked arrow sets by brute force: every choice of one arrow
+    on each straight route that oracle_closure leaves fixed, E excepted."""
+    from gentleflow.trails import straight_routes
+    choices = [[a for a, _e in s.walk] for s in straight_routes(f)]
+    out = set()
+    for combo in product(*choices):
+        W = set(combo)
+        if len(W) == len(choices) and W != set(f.arrows) and oracle_closure(f, W) == W:
+            out.add(frozenset(W))
+    return out
+
+
+def _oracle_suffix_weight(f, W, y):
+    """(#W-arrows weakly after y on its straight route, #W-arrows on the route)."""
+    from gentleflow.trails import straight_routes
+    s = next(s for s in straight_routes(f) if any(a == y for a, _e in s.walk))
+    walk = s.walk if any(e == 1 for _a, e in s.walk) else tuple((a, -e) for a, e in reversed(s.walk))
+    arrows = [a for a, _e in walk]
+    i = arrows.index(y)
+    return sum(1 for a in arrows[i:] if a in W), sum(1 for a in arrows if a in W)
+
+
+def oracle_s_coefficients(f, W):
+    """The S_v facet data of a crooked arrow set, one Fraction sum per arrow:
+    over the arrows y leaving v, the share of the W-arrows of y's straight
+    route sitting weakly after y, minus 1/2."""
+    out = {}
+    for v in f.internal_vertices:
+        total = Q(0)
+        for y in f.arrows_out(v):
+            after, on_route = _oracle_suffix_weight(f, W, y)
+            total += Q(after, on_route) - Q(1, 2)
+        out[v] = total
+    return out

@@ -62,6 +62,31 @@ def test_vertices_kronecker(kron_file, capsys):
     assert payload["dimension"] == 3
 
 
+def test_polyhedra_search_once_and_build_no_flow(kron_file, capsys, monkeypatch):
+    # rays searched the elementary trails twice, and both commands validated
+    # a Flow per trail only to read its arrow counts
+    from gentleflow import flows, trails
+    searches, built = [], []
+    real_search, real_init = trails.self_compatible_routes, flows.Flow.__init__
+
+    def counting_search(*args):
+        searches.append(args)
+        return real_search(*args)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(trails, "self_compatible_routes", counting_search)
+    monkeypatch.setattr(flows.Flow, "__init__", counting_init)
+    for command in ("vertices", "rays"):
+        searches.clear()
+        code, _out, err = run_cli(capsys, command, kron_file)
+        assert code == 0, err
+        assert len(searches) == 1, command
+    assert built == []
+
+
 def test_decompose_ex52(kron_file, capsys, tmp_path):
     flow = tmp_path / "ex52.json"
     flow.write_text('{"e1": "1", "f1": "1", "e2": "5/2", "f2": "5/2"}')

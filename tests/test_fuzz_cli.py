@@ -125,6 +125,9 @@ def test_quiver_commands(text, flow, bound):
         run(["routes", p["qv"], "--max-arrows", str(bound)])
         run(["cliques", p["qv"], "--max-arrows", str(bound)])
         run(["decompose", p["qv"], "--flow", p["flow"]])
+        run(["vertices", p["qv"]])
+        run(["rays", p["qv"]])
+        run(["facets", p["qv"]])
 
 
 @FUZZ

@@ -6,6 +6,7 @@ from gentleflow import complexes, polyhedra, trails
 from gentleflow.fixtures import fixture_quiver
 from gentleflow.flows import indicator
 from gentleflow.polyhedra import (
+    barely_crooked_sets,
     closure,
     crookedness,
     g_face,
@@ -14,6 +15,7 @@ from gentleflow.polyhedra import (
     g_polyhedron_presentation,
     is_closed,
     phi,
+    s_coefficients,
     turbulence_dimension,
     turbulence_presentation,
     unimodularity_check,
@@ -21,7 +23,14 @@ from gentleflow.polyhedra import (
 from gentleflow.quiver import DomainError, fringe, GentleQuiver
 from gentleflow.trails import Band, Route, g_vector, parse_walk
 
-from oracles import hull_edges_2d, oracle_closure
+from oracles import (
+    hull_edges_2d,
+    oracle_barely_crooked_sets,
+    oracle_closure,
+    oracle_is_elementary,
+    oracle_kiss,
+    oracle_s_coefficients,
+)
 
 
 def R(text):
@@ -138,6 +147,43 @@ def test_closure_matches_oracle(quiver_pool):
         for _ in range(25):
             W = set(rng.sample(arrows, rng.randint(0, len(arrows))))
             assert closure(f, W) == oracle_closure(f, W)
+
+
+def test_elementary_trails_match_the_filter_oracle(quiver_pool, doubled_a5):
+    # the one search per quiver and its O(L) short-cuts against filtering
+    # every self-compatible trail up to the bound by the oracle
+    for f in [pool.quiver for pool in quiver_pool] + [doubled_a5]:
+        bound = trails.elementary_trail_bound(f)
+        routes = [p for p in trails.self_compatible_routes(f, bound)
+                  if oracle_is_elementary(f, p)]
+        bands = [b for b in trails.enumerate_bands(f, bound)
+                 if oracle_kiss(f, b, b) is None and oracle_is_elementary(f, b)]
+        assert trails.elementary_routes(f) == sorted(routes, key=trails.trail_key)
+        assert trails.elementary_bands(f) == sorted(bands, key=trails.trail_key)
+
+
+def test_barely_crooked_sets_match_brute_force(quiver_pool, seven_vertex_quivers):
+    for f in [pool.quiver for pool in quiver_pool] + seven_vertex_quivers:
+        assert barely_crooked_sets(f) == sorted(oracle_barely_crooked_sets(f), key=sorted)
+
+
+def test_s_coefficients_match_oracle(quiver_pool):
+    # on the barely crooked sets and the crooked closures of random arrow sets
+    import random
+    rng = random.Random(29)
+    checked = 0
+    for pool in quiver_pool:
+        f = pool.quiver
+        arrows = sorted(f.arrows)
+        sets = [set(W) for W in barely_crooked_sets(f)]
+        for _ in range(25):
+            cl = closure(f, set(rng.sample(arrows, rng.randint(0, len(arrows)))))
+            if cl != set(arrows) and crookedness(f, cl) != "not-crooked":
+                sets.append(cl)
+        for W in sets:
+            assert s_coefficients(f, W) == oracle_s_coefficients(f, W)
+            checked += 1
+    assert checked > 100
 
 
 def test_facet_examples_shard():

@@ -215,6 +215,20 @@ def test_elementary_bound_holds(quiver_pool):
                 assert len(b.walk) <= bound
 
 
+def test_elementary_trails_stop_at_the_bound(doubled_a5, seven_vertex_quivers):
+    # a search far past elementary_trail_bound finds no longer elementary
+    # trail and no other one, so searching up to the bound is complete
+    cases = [(fixture_quiver("kronecker"), 24)] + [(f, 24) for f in seven_vertex_quivers]
+    cases.append((doubled_a5, trails.elementary_trail_bound(doubled_a5) + 4))
+    for f, far in cases:
+        bound = trails.elementary_trail_bound(f)
+        routes = {p for p in trails.self_compatible_routes(f, far) if is_elementary_route(f, p)}
+        bands = {b for b in enumerate_bands(f, far) if is_elementary_band(f, b)}
+        assert all(len(t) <= bound for t in routes | bands)
+        assert routes == set(trails.elementary_routes(f))
+        assert bands == set(trails.elementary_bands(f))
+
+
 def test_g_vector_examples():
     f = fixture_quiver("kronecker")
     assert g_vector(f, R("e1 e2 f2^-1 e2 f2^-1 f1^-1")) == {"v1": 1, "v2": -2}
