@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .quiver import (
@@ -314,30 +314,15 @@ COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    """A usage error met by a one-command parser."""
+def build_parser():
+    """The full argparse parser of every command."""
+    import argparse  # not at module level: a plain command line never needs it
 
-
-class _OneCommandParser(argparse.ArgumentParser):
-    # raises instead of printing: the message must come from the full parser,
-    # whose usage line lists every command
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.
-
-    A one-command parser raises `_UsageError` on a usage error instead of
-    printing it and exiting; `main` then parses again with the full parser.
-    """
-    cls = argparse.ArgumentParser if command is None else _OneCommandParser
-    ap = cls(prog="gentleflow")
+    ap = argparse.ArgumentParser(prog="gentleflow")
     ap.add_argument("--pretty", action="store_true", help="indent JSON output")
     ap.set_defaults(file=None)  # for the commands without an input file
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS if command is None else [command]:
-        fn, arguments = COMMANDS[name]
+    for name, (fn, arguments) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(fn=fn)
         for flags, kwargs in arguments:
@@ -345,16 +330,66 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse with the parser of the command argv names, after an optional
-    leading --pretty, and with the full parser otherwise or on a usage error."""
-    named = argv[1:2] if argv[:1] == ["--pretty"] else argv[:1]
-    if named and named[0] in COMMANDS:
+def _plain_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, read straight
+    off `COMMANDS` when argv is a plain command line; None otherwise.
+
+    A plain line is an optional leading --pretty, a command name, then that
+    command's exact option strings, each value-taking one followed by a value
+    that does not start with "-" and passes the option's type and choices,
+    and exactly its positionals, with every required option given.  Any
+    other line (help, usage errors, abbreviated options, "--opt=value",
+    "-oy", negative numbers, "--", "-") is left to argparse, so its
+    messages and exit codes are argparse's own.
+    """
+    pretty = argv[:1] == ["--pretty"]
+    name, *rest = (argv[1:] if pretty else argv) or [None]
+    if name not in COMMANDS:
+        return None
+    fn, arguments = COMMANDS[name]
+    ns = {"pretty": pretty, "file": None, "command": name, "fn": fn}
+    options, positionals = {}, []
+    for flags, kwargs in arguments:
+        if not flags[0].startswith("-"):
+            positionals.append(flags[0])
+            continue
+        # argparse's dest: the first long option string, dashes made underscores
+        dest = next((s for s in flags if s.startswith("--")), flags[0])
+        dest = dest.lstrip("-").replace("-", "_")
+        ns[dest] = False if kwargs.get("action") == "store_true" else None
+        options.update(dict.fromkeys(flags, (dest, kwargs)))
+    required = {dest for dest, kwargs in options.values() if kwargs.get("required")}
+    given, tokens = [], iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in options:
+            return None
+        dest, kwargs = options[token]
+        if kwargs.get("action") == "store_true":
+            ns[dest] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
         try:
-            return build_parser(named[0]).parse_args(argv)
-        except _UsageError:
-            pass
-    return build_parser().parse_args(argv)
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", [value]):
+            return None
+        ns[dest] = value
+        required.discard(dest)
+    if required or len(given) != len(positionals):
+        return None
+    ns.update(zip(positionals, given))
+    return SimpleNamespace(**ns)
+
+
+def _parse(argv: list[str]):
+    """Parse a plain command line off `COMMANDS`, and any other with argparse."""
+    return _plain_parse(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -8,6 +8,7 @@ straight routes are re-attached afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .quiver import DomainError, FringedQuiver
 from .trails import (
@@ -34,11 +35,16 @@ class Clique:
     def reduced(self) -> "Clique":
         return Clique(frozenset(p for p in self.routes if not is_straight(p)))
 
+    @cached_property
+    def members(self) -> tuple[Route, ...]:
+        """The routes in trail_key order, sorted once."""
+        return tuple(sorted(self.routes, key=trail_key))
+
     def sorted_routes(self) -> list[Route]:
-        return sorted(self.routes, key=trail_key)
+        return list(self.members)
 
     def as_json(self):
-        return [str(p) for p in self.sorted_routes()]
+        return [str(p) for p in self.members]
 
 
 @dataclass(frozen=True)
@@ -56,11 +62,16 @@ class Bundle:
     def reduced(self) -> "Bundle":
         return Bundle(frozenset(t for t in self.trails if not is_straight(t)))
 
+    @cached_property
+    def members(self) -> tuple[Trail, ...]:
+        """The trails in trail_key order, sorted once."""
+        return tuple(sorted(self.trails, key=trail_key))
+
     def sorted_trails(self) -> list[Trail]:
-        return sorted(self.trails, key=trail_key)
+        return list(self.members)
 
     def as_json(self):
-        return [str(t) for t in self.sorted_trails()]
+        return [str(t) for t in self.members]
 
 
 def bending_route_universe(f: FringedQuiver, route_bound: int) -> list[Route]:
@@ -132,6 +143,10 @@ def _members(nodes: list, mask: int) -> frozenset:
     return frozenset(nodes[i] for i in _bits(mask))
 
 
+def _members_key(k: Clique | Bundle):
+    return tuple(t.sort_key for t in k.members)
+
+
 def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
     """Maximal cliques within the bounded route universe, straight routes included."""
     if route_bound < 1:
@@ -140,7 +155,7 @@ def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
     bending = bending_route_universe(f, route_bound)
     cliques = _bron_kerbosch(_compat_rows(f, bending, bending))
     return sorted((Clique(straights | _members(bending, c)) for c in cliques),
-                  key=lambda k: tuple(trail_key(t) for t in k.sorted_routes()))
+                  key=_members_key)
 
 
 def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Bundle]:
@@ -152,7 +167,7 @@ def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list
     nodes += band_universe(f, band_bound)
     cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
     return sorted((Bundle(straights | _members(nodes, c)) for c in cliques),
-                  key=lambda k: tuple(trail_key(t) for t in k.sorted_trails()))
+                  key=_members_key)
 
 
 def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Clique]:
@@ -166,6 +181,14 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     with all of s and ok(s) the bands compatible with all of s; s is stable
     when every q in ext(s) kisses some band of ok(s).
 
+    Routes no band can kill are forced.  Per maximal clique m, `forced`
+    starts empty and repeatedly takes in every route q of m that no band of
+    ok(forced) kisses.  This is exact: let s ⊆ m be stable with forced ⊆ s.
+    A route q ∈ m ∖ s is compatible with all of s, as m is a clique, so q
+    lies in ext(s) and some band of ok(s) ⊆ ok(forced) kills it.  So each
+    route taken in lies in s, and by induction every stable s ⊆ m contains
+    forced.  Only the candidates forced | t, t ⊆ m ∖ forced, are tried.
+
     Each clique also carries what the search knows: it is maximal exactly
     when s equals the maximal clique m it is first reached from, and its band
     generators are ok(s), since straight routes are compatible with all bands.
@@ -178,29 +201,34 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     rows = _compat_rows(f, bending, bending)
     band_rows = _compat_rows(f, bending, bands)
 
-    # (ext, ok) per candidate; a nonempty one extends the candidate without
-    # its lowest route, visited before it since submasks go in increasing order
+    # (ext, ok) per candidate; forced | t, t nonempty, extends the candidate without
+    # t's lowest route, visited before it since submasks go in increasing order
     acc: dict[int, tuple[int, int]] = {}
     stable = []
     for m in _bron_kerbosch(rows):
-        subs = [m]
+        forced, ext, ok = 0, (1 << len(bending)) - 1, (1 << len(bands)) - 1
+        while unkillable := [q for q in _bits(m & ~forced) if not ok & ~band_rows[q]]:
+            for q in unkillable:
+                forced |= 1 << q
+                ext, ok = ext & rows[q], ok & band_rows[q]
+        free = m & ~forced
+        subs = [free]
         while subs[-1]:
-            subs.append((subs[-1] - 1) & m)
-        for s in reversed(subs):
+            subs.append((subs[-1] - 1) & free)
+        for t in reversed(subs):
+            s = forced | t
             if s in acc:
                 continue
-            if s:
-                low = s & -s
+            if t:  # else (ext, ok) are forced's, from the fixpoint
+                low = t & -t
                 ext, ok = acc[s ^ low]
                 v = low.bit_length() - 1
                 ext, ok = ext & rows[v], ok & band_rows[v]
-            else:
-                ext, ok = (1 << len(bending)) - 1, (1 << len(bands)) - 1
             acc[s] = ext, ok
             if all(ok & ~band_rows[q] for q in _bits(ext)):
                 stable.append(Clique(straights | _members(bending, s), s == m,
                                      tuple(bands[b] for b in _bits(ok))))
-    return sorted(stable, key=lambda k: tuple(trail_key(t) for t in k.sorted_routes()))
+    return sorted(stable, key=_members_key)
 
 
 def distinguished_arrows(f: FringedQuiver, bundle: Bundle, p: Trail) -> set[str]:
@@ -209,7 +237,7 @@ def distinguished_arrows(f: FringedQuiver, bundle: Bundle, p: Trail) -> set[str]
         raise DomainError("trail is not a member of the bundle")
     out = set()
     for a in sorted({x for x, _e in p.walk}):
-        marks = [m for t in bundle.sorted_trails() for m in markings_at(t, a, 1)]
+        marks = [m for t in bundle.members for m in markings_at(t, a, 1)]
         top = marks[0]
         for m in marks[1:]:
             if countercurrent_compare(f, top, m) < 0:

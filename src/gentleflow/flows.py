@@ -413,10 +413,8 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
             tile = (int(interval.lo * half), interval.lo_open,
                     int(interval.hi * half), interval.hi_open)
             for j, t in _marking_tiles(iv2, tables, mt.walk, mt.index,
-                                       isinstance(mt.trail, Band), tile, far):
+                                       isinstance(mt.trail, Band), tile, far, starts):
                 a = mt.walk[j][0]
-                if starts[a] != mt.walk[j]:
-                    continue
                 if j == mt.index and t != tile:
                     raise AssertionError("re-walk disagrees with the traced tile")
                 if isinstance(mt.trail, Band):
@@ -438,7 +436,8 @@ def _first_gap(covered: list[tuple[int, int]], cap: int):
     return (at, cap) if cap > at else None
 
 
-def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, tile, far: int):
+def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, tile, far: int,
+                   starts: dict[str, SignedArrow]):
     """The interval of every marking of one traced trail, from a single pass.
 
     `tile` is the interval of the traced marking walk[index].  The values
@@ -448,7 +447,8 @@ def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, til
     trail exactly for the offsets inside its cap [0, F(walk[j])], the Forward
     bounds after j and the Back bounds up to j (for a band, all Forward
     bounds of the cycle).  Yields (j, (lo, lo_open, hi, hi_open)) for the
-    positive-length ones.
+    positive-length ones among the markings at a start arrow, walk[j] ==
+    starts[arrow of walk[j]]; the values and bounds are walked at every j.
     """
     fwd_table, bwd_table = tables
     n = len(walk)
@@ -487,6 +487,8 @@ def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, til
         for k in range(1, n):
             before[k] = _meet(before[k - 1], back_at[k])
     for j in range(n):
+        if starts[walk[j][0]] != walk[j]:
+            continue
         v = values[j]
         lo, lo_open, hi, hi_open = _meet(_meet((-v, False, iv[walk[j][0]] - v, False),
                                                after[j]), before[j])

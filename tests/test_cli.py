@@ -415,23 +415,25 @@ def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
 ALL_COMMANDS = FILE_COMMANDS + [("examples", "kronecker")]
 
 
+# run in a fresh interpreter: is argparse loaded once the command is done?
+PLAIN_RUN = ("import sys\nfrom gentleflow.cli import main\ncode = main(sys.argv[1:])\n"
+             "assert 'argparse' not in sys.modules, 'argparse imported'\nsys.exit(code)")
+
+
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=[" ".join(a) for a in ALL_COMMANDS])
-def test_a_command_builds_only_its_own_parser(tmp_path, capsys, monkeypatch, argv):
-    # building all 18 subparsers took most of a short command's time
-    import argparse
+def test_a_command_builds_only_its_own_parser(tmp_path, argv):
+    # A plain command line is parsed by its own row of COMMANDS alone: no
+    # argparse parser is built, and argparse is never imported.
+    import os
+    import subprocess
+    import sys
+    import gentleflow
     if argv[0] != "examples":
         argv, _text = _command_argv(tmp_path, argv)
-    built = []
-    real_add_parser = argparse._SubParsersAction.add_parser
-
-    def counting_add_parser(self, name, **kwargs):
-        built.append(name)
-        return real_add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
-    code, _out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert built == [argv[0]]
+    src = os.path.dirname(os.path.dirname(gentleflow.__file__))
+    run = subprocess.run([sys.executable, "-c", PLAIN_RUN, *argv], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
 
 
 USAGE_CASES = [[], ["--help"], ["--pretty"], ["--pretty", "--help"], ["bogus"], ["deco"],
@@ -463,8 +465,20 @@ PARSED_CASES = [["routes", "x", "--max", "3"], ["--pretty", "cliques", "x", "--r
                 ["cells", "x", "--kind", "vortex", "--band", "2", "--max-arrows", "-1"]]
 
 
-@pytest.mark.parametrize("argv", PARSED_CASES, ids=[" ".join(a) for a in PARSED_CASES])
+# a negative number and an "=" form: argparse accepts both
+FALLBACK_PARSED = [["routes", "x", "--max-arrows", "-1"], ["decompose", "x", "--flow=y"]]
+
+
+@pytest.mark.parametrize("argv", PARSED_CASES + FALLBACK_PARSED,
+                         ids=[" ".join(a) for a in PARSED_CASES + FALLBACK_PARSED])
 def test_one_command_parser_parses_like_the_full_one(argv):
-    # abbreviated options included
+    # lines the plain reader leaves to argparse, abbreviated options included
     from gentleflow.cli import _parse, build_parser
     assert vars(_parse(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", USAGE_CASES + PARSED_CASES + FALLBACK_PARSED,
+                         ids=[" ".join(a) for a in USAGE_CASES + PARSED_CASES + FALLBACK_PARSED])
+def test_plain_reader_leaves_other_lines_to_argparse(argv):
+    from gentleflow.cli import _plain_parse
+    assert _plain_parse(argv) is None

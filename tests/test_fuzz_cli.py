@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gentleflow import dag, quiver
-from gentleflow.cli import main
+from gentleflow.cli import COMMANDS, _plain_parse, build_parser, main
 from gentleflow.fixtures import DAG_FIXTURES, QUIVER_FIXTURES, fixture_quiver
 
 from test_dag import shuffled_doubled_path
@@ -161,3 +161,67 @@ def test_dag_decompose_path_flows(text, data):
     d, p = files(fg=text, flow=json.dumps(vals))
     with d:
         run(["dag-decompose", p["fg"], "--flow", p["flow"]])
+
+
+# -- the plain command-line reader against argparse ---------------------------
+
+ARG_VALUES = ["-1", "0", " 7", "1_0", "two", "", "-", "--", "-h", "nope", "vortex",
+              "clique", "bundle", "3", "x.qv", "e1 e2"]
+OPTION_STRINGS = sorted({s for _fn, arguments in COMMANDS.values()
+                         for flags, _kw in arguments for s in flags if s.startswith("-")})
+STRAY = ARG_VALUES + OPTION_STRINGS + ["--pretty", "--help", "-x", *COMMANDS]
+
+
+def _spellings(flags):
+    """The option strings of one argument and their abbreviations."""
+    return [s for flag in flags if flag.startswith("-")
+            for s in [flag] * 4 + [flag[:k] for k in range(3, len(flag))]]
+
+
+def _value(kwargs):
+    """Mostly a value the argument takes, else any of ARG_VALUES."""
+    good = st.sampled_from(kwargs.get("choices") or (
+        ["3", "0", " 7", "1_0"] if kwargs.get("type") is int else ["x.qv", "e1 e2", ""]))
+    return st.one_of(good, good, st.sampled_from(ARG_VALUES))
+
+
+@st.composite
+def command_lines(draw):
+    """A command line near a plain one: each argument of a command, perhaps
+    dropped, abbreviated, in "=" form or given an odd value, in any order,
+    with perhaps a stray token."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    words = []
+    for flags, kwargs in COMMANDS[name][1]:
+        if not draw(st.integers(0, 5)):
+            continue
+        value = draw(_value(kwargs))
+        if not flags[0].startswith("-"):
+            words.append([value])
+            continue
+        flag = draw(st.sampled_from(_spellings(flags)))
+        if kwargs.get("action") == "store_true":
+            words.append([flag])
+        elif draw(st.integers(0, 5)):
+            words.append([flag, value])
+        else:
+            words.append([f"{flag}={value}"])
+    argv = [w for ws in draw(st.permutations(words)) for w in ws]
+    if not draw(st.integers(0, 3)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return ["--pretty"] * draw(st.integers(0, 1)) + [name] + argv
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(command_lines())
+def test_plain_reader_parses_like_argparse(argv):
+    plain = _plain_parse(argv)
+    if plain is None:
+        return
+    err = io.StringIO()
+    try:
+        with redirect_stderr(err), redirect_stdout(err):
+            full = build_parser().parse_args(argv)
+    except SystemExit:
+        raise AssertionError(f"argparse rejects {argv}: {err.getvalue()}") from None
+    assert vars(plain) == vars(full)

@@ -104,3 +104,19 @@ def test_long_route_needs_no_step_cap():
     assert len(mt.walk) == 2 * k + 2 and mt.index == 0
     assert interval == QInterval(Q(0), Q(1), True, True)
     assert length == 1
+
+
+def test_only_kept_marking_tiles_are_built(monkeypatch):
+    # a quiver flow keeps only the markings at (a, 1): 101 in each orientation
+    # of the winding route e1 (e2 f2^-1)^100 f1^-1, out of its 202 arrows
+    built = []
+    real = flows._marking_tiles
+
+    def counting(*args):
+        for j, t in real(*args):
+            built.append(j)
+            yield j, t
+
+    monkeypatch.setattr(flows, "_marking_tiles", counting)
+    tiles = winding(Q(1), Q(100)).integer_tiles()
+    assert len(built) == sum(map(len, tiles.values())) == 202
