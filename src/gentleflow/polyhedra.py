@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .flows import format_rational, trail_counts
 from .quiver import DomainError, FringedQuiver, cyclic_core
@@ -198,6 +197,11 @@ def g_facet(f: FringedQuiver, W: set[str]) -> HalfSpace:
     form sum T_v x(v) <= 1 with T_v = -S_v in {-1, 0, 1}."""
     if crookedness(f, W) != "barely-crooked":
         raise DomainError("arrow set is not barely crooked")
+    return _facet(f, W)
+
+
+def _facet(f: FringedQuiver, W) -> HalfSpace:
+    """g_facet's half-space for a set already known to be barely crooked."""
     coeffs = {v: -s for v, s in s_coefficients(f, W).items()}
     for v, c in coeffs.items():
         if c not in (-1, 0, 1):
@@ -206,19 +210,51 @@ def g_facet(f: FringedQuiver, W: set[str]) -> HalfSpace:
 
 
 def barely_crooked_sets(f: FringedQuiver) -> list[frozenset[str]]:
-    """All barely crooked arrow sets: one arrow per straight route, then closed."""
-    routes = straight_routes(f)
-    choices = [[a for a, _e in s.walk] for s in routes]
+    """All barely crooked arrow sets, by a depth-first search over partial
+    choices of one arrow per straight route.
+
+    A node with choice W takes C = closure(W).  It is pruned when C is all of
+    E or meets a straight route twice (a chosen route met off its chosen
+    arrow is met twice, as C contains W).  A route that C meets once counts
+    as chosen.  If C meets every route, C is reported; else the node branches
+    on the arrows of the shortest unmet route, each child being C plus one.
+
+    Proof.  closure is extensive, monotone and idempotent.  If W lies inside
+    a barely crooked B, then C lies inside closure(B) = B: C is not E and
+    meets no route twice, so no node on the way to B is pruned, and every
+    branch offers B's arrow.  A child C + a has the closure of W + a, since
+    W <= C <= closure(W + a).  A leaf inside B meets every route once, as B
+    does, and every arrow lies on one straight route (see s_coefficients),
+    so it is B.  Conversely a leaf is closed, not E, and meets each route
+    once: it is barely crooked.  Siblings differ on one route, so no set
+    comes twice; E is never reported, as in is_closed.  The stack is
+    explicit, and the depth is at most the number of straight routes.
+    """
+    routes = [[a for a, _e in s.walk] for s in straight_routes(f)]
+    route_of = {a: i for i, arrows in enumerate(routes) for a in arrows}
     out = []
-    for combo in product(*choices):
-        W = frozenset(combo)
-        if len(W) == len(routes) and is_closed(f, set(W)):
-            out.append(W)
-    return sorted(out, key=lambda s: sorted(s))
+    stack = [set()]
+    while stack:
+        C = closure(f, stack.pop())
+        if len(C) == len(f.arrows):
+            continue
+        met = [0] * len(routes)
+        for a in C:
+            met[route_of[a]] += 1
+        if any(n > 1 for n in met):
+            continue
+        unmet = [i for i, n in enumerate(met) if not n]
+        if not unmet:
+            out.append(frozenset(C))
+            continue
+        branch = min(unmet, key=lambda i: len(routes[i]))
+        stack.extend(C | {a} for a in routes[branch])
+    return sorted(out, key=sorted)
 
 
 def g_facets(f: FringedQuiver) -> list[tuple[frozenset[str], HalfSpace]]:
-    return [(W, g_facet(f, set(W))) for W in barely_crooked_sets(f)]
+    """Each barely crooked set with its facet, built without a second closure."""
+    return [(W, _facet(f, W)) for W in barely_crooked_sets(f)]
 
 
 # -- cells and unimodularity --------------------------------------------------------

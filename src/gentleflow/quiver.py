@@ -285,6 +285,18 @@ def fringe(q: GentleQuiver) -> FringedQuiver:
     v!out1, v!out2 and arrows v#i1, v#i2, v#o1, v#o2 as needed.  Relation slots
     forced by the existing arrows are respected; at an unconstrained vertex the
     first incoming slot is paired (as a relation) with the first outgoing slot.
+
+    The result is not validated again: once every generated id is checked
+    fresh, the construction makes it a valid fringed quiver.  Generated ids
+    are distinct (the suffix names v and the slot) and fresh, so fringe and
+    internal vertices are disjoint, no input arrow is overwritten, and each
+    fringe vertex carries one arrow.  Degrees, at most 2 in q
+    (validate_gentle), are topped up to 2.  _complete_relations pairs the
+    two ins with the two outs of each vertex, keeping the status of every
+    composable input pair, so each arrow has one relation and one
+    relation-free neighbour at an internal end.  A relation-free oriented
+    cycle avoids the fringe arrows (degree 1 at their fringe end), so it
+    would be one of q, which validate_gentle rejects.
     """
     problems = validate_gentle(q)
     if problems:
@@ -292,7 +304,8 @@ def fringe(q: GentleQuiver) -> FringedQuiver:
 
     arrows = dict(q.arrows)
     fringe_vertices: list[str] = []
-    relation_pairs: dict[str, tuple[tuple[str, str], tuple[str, str]]] = {}
+    fringe_arrows: list[str] = []
+    slots: dict[str, tuple[list[str], list[str]]] = {}  # v -> (ins, outs), filled up
 
     for v in sorted(q.vertices):
         ins = list(q.arrows_in(v))
@@ -300,23 +313,30 @@ def fringe(q: GentleQuiver) -> FringedQuiver:
         for k in range(2 - len(ins)):
             fv, fa = f"{v}!in{k + 1}", f"{v}#i{k + 1}"
             fringe_vertices.append(fv)
+            fringe_arrows.append(fa)
             arrows[fa] = (fv, v)
             ins.append(fa)
         for k in range(2 - len(outs)):
             fv, fa = f"{v}!out{k + 1}", f"{v}#o{k + 1}"
             fringe_vertices.append(fv)
+            fringe_arrows.append(fa)
             arrows[fa] = (v, fv)
             outs.append(fa)
-        relation_pairs[v] = _complete_relations(q, v, ins, outs)
+        slots[v] = ins, outs
 
-    f = FringedQuiver(
+    clash = sorted(set(fringe_vertices).intersection(q.vertices))
+    if clash:
+        raise DomainError(f"fringe vertex {clash[0]} clashes with a vertex of the quiver")
+    clash = sorted(set(fringe_arrows).intersection(q.arrows))
+    if clash:
+        raise DomainError(f"fringe arrow {clash[0]} clashes with an arrow of the quiver")
+    return FringedQuiver(
         internal_vertices=tuple(sorted(q.vertices)),
         fringe_vertices=tuple(fringe_vertices),
         arrows=arrows,
-        relation_pairs=relation_pairs,
+        relation_pairs={v: _complete_relations(q, v, ins, outs)
+                        for v, (ins, outs) in slots.items()},
     )
-    f.validate()
-    return f
 
 
 def _complete_relations(q: GentleQuiver, v: str, ins: list[str], outs: list[str]):

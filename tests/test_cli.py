@@ -339,6 +339,28 @@ def test_unreadable_path_is_json_error(tmp_path, kron_file, capsys, case):
     assert doc["error"] == error and set(doc) == {"error", "message"}
 
 
+# a generated fringe id that the input already uses
+FRINGE_CLASHES = {
+    "vertex u!in1": ("vertex u\nvertex u!in1\n",
+                     "fringe vertex u!in1 clashes with a vertex of the quiver"),
+    "arrow u#i1": ("vertex u\nvertex w\narrow u#i1: w -> u\n",
+                   "fringe arrow u#i1 clashes with an arrow of the quiver"),
+    "arrow u#o1": ("vertex u\nvertex w\narrow u#o1: w -> u\n",
+                   "fringe arrow u#o1 clashes with an arrow of the quiver"),
+}
+
+
+@pytest.mark.parametrize("command", ["fringe", "pairing", "vertices"])
+@pytest.mark.parametrize("clash", sorted(FRINGE_CLASHES))
+def test_fringe_id_clash_is_domain_error(tmp_path, capsys, clash, command):
+    text, message = FRINGE_CLASHES[clash]
+    p = tmp_path / "clash.qv"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, command, str(p))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "DomainError", "message": message}
+
+
 def test_empty_trail_is_domain_error(kron_file, capsys):
     for trail in ("", "band:"):
         code, _out, err = run_cli(capsys, "gvector", kron_file, "--trail", trail)

@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gentleflow import complexes, polyhedra, trails
+from gentleflow import complexes, polyhedra, quiver, trails
 from gentleflow.fixtures import fixture_quiver
 from gentleflow.flows import indicator
 from gentleflow.polyhedra import (
@@ -165,6 +165,50 @@ def test_elementary_trails_match_the_filter_oracle(quiver_pool, doubled_a5):
 def test_barely_crooked_sets_match_brute_force(quiver_pool, seven_vertex_quivers):
     for f in [pool.quiver for pool in quiver_pool] + seven_vertex_quivers:
         assert barely_crooked_sets(f) == sorted(oracle_barely_crooked_sets(f), key=sorted)
+
+
+def _count_closure_calls(monkeypatch):
+    calls = []
+    real = polyhedra.closure
+
+    def counted(f, W):
+        calls.append(1)
+        return real(f, W)
+
+    monkeypatch.setattr(polyhedra, "closure", counted)
+    return calls
+
+
+def test_barely_crooked_search_is_pruned(monkeypatch, perfbench_gen):
+    # the product of one arrow per straight route is 82944 candidates here,
+    # one closure each; the pruned search stays well under that
+    f = fringe(quiver.parse_quiver_file(perfbench_gen.random_gentle_quiver(15, 10)))
+    calls = _count_closure_calls(monkeypatch)
+    sets = barely_crooked_sets(f)
+    assert len(calls) < 20000
+    assert len(sets) == 3168  # as many as the product finds
+
+
+def test_g_facets_close_no_set_twice(monkeypatch, quiver_pool, seven_vertex_quivers):
+    calls = _count_closure_calls(monkeypatch)
+    for f in [pool.quiver for pool in quiver_pool] + seven_vertex_quivers:
+        del calls[:]
+        sets = barely_crooked_sets(f)
+        searched = len(calls)
+        del calls[:]
+        facets = g_facets(f)
+        assert len(calls) == searched
+        assert [W for W, _hs in facets] == sets
+        assert [hs for _W, hs in facets] == [g_facet(f, set(W)) for W in sets]
+
+
+def test_barely_crooked_sets_edge_cases():
+    empty = fringe(GentleQuiver((), {}, frozenset()))
+    assert barely_crooked_sets(empty) == [] and g_facets(empty) == []
+    f = fringe(GentleQuiver(("u",), {}, frozenset()))
+    facets = g_facets(f)
+    assert [sorted(W) for W, _hs in facets] == [["u#i1", "u#i2"], ["u#o1", "u#o2"]]
+    assert [hs.coeffs for _W, hs in facets] == [{"u": 1}, {"u": -1}]
 
 
 def test_s_coefficients_match_oracle(quiver_pool):

@@ -2,9 +2,10 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gentleflow import quiver
-from gentleflow.fixtures import fixture_quiver
+from gentleflow import dag, quiver
+from gentleflow.fixtures import DAG_FIXTURES, QUIVER_FIXTURES, fixture_quiver
 from gentleflow.quiver import (
     DomainError,
     GentleQuiver,
@@ -92,6 +93,38 @@ def test_fringe_matches_equation_on_random_quivers(quiver_pool):
         assert len(f.arrows) == 4 * len(f.internal_vertices) - len(f.internal_arrows())
         assert f.straight_route_count() == \
             2 * len(f.internal_vertices) - len(f.internal_arrows())
+
+
+def base_quiver(f):
+    """The gentle quiver that f fringes: its internal vertices and arrows."""
+    inner = f.internal_arrows()
+    return GentleQuiver(tuple(f.internal_vertices), {a: f.arrows[a] for a in inner},
+                        frozenset((a, b) for a, b in f.relations if a in inner and b in inner))
+
+
+def test_fringe_gives_valid_fringed_quivers(quiver_pool, perfbench_gen):
+    # fringe does not validate its result; the construction guarantees it
+    bases = [base_quiver(pool.quiver) for pool in quiver_pool]
+    bases += [base_quiver(fixture_quiver(name)) for name in QUIVER_FIXTURES]
+    bases += [base_quiver(dag.fringed_quiver(dag.make_convenient(dag.parse_framed_graph(t))))
+              for t in DAG_FIXTURES.values()]
+    bases += [base_quiver(parse_quiver_file(perfbench_gen.doubled_path(6)))]
+    bases += [parse_quiver_file(text) for text in (
+        perfbench_gen.path_quiver(40), perfbench_gen.random_gentle_quiver(0, 48),
+        perfbench_gen.random_gentle_quiver(1, 300, acyclic=True))]
+    for q in bases:
+        fringe(q).validate()
+    for pool in quiver_pool[5:]:  # fringed by fringe itself, so base_quiver inverts it
+        f = fringe(base_quiver(pool.quiver))
+        assert f.arrows == pool.quiver.arrows
+        assert f.relation_pairs == pool.quiver.relation_pairs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 7))
+def test_fringe_of_drawn_quivers_is_valid(rng, n):
+    from conftest import random_gentle_quiver
+    fringe(random_gentle_quiver(rng, n)).validate()
 
 
 def test_find_pairing_examples():
