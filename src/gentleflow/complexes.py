@@ -7,10 +7,9 @@ straight routes are re-attached afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .quiver import DomainError, FringedQuiver
+from .quiver import DomainError, FringedQuiver, Value
 from .trails import (
     Band,
     Route,
@@ -25,12 +24,14 @@ from .trails import (
 )
 
 
-@dataclass(frozen=True)
-class Clique:
+class Clique(Value):
     routes: frozenset[Route]
-    # set by band_stable_cliques: is it maximal, which bands are compatible with it
-    maximal: bool | None = field(default=None, compare=False)
-    band_generators: tuple[Band, ...] = field(default=(), compare=False)
+    # set by band_stable_cliques, not compared: is it maximal, its compatible bands
+    maximal: bool | None
+    band_generators: tuple[Band, ...]
+
+    def __init__(self, routes, maximal=None, band_generators=()):
+        self.__dict__.update(routes=routes, maximal=maximal, band_generators=band_generators, _key=(routes,))
 
     def reduced(self) -> "Clique":
         return Clique(frozenset(p for p in self.routes if not is_straight(p)))
@@ -47,9 +48,11 @@ class Clique:
         return [str(p) for p in self.members]
 
 
-@dataclass(frozen=True)
-class Bundle:
+class Bundle(Value):
     trails: frozenset[Trail]
+
+    def __init__(self, trails):
+        self.__dict__.update(trails=trails, _key=(trails,))
 
     @property
     def routes(self) -> frozenset[Route]:

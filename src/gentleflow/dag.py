@@ -9,20 +9,21 @@ is a flow on that quiver, traced by the same kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .flows import Flow, decompose_bundle, trace_interval
-from .quiver import DomainError, FringedQuiver, StructuralError, _strip_comment, cyclic_core, incidence
+from .quiver import DomainError, FringedQuiver, StructuralError, Value, _strip_comment, cyclic_core, incidence
 from .trails import Band, SignedArrow, Trail, TrailUniverse
 
 
-@dataclass(frozen=True)
-class FramedDirectedGraph:
+class FramedDirectedGraph(Value):
     vertices: dict[str, str]            # id -> "source" | "sink" | "internal"
     edges: dict[str, tuple[str, str]]   # id -> (tail, head)
     labels: dict[str, int]              # psi: id -> 1 | 2
+
+    def __init__(self, vertices, edges, labels):
+        self.__dict__.update(vertices=vertices, edges=edges, labels=labels, _key=(vertices, edges, labels))
 
     @cached_property
     def _incidence(self):
@@ -131,6 +132,14 @@ def fringed_quiver(g: FramedDirectedGraph) -> FringedQuiver:
 
     Edge and vertex ids are preserved.  Every convenient amply framed graph
     has one, source-to-sink edges included.
+
+    Not validated: both callers, to_fringed_quiver and DagFlow, first check
+    that g is convenient with validate_framed(g) empty, which makes it valid:
+    a fringe vertex (source or sink) has one arrow; an internal v with
+    k-labelled in- and out-edges ik, ok (no loops: one-label cycles) has
+    arrows i1, o2 in, i2, o1 out and relations (i1, i2), (o2, o1); a
+    relation-free composite keeps the label, so a relation-free oriented
+    cycle would be a one-label cycle of g.
     """
     arrows = {}
     for e, (t, h) in g.edges.items():
@@ -147,9 +156,7 @@ def fringed_quiver(g: FramedDirectedGraph) -> FringedQuiver:
             raise DomainError(f"vertex {v} does not produce two relations")
         relation_pairs[v] = (pairs[0], pairs[1])
 
-    f = FringedQuiver(internal, fringe, arrows, relation_pairs)
-    f.validate()
-    return f
+    return FringedQuiver(internal, fringe, arrows, relation_pairs)
 
 
 def from_paired(f: FringedQuiver, psi: dict[str, int]) -> FramedDirectedGraph:
@@ -177,9 +184,13 @@ def from_paired(f: FringedQuiver, psi: dict[str, int]) -> FramedDirectedGraph:
 class DagFlow(Flow):
     """A flow on a framed graph g: a flow on the fringed quiver of g, whose
     arrows are the edges of g.  Conservation at an internal vertex of g then
-    reads "in = out", and g's flows are traced by the quiver kernel."""
+    reads "in = out", and g's flows are traced by the quiver kernel.  A g
+    that is not amply framed is a DomainError."""
 
     def __init__(self, g: FramedDirectedGraph, values: dict[str, Fraction] | None = None):
+        violations = validate_framed(g)
+        if violations:
+            raise DomainError("; ".join(violations))
         self.graph = g
         super().__init__(fringed_quiver(make_convenient(g)), values)
 

@@ -10,12 +10,11 @@ flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .quiver import DomainError, FringedQuiver
+from .quiver import DomainError, FringedQuiver, Record, Value
 from .trails import (
     Band,
     MarkedTrail,
@@ -54,12 +53,14 @@ def format_rational(x: Fraction) -> str:
 
 # -- intervals ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QInterval:
+class QInterval(Value):
     lo: Fraction
     hi: Fraction
-    lo_open: bool = False
-    hi_open: bool = False
+    lo_open: bool
+    hi_open: bool
+
+    def __init__(self, lo, hi, lo_open=False, hi_open=False):
+        self.__dict__.update(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open, _key=(lo, hi, lo_open, hi_open))
 
     def is_empty(self) -> bool:
         return self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open))
@@ -498,9 +499,11 @@ def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, til
 
 # -- bundle decomposition ---------------------------------------------------------
 
-@dataclass
-class BundleCombination:
+class BundleCombination(Record):
     coefficients: dict[Trail, Fraction]
+
+    def __init__(self, coefficients):
+        self.coefficients = coefficients
 
     @property
     def routes(self) -> dict[Route, Fraction]:
@@ -558,10 +561,12 @@ def _verify_combination(values: dict[str, int], lengths: dict[Trail, int]) -> No
 
 # -- vortex decomposition ----------------------------------------------------------
 
-@dataclass
-class VortexDecomposition:
+class VortexDecomposition(Record):
     routes: dict[Route, Fraction]   # the canonical clique combination K_F^+
     vortex: dict[Band, Fraction]    # the canonical vortex as a band combination
+
+    def __init__(self, routes, vortex):
+        self.routes, self.vortex = routes, vortex
 
     def as_json(self):
         return {"routes": _terms(self.routes), "vortex": _terms(self.vortex)}
@@ -579,12 +584,14 @@ def decompose_vortex(F: Flow) -> VortexDecomposition:
 
 # -- blank spaces and splitting strength ---------------------------------------------
 
-@dataclass
-class BlankSpace:
+class BlankSpace(Record):
     arrow: str
     interval: QInterval
     below: MarkedTrail | None   # None = the sentinel {0}
     above: MarkedTrail | None   # None = the sentinel {F(arrow)}
+
+    def __init__(self, arrow, interval, below, above):
+        self.arrow, self.interval, self.below, self.above = arrow, interval, below, above
 
     @property
     def proper(self) -> bool:

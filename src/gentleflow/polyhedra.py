@@ -7,11 +7,10 @@ ones.  No convex-hull engine: everything is read off the combinatorics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .flows import format_rational, trail_counts
-from .quiver import DomainError, FringedQuiver, cyclic_core
+from .quiver import DomainError, FringedQuiver, Record, cyclic_core
 from .trails import (
     Trail,
     elementary_bands,
@@ -28,12 +27,14 @@ def turbulence_dimension(f: FringedQuiver) -> int:
     return len(f.arrows) - len(f.internal_vertices) - 1
 
 
-@dataclass
-class PolyhedronPresentation:
+class PolyhedronPresentation(Record):
     ambient: list[str]                      # coordinate labels
     vertices: list[tuple[Trail, dict]]      # (labelling trail, integer vector)
     rays: list[tuple[Trail, dict]]          # (labelling trail, integer vector)
     dimension: int
+
+    def __init__(self, ambient, vertices, rays, dimension):
+        self.ambient, self.vertices, self.rays, self.dimension = ambient, vertices, rays, dimension
 
     def as_json(self):
         def vec(v):
@@ -139,12 +140,14 @@ def crookedness(f: FringedQuiver, W: set[str]) -> str:
     return "crooked"
 
 
-@dataclass
-class HalfSpace:
+class HalfSpace(Record):
     coeffs: dict[str, Fraction]   # over internal vertices
     relation: str                 # "<=" or ">="
     rhs: Fraction
     form: str                     # "S" or "T"
+
+    def __init__(self, coeffs, relation, rhs, form):
+        self.coeffs, self.relation, self.rhs, self.form = coeffs, relation, rhs, form
 
     def evaluate(self, x: dict[str, Fraction]) -> Fraction:
         return sum((self.coeffs[v] * Q(x.get(v, 0)) for v in self.coeffs), Q(0))

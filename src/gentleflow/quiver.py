@@ -10,7 +10,6 @@ each internal vertex pair the two incoming with the two outgoing arrows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -20,6 +19,36 @@ class StructuralError(ValueError):
 
 class DomainError(ValueError):
     """Operation contract violated (unpaired quiver, bad flow, unknown trail...)."""
+
+
+class Value:
+    """A value class: its fields are its annotated names.  __init__ puts them
+    in ``__dict__`` with ``_key``, the tuple that == (class for class) and
+    hash compare, written out as that is fastest to build (a test checks
+    it); repr lists them; assignment is refused.  No command loads the
+    standard library's record decorator: it cost 20 ms of start-up."""
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__annotations__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} of {type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Record(Value):
+    """A mutable Value: == compares the current fields, and there is no hash."""
+
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _key = property(lambda self: tuple(getattr(self, n) for n in type(self).__annotations__))
 
 
 def incidence(edges: dict[str, tuple[str, str]]) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
@@ -83,11 +112,14 @@ def cyclic_core(nodes, succ) -> set:
     return core
 
 
-@dataclass(frozen=True)
-class GentleQuiver:
+class GentleQuiver(Value):
     vertices: tuple[str, ...]
     arrows: dict[str, tuple[str, str]]          # id -> (tail, head)
     relations: frozenset[tuple[str, str]]       # ordered pairs (a, b), h(a) = t(b)
+
+    def __init__(self, vertices, arrows, relations):
+        self.__dict__.update(vertices=vertices, arrows=arrows, relations=relations,
+                             _key=(vertices, arrows, relations))
 
     def check_structure(self) -> None:
         seen = set(self.vertices)
@@ -149,8 +181,7 @@ def validate_gentle(q: GentleQuiver) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class FringedQuiver:
+class FringedQuiver(Value):
     """A fringed quiver together with its relation pairs at each internal vertex.
 
     ``relation_pairs[v]`` holds the two ordered pairs ((a1, a2), (b1, b2)) that
@@ -162,6 +193,11 @@ class FringedQuiver:
     fringe_vertices: tuple[str, ...]
     arrows: dict[str, tuple[str, str]]
     relation_pairs: dict[str, tuple[tuple[str, str], tuple[str, str]]]
+
+    def __init__(self, internal_vertices, fringe_vertices, arrows, relation_pairs):
+        self.__dict__.update(internal_vertices=internal_vertices, fringe_vertices=fringe_vertices,
+                             arrows=arrows, relation_pairs=relation_pairs,
+                             _key=(internal_vertices, fringe_vertices, arrows, relation_pairs))
 
     # -- the index, built on first use (so malformed input reaches validate) --
 

@@ -8,10 +8,9 @@ kissing/compatibility, the countercurrent order and g-vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .quiver import DomainError, FringedQuiver, cyclic_core
+from .quiver import DomainError, FringedQuiver, Value, cyclic_core
 
 SignedArrow = tuple[str, int]
 Walk = tuple[SignedArrow, ...]
@@ -631,8 +630,7 @@ def g_vector(f: FringedQuiver, t: Trail) -> dict[str, int]:
 
 # -- marked trails and the countercurrent order ----------------------------------
 
-@dataclass(frozen=True)
-class MarkedTrail:
+class MarkedTrail(Value):
     """A trail with one marked signed-arrow occurrence.
 
     walk is a concrete traversal (one period for a band); index points at the
@@ -641,6 +639,9 @@ class MarkedTrail:
     trail: Trail
     walk: Walk
     index: int
+
+    def __init__(self, trail, walk, index):
+        self.__dict__.update(trail=trail, walk=walk, index=index, _key=(trail, walk, index))
 
     def marked(self) -> SignedArrow:
         return self.walk[self.index]

@@ -437,15 +437,21 @@ def test_each_command_reads_its_input_once(tmp_path, capsys, monkeypatch, argv):
 ALL_COMMANDS = FILE_COMMANDS + [("examples", "kronecker")]
 
 
-# run in a fresh interpreter: is argparse loaded once the command is done?
+# run in a fresh interpreter: once the command is done, are argparse,
+# dataclasses, inspect and, but for examples, the fixtures still unloaded?
 PLAIN_RUN = ("import sys\nfrom gentleflow.cli import main\ncode = main(sys.argv[1:])\n"
-             "assert 'argparse' not in sys.modules, 'argparse imported'\nsys.exit(code)")
+             "unwanted = ['argparse', 'dataclasses', 'inspect']\n"
+             "unwanted += ['gentleflow.fixtures'] if sys.argv[1] != 'examples' else []\n"
+             "for name in unwanted:\n"
+             "    assert name not in sys.modules, name + ' imported'\n"
+             "sys.exit(code)")
 
 
 @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=[" ".join(a) for a in ALL_COMMANDS])
 def test_a_command_builds_only_its_own_parser(tmp_path, argv):
     # A plain command line is parsed by its own row of COMMANDS alone: no
-    # argparse parser is built, and argparse is never imported.
+    # argparse parser is built, and argparse is never imported.  Neither
+    # are dataclasses and inspect, nor the fixtures outside examples.
     import os
     import subprocess
     import sys

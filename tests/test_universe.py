@@ -1,25 +1,35 @@
 """The per-quiver trail universe: interned integer trails, Booth
-canonicalisation of bands, and the facts band_stable_cliques hands back."""
+canonicalisation of bands, the facts band_stable_cliques hands back, and
+the value classes that carry trails around."""
 
+import dataclasses
 import json
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction as Q
 from pathlib import Path
 
+import pytest
 from oracles import oracle_band_walk, oracle_walk_key
 
 from gentleflow import cli
-from gentleflow.complexes import band_stable_cliques, band_universe, maximal_cliques
-from gentleflow.fixtures import FIXTURES
-from gentleflow.quiver import parse_quiver_file, serialize_fringed
+from gentleflow.complexes import Bundle, Clique, band_stable_cliques, band_universe, maximal_cliques
+from gentleflow.dag import FramedDirectedGraph
+from gentleflow.fixtures import FIXTURES, fixture_quiver
+from gentleflow.flows import BlankSpace, BundleCombination, QInterval, VortexDecomposition
+from gentleflow.polyhedra import HalfSpace, PolyhedronPresentation
+from gentleflow.quiver import FringedQuiver, GentleQuiver, Record, Value, parse_quiver_file, serialize_fringed
 from gentleflow.trails import (
     Band,
+    MarkedTrail,
     Route,
     enumerate_bands,
+    enumerate_routes,
     inverse_walk,
     least_rotation,
+    trail_key,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +68,92 @@ def test_route_canonical_form_matches_string_order(quiver_pool):
             assert p.walk == min(p.walk, inv, key=oracle_walk_key)
             assert universe.route(universe.word(inv)) is p
             assert Route.of(inv) == p and hash(Route.of(inv)) == hash(p)
+
+
+def value_cases():
+    """(class, fields by keyword in order, a change to a compared field, a
+    change to fields == ignores, frozen?, a cached property or None)."""
+    f = fixture_quiver("kronecker")
+    r1, r2 = sorted(enumerate_routes(f, 3), key=trail_key)[:2]
+    band = min(enumerate_bands(f, 4), key=trail_key)
+    mt, iv = MarkedTrail(r1, r1.walk, 0), QInterval(Q(0), Q(1, 2))
+    return [
+        (GentleQuiver, {"vertices": ("1", "2"), "arrows": {"a": ("1", "2")}, "relations": frozenset()},
+         {"vertices": ("1",)}, {}, True, None),
+        (FringedQuiver, {"internal_vertices": f.internal_vertices, "fringe_vertices": f.fringe_vertices,
+                         "arrows": f.arrows, "relation_pairs": f.relation_pairs},
+         {"arrows": {}}, {}, True, "relations"),
+        (MarkedTrail, {"trail": r1, "walk": r1.walk, "index": 0}, {"index": 1}, {}, True, None),
+        (QInterval, {"lo": Q(0), "hi": Q(1, 2), "lo_open": False, "hi_open": True},
+         {"lo_open": True}, {}, True, None),
+        (BundleCombination, {"coefficients": {r1: Q(1)}}, {"coefficients": {r1: Q(2)}}, {}, False, None),
+        (VortexDecomposition, {"routes": {r1: Q(1)}, "vortex": {band: Q(1)}}, {"vortex": {}}, {}, False, None),
+        (BlankSpace, {"arrow": "a", "interval": iv, "below": None, "above": mt},
+         {"below": mt}, {}, False, None),
+        (Clique, {"routes": frozenset({r1, r2}), "maximal": None, "band_generators": ()},
+         {"routes": frozenset({r1})}, {"maximal": True, "band_generators": (band,)}, True, "members"),
+        (Bundle, {"trails": frozenset({r1, band})}, {"trails": frozenset({r1})}, {}, True, "members"),
+        (FramedDirectedGraph, {"vertices": {"s": "source", "t": "sink"}, "edges": {"e": ("s", "t")},
+                               "labels": {"e": 1}}, {"labels": {"e": 2}}, {}, True, "trail_universe"),
+        (PolyhedronPresentation, {"ambient": ["a"], "vertices": [(r1, {"a": 1})], "rays": [],
+                                  "dimension": 1}, {"dimension": 2}, {}, False, None),
+        (HalfSpace, {"coeffs": {"1": Q(1)}, "relation": "<=", "rhs": Q(0), "form": "S"},
+         {"rhs": Q(1)}, {}, False, None),
+    ]
+
+
+@pytest.mark.parametrize("case", value_cases(), ids=lambda case: case[0].__name__)
+def test_value_classes_keep_their_record_semantics(case):
+    # Each class behaves as the frozen (or eq-only) record it replaces,
+    # rebuilt here as `old` with the same fields; Clique compares its routes only.
+    cls, kw, changed, ignored, frozen, cached = case
+    old = dataclasses.make_dataclass(cls.__name__, [
+        (n, object, dataclasses.field(compare=n not in ignored)) for n in kw], frozen=frozen)
+    x, ref = cls(**kw), old(**kw)
+    assert all(getattr(x, n) is v for n, v in kw.items())
+    assert cls(*kw.values()) == x
+    assert repr(x) == repr(ref)
+    assert x == cls(**kw) and x != cls(**{**kw, **changed})
+    assert x == cls(**{**kw, **ignored}) and x != ref and x.__eq__(ref) is NotImplemented
+    name = next(iter(changed))
+    try:
+        expected = hash(ref)
+    except TypeError:  # a dict field, or a mutable record
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == expected == hash(cls(**{**kw, **ignored}))
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(x, name, changed[name])
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert getattr(x, name) is kw[name]
+    else:
+        setattr(x, name, changed[name])
+        assert x == cls(**{**kw, **changed})
+    if cached:
+        assert getattr(x, cached) is getattr(x, cached) and cached in vars(x)
+
+
+def value_classes(base=Value):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from value_classes(cls)
+
+
+def test_every_value_class_keys_on_its_fields():
+    # A frozen class's __init__ writes its == and hash key by hand: it must
+    # take every annotated field, in order, but the ones a class leaves out
+    # (Clique: maximal, band_generators), and the parameters must be the fields
+    uncompared = {Clique: {"maximal", "band_generators"}}
+    classes = set(value_classes()) - {Record}
+    assert classes == {case[0] for case in value_cases()}
+    for cls in classes:
+        kw = {n: object() for n in cls.__annotations__}
+        x = cls(**kw)
+        assert vars(x).keys() - {"_key"} == kw.keys()
+        assert x._key == tuple(v for n, v in kw.items() if n not in uncompared.get(cls, ()))
 
 
 def test_stable_clique_facts_match_two_passes(quiver_pool):
