@@ -242,11 +242,7 @@ def cmd_cells(args):
 
 def cmd_convert_dag(args):
     g = dag.parse_framed_graph(args.text)
-    violations = dag.validate_framed(g)
-    if violations:
-        raise DomainError("; ".join(violations))
-    g2 = dag.make_convenient(g)
-    f, psi = dag.to_fringed_quiver(g2)
+    f, psi = dag.to_fringed_quiver(g)
     payload = {
         "convenient": dag.is_convenient(g),
         "acyclic": g.is_acyclic(),

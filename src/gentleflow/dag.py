@@ -115,13 +115,19 @@ def make_convenient(g: FramedDirectedGraph) -> FramedDirectedGraph:
 
 
 def to_fringed_quiver(g: FramedDirectedGraph) -> tuple[FringedQuiver, dict[str, int]]:
-    """The fringed quiver of a convenient gently framed graph, and the
-    transported pairing (see `fringed_quiver`)."""
+    """The fringed quiver of the convenient copy of an amply framed graph
+    without source-to-sink edges, and the transported pairing (see
+    `fringed_quiver`).
+
+    Only g is validated: make_convenient splits a source (sink) with k edges
+    into k sources (sinks) with one edge each and drops edgeless ones, which
+    keeps every internal vertex, label and one-label cycle, so the copy is
+    convenient and keeps g's amply-framed verdict.
+    """
     bad = validate_framed(g)
     if bad:
-        raise DomainError("not amply framed: " + "; ".join(bad))
-    if not is_convenient(g):
-        raise DomainError("graph is not convenient (split sources/sinks first)")
+        raise DomainError("; ".join(bad))
+    g = make_convenient(g)
     if not is_gently_framed(g):
         raise DomainError("graph is not gently framed (source-to-sink edge)")
     return fringed_quiver(g), dict(g.labels)
@@ -133,8 +139,8 @@ def fringed_quiver(g: FramedDirectedGraph) -> FringedQuiver:
     Edge and vertex ids are preserved.  Every convenient amply framed graph
     has one, source-to-sink edges included.
 
-    Not validated: both callers, to_fringed_quiver and DagFlow, first check
-    that g is convenient with validate_framed(g) empty, which makes it valid:
+    Not validated: both callers, to_fringed_quiver and DagFlow, pass
+    make_convenient of a graph with validate_framed empty, which is valid:
     a fringe vertex (source or sink) has one arrow; an internal v with
     k-labelled in- and out-edges ik, ok (no loops: one-label cycles) has
     arrows i1, o2 in, i2, o1 out and relations (i1, i2), (o2, o1); a

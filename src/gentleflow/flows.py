@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 
 from .quiver import DomainError, FringedQuiver, Record, Value
@@ -131,17 +132,27 @@ class Flow:
         return self._tiles
 
     @cached_property
+    def int_values(self) -> tuple[int, list[int]]:
+        """(unit, the flow times unit) with unit = 2 * den: the values the
+        tracer steps on, listed by arrow rank (signed-arrow code >> 1).  Tiles
+        and the midpoints tiling probes are integers in 1/unit units."""
+        den, iv = self.scaled()
+        return 2 * den, [2 * iv[a] for a, _e in self.quiver.calculus.universe.signed[::2]]
+
+    @cached_property
     def step_tables(self):
-        """The (forward, backward) tables of the (alpha', beta, beta') data of
-        every signed arrow whose head (tail) is internal."""
+        """The (forward, backward) step tables, indexed by the signed-arrow
+        codes of the quiver's trail universe: None where the head (tail) of
+        the signed arrow is a fringe vertex, else the entry of its (alpha',
+        beta, beta') data that `_branch` reads."""
         f = self.quiver
-        fwd, bwd = {}, {}
-        for a in f.arrows:
-            for eps in (1, -1):
-                if f.is_internal(f.signed_head(a, eps)):
-                    fwd[(a, eps)] = _forward_data(f, a, eps)
-                if f.is_internal(f.signed_tail(a, eps)):
-                    bwd[(a, eps)] = _backward_data(f, a, eps)
+        code = f.calculus.universe.code
+        fwd, bwd = [None] * len(code), [None] * len(code)
+        for (a, eps), c in code.items():
+            if f.is_internal(f.signed_head(a, eps)):
+                fwd[c] = _table_entry(code, *_forward_data(f, a, eps))
+            if f.is_internal(f.signed_tail(a, eps)):
+                bwd[c] = _table_entry(code, *_backward_data(f, a, eps))
         return fwd, bwd
 
     def _validate(self) -> None:
@@ -276,84 +287,92 @@ def trace(F: Flow, sa: SignedArrow, c: Fraction) -> MarkedTrail:
     return mt
 
 
-def _branch(iv: dict[str, int], data, eps: int, value: int):
-    """One Forward (or Back) application on integers, from a^eps with the
-    (alpha', beta, beta') data of its table.
+# The tracer steps on the signed-arrow codes of the quiver's trail universe
+# (a^e has code 2i + (e == -1), i the rank of a) and on the flow scaled to
+# integers, listed by arrow rank.  Each branch shifts every value of a walk
+# by one constant, so a branch bounds the offset d shared by all of them; a
+# bound is one int key: d <= b as 2b and d < b as 2b - 1 (upper keys, met by
+# min), d >= b as 2b and d > b as 2b + 1 (lower keys, met by max).
 
-    Returns (next signed arrow, next value, threshold, upper, strict): the
-    branch taken is the one for values <= threshold (upper, not strict),
-    < (upper, strict), > (lower, strict) or >= (lower, not strict).
+def _table_entry(code: dict[SignedArrow, int], alpha_prime: str, beta: str, beta_prime: str):
+    """(code on the upper branch, code on the lower branch, ranks of alpha'
+    and beta') for the step data (alpha', beta, beta')."""
+    up = code[(alpha_prime, 1)]
+    return up, code[(beta, -1)], up >> 1, code[(beta_prime, 1)] >> 1
+
+
+def _branch(vals: list[int], entry, c: int, value: int):
+    """One Forward (or Back) application on integers, from the code c at
+    `value`, with the table entry of c.
+
+    Returns (next code, next value, key, upper): the branch taken holds for
+    the offsets d of `value` with d <= b (upper, key 2b), d < b (upper, 2b - 1),
+    d > b (lower, 2b + 1) or d >= b (lower, 2b).
     """
-    alpha_prime, beta, beta_prime = data
-    fa = iv[alpha_prime]
-    if eps == 1:
-        if value <= fa:
-            return (alpha_prime, 1), value, fa, True, False
-        return (beta, -1), value - fa, fa, False, True
-    fb = iv[beta_prime]
-    if value + fb < fa:
-        return (alpha_prime, 1), value + fb, fa - fb, True, True
-    return (beta, -1), value + fb - fa, fa - fb, False, False
+    up, low, ia, ib = entry
+    b = vals[ia] - value
+    if c & 1 == 0:
+        if b >= 0:
+            return up, value, 2 * b, True
+        return low, -b, 2 * b + 1, False
+    fb = vals[ib]
+    if b > fb:
+        return up, value + fb, 2 * (b - fb) - 1, True
+    return low, fb - b, 2 * (b - fb), False
 
 
-def _sweep(iv: dict[str, int], table, sa: SignedArrow, start: int):
-    """One direction of the trace of (sa, start), on integer flow values.
+def _sweep(vals: list[int], table, c0: int, start: int):
+    """One direction of the trace of the code c0 at the value start.
 
-    Returns (signed arrows walked after sa, kind, bounds) where kind is
-    "route" (left through the fringe), "band" (back at (sa, start)) or "rho"
-    (revisited another state), and bounds = (lo, lo_open, hi, hi_open) is the
-    interval of start values taking the same branches.  Values stay integers
-    in [0, max F], so there are finitely many (state, value) pairs and the
-    visited set ends every walk; no step cap is needed.
+    Returns (codes walked after c0, kind, lower key, upper key) where kind is
+    "route" (left through the fringe), "band" (back at (c0, start)) or "rho"
+    (revisited another state), and the keys bound the offsets of start
+    taking the same branches.  Values stay integers in [0, max F], so there
+    are finitely many states value * |codes| + code, and the visited set ends
+    every walk; no step cap is needed.
     """
-    lo, lo_open, hi, hi_open = 0, False, iv[sa[0]], False
-    walk: list[SignedArrow] = []
-    state, value, shift = sa, start, 0
-    visited = {(state, value)}
+    n = len(table)
+    low_key, up_key = -2 * start, 2 * (vals[c0 >> 1] - start)
+    walk: list[int] = []
+    c, value = c0, start
+    first = start * n + c0
+    visited = {first}
     while True:
-        data = table.get(state)
-        if data is None:
-            return walk, "route", (lo, lo_open, hi, hi_open)
-        nxt, val, b, upper, strict = _branch(iv, data, state[1], value)
-        b -= shift
+        entry = table[c]
+        if entry is None:
+            return walk, "route", low_key, up_key
+        c, value, key, upper = _branch(vals, entry, c, value)
         if upper:
-            if (b, not strict) < (hi, not hi_open):
-                hi, hi_open = b, strict
-        elif (b, strict) > (lo, lo_open):
-            lo, lo_open = b, strict
-        shift += val - value
-        state, value = nxt, val
-        if (state, value) == (sa, start):
-            return walk, "band", (lo, lo_open, hi, hi_open)
-        if (state, value) in visited:
-            return walk, "rho", (lo, lo_open, hi, hi_open)
-        visited.add((state, value))
-        walk.append(state)
+            if key < up_key:
+                up_key = key
+        elif key > low_key:
+            low_key = key
+        state = value * n + c
+        if state == first:
+            return walk, "band", low_key, up_key
+        if state in visited:
+            return walk, "rho", low_key, up_key
+        visited.add(state)
+        walk.append(c)
 
 
-def _meet(x, y):
-    """Intersection of two intervals given as (lo, lo_open, hi, hi_open)."""
-    hi, hi_closed = min((x[2], not x[3]), (y[2], not y[3]))
-    return (*max(x[:2], y[:2]), hi, not hi_closed)
-
-
-def _trace_ints(iv: dict[str, int], tables, sa: SignedArrow, c: int):
-    """Trace (sa, c) forward, then back.  Returns (walk, index of sa, kind,
-    bounds on the start value); kind is None when the walk never closes."""
-    fwd, kind, bounds = _sweep(iv, tables[0], sa, c)
+def _trace_codes(vals: list[int], tables, c0: int, start: int):
+    """Trace (c0, start) forward, then back.  Returns (code walk, index of
+    c0, kind, lower key, upper key); kind is None when the walk never closes."""
+    fwd, kind, low_key, up_key = _sweep(vals, tables[0], c0, start)
     if kind == "band":
-        return (sa, *fwd), 0, "band", bounds
+        return (c0, *fwd), 0, "band", low_key, up_key
     if kind == "route":
-        bwd, kind, back_bounds = _sweep(iv, tables[1], sa, c)
-        bounds = _meet(bounds, back_bounds)
+        bwd, kind, back_low, back_up = _sweep(vals, tables[1], c0, start)
+        low_key, up_key = max(low_key, back_low), min(up_key, back_up)
         if kind == "route":
-            return (*reversed(bwd), sa, *fwd), len(bwd), "route", bounds
+            return (*reversed(bwd), c0, *fwd), len(bwd), "route", low_key, up_key
     # An eventually-periodic walk whose start is off the cycle, or a Back walk
     # re-entering a cycle (possibly through the start itself, when Back fails
     # to invert a boundary branch): this happens only at isolated values.
-    if bounds[2] > bounds[0]:
+    if (up_key + 1) >> 1 > low_key >> 1:
         raise AssertionError("positive-measure non-closing walk in a rational flow")
-    return None, 0, None, bounds
+    return None, 0, None, low_key, up_key
 
 
 def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
@@ -367,18 +386,20 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     """
     c = parse_rational(c)
     _check_arrow_flow(F, sa, c)
-    den, iv = F.scaled()
+    den, vals = F.int_values        # the trace is the same at every scale
     if den % c.denominator:
         k = c.denominator // gcd(den, c.denominator)
-        den, iv = den * k, {a: v * k for a, v in iv.items()}
-    walk, index, kind, (lo, lo_open, hi, hi_open) = _trace_ints(iv, F.step_tables, sa, int(c * den))
-    interval = QInterval(Q(lo, den), Q(hi, den), lo_open, hi_open)
+        den, vals = den * k, [v * k for v in vals]
+    universe = F.quiver.calculus.universe
+    start = int(c * den)
+    walk, index, kind, low_key, up_key = _trace_codes(vals, F.step_tables, universe.code[sa], start)
+    low_key, up_key = low_key + 2 * start, up_key + 2 * start     # keys on the start value
+    interval = QInterval(Q(low_key >> 1, den), Q((up_key + 1) >> 1, den),
+                         low_key & 1 == 1, up_key & 1 == 1)
     if kind is None:
         return None, interval, Q(0)
-    universe = F.quiver.calculus.universe
-    word = universe.word(walk)
-    trail = universe.band(word) if kind == "band" else universe.route(word)
-    return MarkedTrail(trail, walk, index), interval, interval.length
+    trail = universe.band(walk) if kind == "band" else universe.route(walk)
+    return MarkedTrail(trail, tuple(map(universe.signed.__getitem__, walk)), index), interval, interval.length
 
 
 # -- tiling: one trace per trail orientation ------------------------------------------
@@ -396,32 +417,35 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
     marking of that trail at a start arrow, at once (`_marking_tiles`), so
     each trail orientation is traced once.
     """
-    den, iv = F.scaled()
+    unit, half = F.int_values
     tables = F.step_tables
-    starts = {a: F.start(a) for a in sorted(iv)}
-    half = 2 * den                         # tile midpoints are integers in 1/half units
-    iv2 = {a: 2 * v for a, v in iv.items()}
-    far = max(iv2.values(), default=0) + 1
+    universe = F.quiver.calculus.universe
+    starts = {a: F.start(a) for a in sorted(F.values)}
+    start_codes = {universe.code[sa] for sa in starts.values()}
+    far = max(half, default=0) + 1
     found: dict[str, list] = {k: [] for k in starts}
     covered: dict[str, list[tuple[int, int]]] = {k: [] for k in starts}
-    for k in starts:
-        while (gap := _first_gap(covered[k], iv2[k])) is not None:
+    for k, sa in starts.items():
+        cap = half[universe.code[sa] >> 1]
+        while (gap := _first_gap(covered[k], cap)) is not None:
             mid = (gap[0] + gap[1]) // 2
-            mt, interval, length = trace_interval(F, starts[k], Q(mid, half))
+            mt, interval, length = trace_interval(F, sa, Q(mid, unit))
             if length == 0:
                 covered[k].append((mid, mid))
                 continue
-            tile = (int(interval.lo * half), interval.lo_open,
-                    int(interval.hi * half), interval.hi_open)
-            for j, t in _marking_tiles(iv2, tables, mt.walk, mt.index,
-                                       isinstance(mt.trail, Band), tile, far, starts):
-                a = mt.walk[j][0]
-                if j == mt.index and t != tile:
+            tile = (int(interval.lo * unit), interval.lo_open,
+                    int(interval.hi * unit), interval.hi_open)
+            trail, walk, index = mt.trail, mt.walk, mt.index
+            band = isinstance(trail, Band)
+            for j, t in _marking_tiles(half, tables, universe.word(walk), index,
+                                       band, tile, far, start_codes):
+                a = walk[j][0]
+                if j == index and t != tile:
                     raise AssertionError("re-walk disagrees with the traced tile")
-                if isinstance(mt.trail, Band):
-                    marked = MarkedTrail(mt.trail, mt.walk[j:] + mt.walk[:j], 0)
+                if band:
+                    marked = MarkedTrail(trail, walk[j:] + walk[:j], 0)
                 else:
-                    marked = MarkedTrail(mt.trail, mt.walk, j)
+                    marked = MarkedTrail(trail, walk, j)
                 found[a].append((marked, t))
                 covered[a].append((t[0], t[2]))
     return {k: sorted(ts, key=lambda x: x[1][:2]) for k, ts in found.items()}
@@ -437,64 +461,63 @@ def _first_gap(covered: list[tuple[int, int]], cap: int):
     return (at, cap) if cap > at else None
 
 
-def _marking_tiles(iv: dict[str, int], tables, walk, index: int, band: bool, tile, far: int,
-                   starts: dict[str, SignedArrow]):
+def _marking_tiles(vals: list[int], tables, codes: tuple[int, ...], index: int, band: bool,
+                   tile, far: int, starts: set[int]):
     """The interval of every marking of one traced trail, from a single pass.
 
-    `tile` is the interval of the traced marking walk[index].  The values
-    along the walk are taken at the tile's midpoint, where no branch is tight,
-    and the walk is re-walked with Forward and with Back there.  Every branch
-    bounds the offset shared by all values; the marking at j keeps its
-    trail exactly for the offsets inside its cap [0, F(walk[j])], the Forward
-    bounds after j and the Back bounds up to j (for a band, all Forward
-    bounds of the cycle).  Yields (j, (lo, lo_open, hi, hi_open)) for the
-    positive-length ones among the markings at a start arrow, walk[j] ==
-    starts[arrow of walk[j]]; the values and bounds are walked at every j.
+    `codes` is the traced code walk and `tile` the interval of its marking at
+    `index`.  The values along the walk are taken at the tile's midpoint,
+    where no branch is tight, and the walk is re-walked with Forward and with
+    Back there.  Every branch bounds the offset shared by all values; the
+    marking at j keeps its trail exactly for the offsets inside its cap
+    [0, F(walk[j])], the Forward bounds after j and the Back bounds up to j
+    (for a band, all Forward bounds of the cycle): suffix and prefix min/max
+    of the keys.  Yields (j, (lo, lo_open, hi, hi_open)) for the
+    positive-length ones among the markings at a start code (in `starts`);
+    the values and bounds are walked at every j.  `far` exceeds every value,
+    so the keys +-2 * far bound nothing.
     """
     fwd_table, bwd_table = tables
-    n = len(walk)
+    n = len(codes)
     values: list[int | None] = [None] * n
     values[index] = (tile[0] + tile[2]) // 2
-    unbounded = (-far, False, far, False)
 
-    def bound(table, k: int, j: int):
-        nxt, val, b, upper, strict = _branch(iv, table[walk[k]], walk[k][1], values[k])
-        if values[j] is None:
-            values[j] = val
-        if (nxt, val) != (walk[j], values[j]):
-            raise AssertionError("re-walk leaves the traced trail")
-        b -= values[k]
-        return (-far, False, b, strict) if upper else (b, strict, far, False)
+    def rewalk(table, ks, step: int, lows: list[int], ups: list[int]) -> None:
+        for k in ks:
+            j = (k + step) % n
+            nxt, val, key, upper = _branch(vals, table[codes[k]], codes[k], values[k])
+            if values[j] is None:
+                values[j] = val
+            if nxt != codes[j] or val != values[j]:
+                raise AssertionError("re-walk leaves the traced trail")
+            (ups if upper else lows)[k] = key
 
+    fwd_lows, fwd_ups = [-2 * far] * n, [2 * far] * n
     if band:
-        common = unbounded
-        for k in range(n):
-            common = _meet(common, bound(fwd_table, k, (k + 1) % n))
-        after = before = [common] * n
+        rewalk(fwd_table, range(n), 1, fwd_lows, fwd_ups)
+        lows, ups = [max(fwd_lows)] * n, [min(fwd_ups)] * n
     else:
-        forward_at, back_at = [unbounded] * n, [unbounded] * n
-        for k in range(index, n - 1):
-            forward_at[k] = bound(fwd_table, k, k + 1)
-        for k in range(index, 0, -1):
-            back_at[k] = bound(bwd_table, k, k - 1)
-        for k in range(index):
-            forward_at[k] = bound(fwd_table, k, k + 1)
-        for k in range(index + 1, n):
-            back_at[k] = bound(bwd_table, k, k - 1)
-        after = forward_at[:]                  # suffix meets of the Forward bounds
-        for k in range(n - 2, -1, -1):
-            after[k] = _meet(forward_at[k], after[k + 1])
-        before = back_at[:]                    # prefix meets of the Back bounds
-        for k in range(1, n):
-            before[k] = _meet(before[k - 1], back_at[k])
-    for j in range(n):
-        if starts[walk[j][0]] != walk[j]:
-            continue
-        v = values[j]
-        lo, lo_open, hi, hi_open = _meet(_meet((-v, False, iv[walk[j][0]] - v, False),
-                                               after[j]), before[j])
-        if hi > lo:
-            yield j, (lo + v, lo_open, hi + v, hi_open)
+        back_lows, back_ups = fwd_lows[:], fwd_ups[:]
+        rewalk(fwd_table, range(index, n - 1), 1, fwd_lows, fwd_ups)
+        rewalk(bwd_table, range(index, 0, -1), -1, back_lows, back_ups)
+        rewalk(fwd_table, range(index), 1, fwd_lows, fwd_ups)
+        rewalk(bwd_table, range(index + 1, n), -1, back_lows, back_ups)
+        # suffix meets of the Forward keys, prefix meets of the Back keys
+        lows = list(map(max, list(accumulate(reversed(fwd_lows), max))[::-1],
+                        accumulate(back_lows, max)))
+        ups = list(map(min, list(accumulate(reversed(fwd_ups), min))[::-1],
+                       accumulate(back_ups, min)))
+    for j, c in enumerate(codes):
+        if c in starts:
+            v2 = 2 * values[j]
+            low_key, up_key = lows[j] + v2, ups[j] + v2      # keys on the value at j
+            if low_key < 0:
+                low_key = 0
+            if up_key > 2 * vals[c >> 1]:
+                up_key = 2 * vals[c >> 1]
+            lo, hi = low_key >> 1, (up_key + 1) >> 1
+            if hi > lo:
+                yield j, (lo, low_key & 1 == 1, hi, up_key & 1 == 1)
 
 
 # -- bundle decomposition ---------------------------------------------------------
@@ -607,8 +630,17 @@ class BlankSpace(Record):
         }
 
 
-def _route_tiles(F: Flow, a: str):
-    return [(mt, iv) for mt, iv in F.tiles()[a] if isinstance(mt.trail, Route)]
+def _blank_gaps(F: Flow, a: str):
+    """(below, above, gap) per blank space of arrow a: the marked routes of
+    consecutive route tiles at a (None for the sentinels {0} and {F(a)}) and
+    the gap between them, each built once from the integer tiles."""
+    den, iv = F.scaled()
+    cap = 2 * iv[a]
+    routes = [(mt, t) for mt, t in F.integer_tiles()[a] if isinstance(mt.trail, Route)]
+    below, at, at_open = None, 0, False
+    for above, (lo, lo_open, hi, hi_open) in routes + [(None, (cap, False, cap, False))]:
+        yield below, above, QInterval(Q(at, 2 * den), Q(lo, 2 * den), not at_open, not lo_open)
+        below, at, at_open = above, hi, hi_open
 
 
 def blank_spaces(F: Flow) -> list[BlankSpace]:
@@ -617,48 +649,36 @@ def blank_spaces(F: Flow) -> list[BlankSpace]:
     Sentinels {0} and {F(a)} bound the outermost gaps, so every arrow carries
     one more blank space than it has marked routes in K_F^+.
     """
-    blanks = []
-    for a in sorted(F.quiver.arrows):
-        tiles = _route_tiles(F, a)
-        marks = [None] + [mt for mt, _iv in tiles] + [None]
-        for gap, below, above in zip(_gaps_for(F, a, tiles), marks, marks[1:]):
-            blanks.append(BlankSpace(a, gap, below, above))
-    return blanks
+    return [BlankSpace(a, gap, below, above) for a in sorted(F.quiver.arrows)
+            for below, above, gap in _blank_gaps(F, a)]
 
 
 def splitting_strength(F: Flow, b: Band) -> Fraction:
     """min |J| / N_{B,J} over the blank spaces J split by some marking of B."""
     calc = F.quiver.calculus
-    route_part = {mt.trail for a in sorted(F.quiver.arrows) for mt, _ in _route_tiles(F, a)}
+    route_part = {mt.trail for a in sorted(F.quiver.arrows)
+                  for _below, mt, _gap in _blank_gaps(F, a) if mt is not None}
     for p in route_part:
         if not calc.compatible(b, p):
             raise DomainError(f"band is incompatible with the route {p} of K_F^+")
 
     best: Fraction | None = None
     for a in sorted({x for x, _e in b.walk}):
-        tiles = _route_tiles(F, a)
+        gaps = list(_blank_gaps(F, a))
+        routes = [mt for _below, mt, _gap in gaps[:-1]]
         # count, per blank-space index, the markings of B splitting it
-        counts = [0] * (len(tiles) + 1)
+        counts = [0] * len(gaps)
         for marking in markings_at(b, a, 1):
             below = 0
-            for mt, _iv in tiles:
+            for mt in routes:
                 if countercurrent_compare(F.quiver, mt.viewed_at(a, 1), marking) < 0:
                     below += 1
             counts[below] += 1
-        gaps = _gaps_for(F, a, tiles)
         for j, n in enumerate(counts):
             if n > 0:
-                ratio = gaps[j].length / n
+                ratio = gaps[j][2].length / n
                 if best is None or ratio < best:
                     best = ratio
     if best is None:
         raise DomainError("band uses no arrows")
     return best
-
-
-def _gaps_for(F: Flow, a: str, tiles):
-    lo_pt = QInterval(Q(0), Q(0))
-    hi_pt = QInterval(F[a], F[a])
-    ivs = [lo_pt] + [iv for _mt, iv in tiles] + [hi_pt]
-    return [QInterval(i1.hi, i2.lo, not i1.hi_open, not i2.lo_open)
-            for i1, i2 in zip(ivs, ivs[1:])]

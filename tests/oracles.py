@@ -227,6 +227,167 @@ def oracle_arrow_profile(trace, cap):
     return tiles
 
 
+# -- the name-keyed tiling kernel: the reference for Flow.integer_tiles ---------------
+#
+# Steps look their (alpha', beta, beta') data up by signed arrow, flow values
+# by arrow name, and interval ends are (bound, open) tuples met in tuple order.
+
+def _oracle_step_tables(F):
+    from gentleflow.flows import _backward_data, _forward_data
+    f = F.quiver
+    fwd, bwd = {}, {}
+    for a in f.arrows:
+        for eps in (1, -1):
+            if f.is_internal(f.signed_head(a, eps)):
+                fwd[(a, eps)] = _forward_data(f, a, eps)
+            if f.is_internal(f.signed_tail(a, eps)):
+                bwd[(a, eps)] = _backward_data(f, a, eps)
+    return fwd, bwd
+
+
+def _oracle_branch(iv, data, eps, value):
+    """One Forward (or Back) step: (next signed arrow, next value, threshold,
+    upper, strict) for the branch of values <=, <, > or >= the threshold."""
+    alpha_prime, beta, beta_prime = data
+    fa = iv[alpha_prime]
+    if eps == 1:
+        if value <= fa:
+            return (alpha_prime, 1), value, fa, True, False
+        return (beta, -1), value - fa, fa, False, True
+    fb = iv[beta_prime]
+    if value + fb < fa:
+        return (alpha_prime, 1), value + fb, fa - fb, True, True
+    return (beta, -1), value + fb - fa, fa - fb, False, False
+
+
+def _oracle_sweep(iv, table, sa, start):
+    """(signed arrows walked after sa, "route" | "band" | "rho", bounds on start)."""
+    lo, lo_open, hi, hi_open = 0, False, iv[sa[0]], False
+    walk = []
+    state, value, shift = sa, start, 0
+    visited = {(state, value)}
+    while True:
+        data = table.get(state)
+        if data is None:
+            return walk, "route", (lo, lo_open, hi, hi_open)
+        nxt, val, b, upper, strict = _oracle_branch(iv, data, state[1], value)
+        b -= shift
+        if upper:
+            if (b, not strict) < (hi, not hi_open):
+                hi, hi_open = b, strict
+        elif (b, strict) > (lo, lo_open):
+            lo, lo_open = b, strict
+        shift += val - value
+        state, value = nxt, val
+        if (state, value) == (sa, start):
+            return walk, "band", (lo, lo_open, hi, hi_open)
+        if (state, value) in visited:
+            return walk, "rho", (lo, lo_open, hi, hi_open)
+        visited.add((state, value))
+        walk.append(state)
+
+
+def _oracle_meet(x, y):
+    hi, hi_closed = min((x[2], not x[3]), (y[2], not y[3]))
+    return (*max(x[:2], y[:2]), hi, not hi_closed)
+
+
+def _oracle_trace_ints(iv, tables, sa, c):
+    """(walk, index of sa, kind, bounds on the start value); kind None when
+    the walk never closes."""
+    fwd, kind, bounds = _oracle_sweep(iv, tables[0], sa, c)
+    if kind == "band":
+        return (sa, *fwd), 0, "band", bounds
+    if kind == "route":
+        bwd, kind, back_bounds = _oracle_sweep(iv, tables[1], sa, c)
+        bounds = _oracle_meet(bounds, back_bounds)
+        if kind == "route":
+            return (*reversed(bwd), sa, *fwd), len(bwd), "route", bounds
+    return None, 0, None, bounds
+
+
+def _oracle_marking_tiles(iv, tables, walk, index, band, tile, far, starts):
+    """(j, tile) of the positive-length markings at a start arrow of one
+    traced trail, re-walked at the midpoint of the tile of walk[index]."""
+    n = len(walk)
+    values = [None] * n
+    values[index] = (tile[0] + tile[2]) // 2
+    unbounded = (-far, False, far, False)
+
+    def bound(table, k, j):
+        nxt, val, b, upper, strict = _oracle_branch(iv, table[walk[k]], walk[k][1], values[k])
+        if values[j] is None:
+            values[j] = val
+        assert (nxt, val) == (walk[j], values[j]), "re-walk leaves the traced trail"
+        b -= values[k]
+        return (-far, False, b, strict) if upper else (b, strict, far, False)
+
+    if band:
+        common = unbounded
+        for k in range(n):
+            common = _oracle_meet(common, bound(tables[0], k, (k + 1) % n))
+        after = before = [common] * n
+    else:
+        forward_at, back_at = [unbounded] * n, [unbounded] * n
+        for k in range(index, n - 1):
+            forward_at[k] = bound(tables[0], k, k + 1)
+        for k in range(index, 0, -1):
+            back_at[k] = bound(tables[1], k, k - 1)
+        for k in range(index):
+            forward_at[k] = bound(tables[0], k, k + 1)
+        for k in range(index + 1, n):
+            back_at[k] = bound(tables[1], k, k - 1)
+        after = forward_at[:]
+        for k in range(n - 2, -1, -1):
+            after[k] = _oracle_meet(forward_at[k], after[k + 1])
+        before = back_at[:]
+        for k in range(1, n):
+            before[k] = _oracle_meet(before[k - 1], back_at[k])
+    for j in range(n):
+        if starts[walk[j][0]] != walk[j]:
+            continue
+        v = values[j]
+        lo, lo_open, hi, hi_open = _oracle_meet(
+            _oracle_meet((-v, False, iv[walk[j][0]] - v, False), after[j]), before[j])
+        if hi > lo:
+            yield j, (lo + v, lo_open, hi + v, hi_open)
+
+
+def oracle_tile_markings(F):
+    """Flow.integer_tiles by the name-keyed kernel: each gap probed at its
+    midpoint on the flow in half units, every marking at a start arrow of a
+    positive-length trail tiled from one re-walk."""
+    from gentleflow.flows import _first_gap
+    from gentleflow.trails import Band, MarkedTrail
+    _den, iv = F.scaled()
+    tables = _oracle_step_tables(F)
+    universe = F.quiver.calculus.universe
+    starts = {a: F.start(a) for a in sorted(iv)}
+    iv2 = {a: 2 * v for a, v in iv.items()}
+    far = max(iv2.values(), default=0) + 1
+    found = {k: [] for k in starts}
+    covered = {k: [] for k in starts}
+    for k in starts:
+        while (gap := _first_gap(covered[k], iv2[k])) is not None:
+            mid = (gap[0] + gap[1]) // 2
+            walk, index, kind, tile = _oracle_trace_ints(iv2, tables, starts[k], mid)
+            if kind is None or tile[2] <= tile[0]:
+                covered[k].append((mid, mid))
+                continue
+            word = universe.word(walk)
+            trail = universe.band(word) if kind == "band" else universe.route(word)
+            for j, t in _oracle_marking_tiles(iv2, tables, walk, index, kind == "band",
+                                              tile, far, starts):
+                assert j != index or t == tile, "re-walk disagrees with the traced tile"
+                if isinstance(trail, Band):
+                    marked = MarkedTrail(trail, walk[j:] + walk[:j], 0)
+                else:
+                    marked = MarkedTrail(trail, walk, j)
+                found[walk[j][0]].append((marked, t))
+                covered[walk[j][0]].append((t[0], t[2]))
+    return {k: sorted(ts, key=lambda x: x[1][:2]) for k, ts in found.items()}
+
+
 def _oracle_segment_occurrences(t, cap):
     """Nonempty substring occurrences of t with both flanking signed arrows,
     as (word, prev, next); a band is read cyclically, up to `cap` arrows."""

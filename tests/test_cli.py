@@ -188,6 +188,40 @@ def test_convert_and_dag_decompose(tmp_path, capsys):
                                  {"trail": "e2 f2", "coeff": "1"}]
 
 
+def test_convert_dag_errors_validate_once(tmp_path, capsys, monkeypatch):
+    # convert-dag validates its input graph, not again its convenient copy
+    from gentleflow import dag
+    from gentleflow.fixtures import CUBE_DAG
+    checked = []
+    real = dag.validate_framed
+
+    def counting(g):
+        checked.append(g)
+        return real(g)
+
+    monkeypatch.setattr(dag, "validate_framed", counting)
+    cases = [
+        ("vertex s sink\nvertex t source\nedge a: s -> t label 1\n",
+         "vertex s declared sink but is source; vertex t declared source but is sink"),
+        # s keeps its edges into m after make_convenient splits it
+        (CUBE_DAG + "edge g: s -> t label 1\n",
+         "graph is not gently framed (source-to-sink edge)"),
+        (CUBE_DAG, None),
+    ]
+    for text, message in cases:
+        p = tmp_path / "g.fg"
+        p.write_text(text)
+        checked.clear()
+        code, out, err = run_cli(capsys, "convert-dag", str(p))
+        assert len(checked) == 1
+        if message is None:
+            assert code == 0 and err == ""
+            assert json.loads(out)["payload"]["pairing"] == {"e1": 1, "e2": 2, "f1": 1, "f2": 2}
+        else:
+            assert code == 1 and out == ""
+            assert json.loads(err) == {"error": "DomainError", "message": message}
+
+
 def test_decompose_vortex_flag(kron_file, capsys, tmp_path):
     flow = tmp_path / "composite.json"
     flow.write_text('{"e1": 1, "e2": "6", "e3": 1, "f2": 5}')

@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction as Q
 
+from hypothesis import given, settings, strategies as st
+
 from gentleflow import dag, flows, quiver, trails
 from gentleflow.dag import DagFlow
 from gentleflow.fixtures import fixture_dag, fixture_quiver
 from gentleflow.flows import Flow, QInterval, decompose_bundle, trace_interval
 
-from oracles import oracle_arrow_profile
+from oracles import oracle_arrow_profile, oracle_tile_markings
 
 
 def positive(tiles):
@@ -120,3 +122,49 @@ def test_only_kept_marking_tiles_are_built(monkeypatch):
     monkeypatch.setattr(flows, "_marking_tiles", counting)
     tiles = winding(Q(1), Q(100)).integer_tiles()
     assert len(built) == sum(map(len, tiles.values())) == 202
+
+
+def assert_tiles_match_name_keyed_kernel(F):
+    tiles = F.integer_tiles()
+    assert tiles == oracle_tile_markings(F)
+    assert all(type(t[1]) is bool and type(t[3]) is bool
+               for ts in tiles.values() for _mt, t in ts)
+
+
+def test_integer_tiles_match_name_keyed_kernel_on_pool(quiver_pool):
+    rng = random.Random(14)
+    with_bands = 0
+    for pool in quiver_pool:
+        for integral in (True, False):
+            for _ in range(2):
+                F, coeffs = pool.random_bundle_combination(rng, integral=integral)
+                assert_tiles_match_name_keyed_kernel(F)
+                with_bands += any(isinstance(t, trails.Band) for t in coeffs)
+    assert with_bands > 0
+
+
+def test_integer_tiles_match_name_keyed_kernel_on_windings():
+    for outer, inner in ((1, 1), (1, 100), (1, 400), ("3/2", "2003/13"),
+                         (2**64 + 1, 3 * 2**64 + 5), (2**70, 2**70)):
+        assert_tiles_match_name_keyed_kernel(winding(Q(outer), Q(inner)))
+
+
+def test_integer_tiles_match_name_keyed_kernel_on_dags(perfbench_gen):
+    for n in (3, 8):
+        g = dag.parse_framed_graph(perfbench_gen.doubled_path_dag(n))
+        for seed in range(3):
+            F = DagFlow(g, flows.flow_values(perfbench_gen.dag_flow(seed, n)))
+            assert_tiles_match_name_keyed_kernel(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=12), min_size=4, max_size=4))
+def test_integer_tiles_match_name_keyed_kernel_on_rational_flows(coeffs):
+    # the trails of a maximal bundle of double-kronecker, one a band
+    f = fixture_quiver("double-kronecker")
+    vals: dict[str, Q] = {}
+    for c, text in zip(coeffs, ("e1 e2 e3 e4", "e1 e2 e3 f3^-1 e3 f3^-1 f2^-1 f1^-1",
+                                "f1 f2 f3 f4", "band: e2 e3 f3^-1 f2^-1")):
+        for a, _e in trails.parse_trail(text).walk:
+            vals[a] = vals.get(a, Q(0)) + c
+    assert_tiles_match_name_keyed_kernel(Flow(f, vals))
