@@ -30,15 +30,17 @@ class Clique(Value):
     maximal: bool | None
     band_generators: tuple[Band, ...]
 
-    def __init__(self, routes, maximal=None, band_generators=()):
+    def __init__(self, routes, maximal=None, band_generators=(), members=None):
         self.__dict__.update(routes=routes, maximal=maximal, band_generators=band_generators, _key=(routes,))
+        if members is not None:
+            self.__dict__["members"] = members
 
     def reduced(self) -> "Clique":
         return Clique(frozenset(p for p in self.routes if not is_straight(p)))
 
     @cached_property
     def members(self) -> tuple[Route, ...]:
-        """The routes in trail_key order, sorted once."""
+        """The routes in trail_key order: as the searches build them, else sorted once."""
         return tuple(sorted(self.routes, key=trail_key))
 
     def sorted_routes(self) -> list[Route]:
@@ -51,8 +53,10 @@ class Clique(Value):
 class Bundle(Value):
     trails: frozenset[Trail]
 
-    def __init__(self, trails):
+    def __init__(self, trails, members=None):
         self.__dict__.update(trails=trails, _key=(trails,))
+        if members is not None:
+            self.__dict__["members"] = members
 
     @property
     def routes(self) -> frozenset[Route]:
@@ -67,7 +71,7 @@ class Bundle(Value):
 
     @cached_property
     def members(self) -> tuple[Trail, ...]:
-        """The trails in trail_key order, sorted once."""
+        """The trails in trail_key order: as the search builds them, else sorted once."""
         return tuple(sorted(self.trails, key=trail_key))
 
     def sorted_trails(self) -> list[Trail]:
@@ -88,11 +92,18 @@ def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
                   key=trail_key)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, increasing, a byte at a time."""
+    out, base = [], 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                out.append(base + i)
+        base += 8
+    return out
 
 
 def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list[int]:
@@ -134,7 +145,10 @@ def _bron_kerbosch(adj: list[int]) -> list[int]:
             if not x:
                 cliques.append(r)
             continue
-        pivot = max(_bits(p | x), key=lambda u: (p & adj[u]).bit_count())
+        most = -1
+        for u in _bits(p | x):  # the first u with the most neighbours in p
+            if (n := (p & adj[u]).bit_count()) > most:
+                most, pivot = n, u
         for v in _bits(p & ~adj[pivot]):
             stack.append((r | 1 << v, p & adj[v], x & adj[v]))
             p &= ~(1 << v)
@@ -142,35 +156,35 @@ def _bron_kerbosch(adj: list[int]) -> list[int]:
     return cliques
 
 
-def _members(nodes: list, mask: int) -> frozenset:
-    return frozenset(nodes[i] for i in _bits(mask))
-
-
-def _members_key(k: Clique | Bundle):
-    return tuple(t.sort_key for t in k.members)
+def _in_member_order(straights: list[Route], nodes: list[Trail], masks: list[int]):
+    """(members, j) per bitset masks[j] over nodes, with every straight route
+    added, sorted.  Read as the sorted tuple of its positions in one trail_key
+    order, a mask compares exactly as its members do, prefixes included."""
+    order = sorted(straights + nodes, key=trail_key)
+    at = {t: k for k, t in enumerate(order)}
+    fixed, pos = [at[p] for p in straights], [at[t] for t in nodes]
+    keyed = sorted((tuple(sorted(fixed + [pos[i] for i in _bits(m)])), j) for j, m in enumerate(masks))
+    return [(tuple(map(order.__getitem__, ks)), j) for ks, j in keyed]
 
 
 def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
     """Maximal cliques within the bounded route universe, straight routes included."""
     if route_bound < 1:
         raise DomainError("route_bound must be >= 1")
-    straights = frozenset(straight_routes(f))
     bending = bending_route_universe(f, route_bound)
     cliques = _bron_kerbosch(_compat_rows(f, bending, bending))
-    return sorted((Clique(straights | _members(bending, c)) for c in cliques),
-                  key=_members_key)
+    return [Clique(frozenset(ms), members=ms)
+            for ms, _j in _in_member_order(straight_routes(f), bending, cliques)]
 
 
 def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Bundle]:
     """Maximal bundles within the bounded trail universe, straight routes included."""
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
-    straights = frozenset(straight_routes(f))
     nodes: list[Trail] = list(bending_route_universe(f, route_bound))
     nodes += band_universe(f, band_bound)
     cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
-    return sorted((Bundle(straights | _members(nodes, c)) for c in cliques),
-                  key=_members_key)
+    return [Bundle(frozenset(ms), ms) for ms, _j in _in_member_order(straight_routes(f), nodes, cliques)]
 
 
 def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Clique]:
@@ -198,7 +212,6 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     """
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
-    straights = frozenset(straight_routes(f))
     bending = bending_route_universe(f, route_bound)
     bands = band_universe(f, band_bound)
     rows = _compat_rows(f, bending, bending)
@@ -207,7 +220,7 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     # (ext, ok) per candidate; forced | t, t nonempty, extends the candidate without
     # t's lowest route, visited before it since submasks go in increasing order
     acc: dict[int, tuple[int, int]] = {}
-    stable = []
+    stable, facts = [], []  # per stable clique: its bitset; (maximal, band generators)
     for m in _bron_kerbosch(rows):
         forced, ext, ok = 0, (1 << len(bending)) - 1, (1 << len(bands)) - 1
         while unkillable := [q for q in _bits(m & ~forced) if not ok & ~band_rows[q]]:
@@ -229,9 +242,10 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
                 ext, ok = ext & rows[v], ok & band_rows[v]
             acc[s] = ext, ok
             if all(ok & ~band_rows[q] for q in _bits(ext)):
-                stable.append(Clique(straights | _members(bending, s), s == m,
-                                     tuple(bands[b] for b in _bits(ok))))
-    return sorted(stable, key=_members_key)
+                stable.append(s)
+                facts.append((s == m, tuple(bands[b] for b in _bits(ok))))
+    return [Clique(frozenset(ms), *facts[j], ms)
+            for ms, j in _in_member_order(straight_routes(f), bending, stable)]
 
 
 def distinguished_arrows(f: FringedQuiver, bundle: Bundle, p: Trail) -> set[str]:

@@ -618,7 +618,7 @@ class BlankSpace(Record):
 
     @property
     def proper(self) -> bool:
-        return self.interval.length > 0
+        return self.interval.lo < self.interval.hi
 
     def as_json(self):
         return {

@@ -204,7 +204,7 @@ def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
 
     Complete when f is representation-finite and the bound is at least |E|.
     Depth-first on codes with an explicit stack of continuation iterators, so
-    no recursion limit applies.
+    no recursion limit applies; cut as self_compatible_routes is, kiss aside.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
@@ -212,7 +212,7 @@ def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     lazy, cont = calc.lazy, calc.cont
     found: set[Route] = set()
     walk: list[int] = []
-    stack = [iter([c for c in range(len(lazy)) if lazy[c ^ 1] is None])]
+    stack = [iter(calc.onward([c for c in range(len(lazy)) if lazy[c ^ 1] is None], max_arrows - 1))]
     while stack:
         c = next(stack[-1], None)
         if c is None:
@@ -223,10 +223,9 @@ def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
         walk.append(c)
         if lazy[c] is None:
             found.add(calc.universe.route(tuple(walk)))
-        elif len(walk) < max_arrows:
-            stack.append(iter(cont[c]))
-            continue
-        walk.pop()
+            walk.pop()
+        else:
+            stack.append(iter(calc.onward(cont[c], max_arrows - len(walk) - 1, walk[0])))
     return found
 
 
@@ -330,6 +329,43 @@ class TrailCalculus:
         rank = {v: r - len(self._inner) for r, v in enumerate(self._inner)}
         heads = (f.signed_head(a, e) for a, e in self.universe.signed)
         return [(rank[v],) if v in rank else None for v in heads]
+
+    @cached_property
+    def to_end(self) -> list[int | None]:
+        """to_end[c]: the fewest codes after c on a string that ends at a
+        fringe head (None if none does), breadth first back from the end codes
+        e (lazy[e] is None).  A string inverts, so the codes that may come just
+        before c are the y ^ 1, y in cont[c ^ 1]."""
+        dist = [0 if z is None else None for z in self.lazy]
+        queue = [e for e, d in enumerate(dist) if d == 0]
+        for e in queue:  # it grows as it is read
+            for y in self.cont[e ^ 1]:
+                if dist[y ^ 1] is None:
+                    dist[y ^ 1] = dist[e] + 1
+                    queue.append(y ^ 1)
+        return dist
+
+    @cached_property
+    def last_start(self) -> list[int]:
+        """last_start[c]: the greatest e ^ 1 over the end codes e reachable
+        from c (-1 if none is).  The ends are searched back by decreasing e ^ 1,
+        each as a search forward from e ^ 1 that sets y ^ 1 per code y reached;
+        the first search to reach a code sets it, and later ones stop there."""
+        last = [-1] * len(self.cont)
+        for s in reversed(range(len(last))):
+            todo = [s] if self.lazy[s ^ 1] is None else []
+            while todo:
+                y = todo.pop()
+                if last[y ^ 1] < 0:
+                    last[y ^ 1] = s
+                    todo += self.cont[y]
+        return last
+
+    def onward(self, codes, room: int, first: int | None = None) -> list[int]:
+        """The codes c of `codes` that a prefix with first code `first` (c at
+        the root) may take: last_start[c] >= first and to_end[c] <= room."""
+        last, to_end = self.last_start, self.to_end
+        return [c for c in codes if last[c] >= (c if first is None else first) and to_end[c] <= room]
 
     @cached_property
     def family(self) -> list[int | None]:
@@ -436,6 +472,13 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     stays flanked in every extension, and the witnesses of a route are all
     shorter than it, so no cap excludes one.  Appending a forward arrow adds
     only tops, a backward arrow only bottoms.
+
+    Two more cuts (calc.onward) drop the next code c of a prefix of length l
+    and first code s (c at the root) when l + 1 + to_end[c] > max_arrows, as
+    no route through c is that short, or when last_start[c] < s.  A route from
+    s to an end e passes the second cut if e ^ 1 >= s, as its codes all reach
+    e, else its inverse walk, from e ^ 1 to s ^ 1, does.  That walk is the same
+    route, as long, with the same canonical witnesses: no cut stops it.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
@@ -447,7 +490,7 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
     tops: set = set()
     bottoms: set = set()
     added = []  # per arrow of walk: (the set it added to, what it added)
-    stack = [iter([c for c in range(len(lazy)) if lazy[c ^ 1] is None])]
+    stack = [iter(calc.onward([c for c in range(len(lazy)) if lazy[c ^ 1] is None], max_arrows - 1))]
     while stack:
         c = next(stack[-1], None)
         if c is None:
@@ -469,8 +512,8 @@ def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
             found.add(route)
             # the prefix witnesses are the route's: spare kiss computing them again
             calc._tb.setdefault(route, (set(tops), set(bottoms)))
-        elif len(walk) < max_arrows:
-            stack.append(iter(cont[c]))
+        else:  # the cuts leave room for c's continuation
+            stack.append(iter(calc.onward(cont[c], max_arrows - len(walk) - 1, walk[0])))
             added.append((mine, new))
             continue
         walk, inv = walk[:-1], inv[1:]

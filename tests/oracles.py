@@ -665,3 +665,9 @@ def oracle_s_coefficients(f, W):
             total += Q(after, on_route) - Q(1, 2)
         out[v] = total
     return out
+
+
+def oracle_members_key(k):
+    """The order of the lists of cliques and bundles: by the tuple of the
+    sort keys of their members, in trail_key order."""
+    return tuple(t.sort_key for t in k.members)

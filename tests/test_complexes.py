@@ -5,6 +5,7 @@ import pytest
 from gentleflow import complexes, trails
 from gentleflow.complexes import (
     Bundle,
+    Clique,
     avoided_arrows,
     band_stable_cliques,
     distinguished_arrows,
@@ -225,6 +226,24 @@ def test_band_stable_matches_subset_oracle(quiver_pool):
         got = band_stable_cliques(f, pool.route_bound, pool.band_bound)
         assert len(got) == len(set(got))
         assert set(got) == oracle_band_stable_cliques(f, pool.route_bound, pool.band_bound)
+
+
+def test_cliques_come_in_member_order(quiver_pool):
+    # each list is sorted by its members' sort keys, members in trail_key
+    # order, also where one clique's members are a prefix of another's
+    from oracles import oracle_members_key
+
+    cases = [(pool.quiver, pool.route_bound, pool.band_bound) for pool in quiver_pool]
+    cases += [(fixture_quiver("kronecker"), 8, 4), (fixture_quiver("double-kronecker"), 12, 8)]
+    prefixes = 0
+    for f, rb, bb in cases:
+        for ks in (maximal_cliques(f, rb), maximal_bundles(f, rb, bb), band_stable_cliques(f, rb, bb)):
+            assert ks == sorted(ks, key=oracle_members_key)
+            for k in ks:
+                assert k.members == tuple(sorted(k.routes if isinstance(k, Clique) else k.trails,
+                                                 key=trails.trail_key))
+            prefixes += sum(a.members == b.members[:len(a.members)] for a, b in zip(ks, ks[1:]))
+    assert prefixes
 
 
 def test_band_stable_rejects_bounds_below_one():

@@ -168,3 +168,17 @@ def test_integer_tiles_match_name_keyed_kernel_on_rational_flows(coeffs):
         for a, _e in trails.parse_trail(text).walk:
             vals[a] = vals.get(a, Q(0)) + c
     assert_tiles_match_name_keyed_kernel(Flow(f, vals))
+
+
+def test_blank_space_proper_is_positive_length(quiver_pool):
+    rng = random.Random(15)
+    cases = [winding(Q(outer), Q(inner))
+             for outer, inner in (("1", "1001/7"), ("3/2", "2003/13"), ("2/3", "5/7"))]
+    cases += [pool.random_bundle_combination(rng, integral=integral)[0]
+              for pool in quiver_pool for integral in (True, False)]
+    seen = set()
+    for F in cases:
+        for b in flows.blank_spaces(F):
+            assert b.proper == (b.interval.length > 0)
+            seen.add(b.proper)
+    assert seen == {True, False}
