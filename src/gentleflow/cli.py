@@ -204,11 +204,9 @@ def cmd_vertices(args):
 
 def cmd_rays(args):
     f = _load_quiver(args.text)
-    turb = polyhedra.turbulence_presentation(f)
-    gpoly = polyhedra.g_polyhedron_presentation(f)
     payload = {
-        "turbulence_rays": turb.as_json()["rays"],
-        "g_polyhedron": gpoly.as_json(),
+        "turbulence_rays": polyhedra.labelled_vectors_json(polyhedra.turbulence_rays(f)),
+        "g_polyhedron": polyhedra.g_polyhedron_presentation(f).as_json(),
     }
     _report(args, payload)
     return 0
@@ -395,8 +393,11 @@ def main(argv=None) -> int:
     except (DomainError, StructuralError, OSError, UnicodeError, json.JSONDecodeError) as exc:
         # OSError and UnicodeError come from reading or writing a given path
         err = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(err, sort_keys=True), file=sys.stderr)
-        return 1
+    except MemoryError:
+        # reported after the handler, which drops the traceback and with it the partial results
+        err = {"error": "MemoryError", "message": "out of memory"}
+    print(json.dumps(err, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -36,7 +36,9 @@ class Clique(Value):
             self.__dict__["members"] = members
 
     def reduced(self) -> "Clique":
-        return Clique(frozenset(p for p in self.routes if not is_straight(p)))
+        """The clique without its straight routes, its members kept in order."""
+        members = tuple(p for p in self.members if not is_straight(p))
+        return Clique(frozenset(members), members=members)
 
     @cached_property
     def members(self) -> tuple[Route, ...]:
@@ -67,7 +69,9 @@ class Bundle(Value):
         return frozenset(t for t in self.trails if isinstance(t, Band))
 
     def reduced(self) -> "Bundle":
-        return Bundle(frozenset(t for t in self.trails if not is_straight(t)))
+        """The bundle without its straight routes, its members kept in order."""
+        members = tuple(t for t in self.members if not is_straight(t))
+        return Bundle(frozenset(members), members)
 
     @cached_property
     def members(self) -> tuple[Trail, ...]:

@@ -143,16 +143,18 @@ class Flow:
     def step_tables(self):
         """The (forward, backward) step tables, indexed by the signed-arrow
         codes of the quiver's trail universe: None where the head (tail) of
-        the signed arrow is a fringe vertex, else the entry of its (alpha',
-        beta, beta') data that `_branch` reads."""
-        f = self.quiver
-        code = f.calculus.universe.code
-        fwd, bwd = [None] * len(code), [None] * len(code)
-        for (a, eps), c in code.items():
-            if f.is_internal(f.signed_head(a, eps)):
-                fwd[c] = _table_entry(code, *_forward_data(f, a, eps))
-            if f.is_internal(f.signed_tail(a, eps)):
-                bwd[c] = _table_entry(code, *_backward_data(f, a, eps))
+        the code is a fringe vertex, else (code on the upper branch, code on
+        the lower branch, ranks of alpha' and beta'), the entry `_branch`
+        reads.  Forward at the head of c goes on to cont[c], with alpha' the
+        forward successor and beta' c's relation partner; Back at the tail
+        of c is Forward at the head of c ^ 1 with alpha' and beta swapped."""
+        calc = self.quiver.calculus
+        fwd, bwd = [None] * len(calc.cont), [None] * len(calc.cont)
+        for c, nxt in enumerate(calc.cont):
+            if nxt:
+                up, low = nxt
+                fwd[c] = up, low, up >> 1, calc.partner[c]
+                bwd[c ^ 1] = low ^ 1, up ^ 1, low >> 1, calc.partner[c]
         return fwd, bwd
 
     def _validate(self) -> None:
@@ -293,13 +295,6 @@ def trace(F: Flow, sa: SignedArrow, c: Fraction) -> MarkedTrail:
 # by one constant, so a branch bounds the offset d shared by all of them; a
 # bound is one int key: d <= b as 2b and d < b as 2b - 1 (upper keys, met by
 # min), d >= b as 2b and d > b as 2b + 1 (lower keys, met by max).
-
-def _table_entry(code: dict[SignedArrow, int], alpha_prime: str, beta: str, beta_prime: str):
-    """(code on the upper branch, code on the lower branch, ranks of alpha'
-    and beta') for the step data (alpha', beta, beta')."""
-    up = code[(alpha_prime, 1)]
-    return up, code[(beta, -1)], up >> 1, code[(beta_prime, 1)] >> 1
-
 
 def _branch(vals: list[int], entry, c: int, value: int):
     """One Forward (or Back) application on integers, from the code c at

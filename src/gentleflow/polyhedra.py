@@ -37,24 +37,31 @@ class PolyhedronPresentation(Record):
         self.ambient, self.vertices, self.rays, self.dimension = ambient, vertices, rays, dimension
 
     def as_json(self):
-        def vec(v):
-            return {k: str(x) for k, x in sorted(v.items())}
         return {
             "ambient": list(self.ambient),
             "dimension": self.dimension,
-            "vertices": [{"trail": str(t), "vector": vec(v)} for t, v in self.vertices],
-            "rays": [{"trail": str(t), "vector": vec(v)} for t, v in self.rays],
+            "vertices": labelled_vectors_json(self.vertices),
+            "rays": labelled_vectors_json(self.rays),
         }
+
+
+def labelled_vectors_json(pairs: list[tuple[Trail, dict]]) -> list[dict]:
+    """(labelling trail, vector) pairs as JSON, each coordinate a string."""
+    return [{"trail": str(t), "vector": {k: str(x) for k, x in sorted(v.items())}} for t, v in pairs]
+
+
+def turbulence_rays(f: FringedQuiver) -> list[tuple[Trail, dict]]:
+    """The recession rays of the turbulence polyhedron: the indicators of
+    the elementary bands."""
+    return [(b, trail_counts(f, b)) for b in elementary_bands(f)]
 
 
 def turbulence_presentation(f: FringedQuiver) -> PolyhedronPresentation:
     """Vertices are indicators of elementary routes; rays of elementary bands."""
-    verts = [(p, trail_counts(f, p)) for p in elementary_routes(f)]
-    rays = [(b, trail_counts(f, b)) for b in elementary_bands(f)]
     return PolyhedronPresentation(
         ambient=sorted(f.arrows),
-        vertices=verts,
-        rays=rays,
+        vertices=[(p, trail_counts(f, p)) for p in elementary_routes(f)],
+        rays=turbulence_rays(f),
         dimension=turbulence_dimension(f),
     )
 

@@ -214,30 +214,6 @@ class FringedQuiver(Value):
         return frozenset(p for pair in self.relation_pairs.values() for p in pair)
 
     @cached_property
-    def _continuations(self) -> dict[tuple[str, int], list[tuple[str, int]]]:
-        rels = self.relations
-        table = {}
-        for a in self.arrows:
-            for eps in (1, -1):
-                v = self.signed_head(a, eps)
-                out: list[tuple[str, int]] = []
-                if v in self._internal:
-                    for b in self.arrows_out(v):
-                        if eps == 1 and (a, b) in rels:
-                            continue
-                        if eps == -1 and b == a:
-                            continue  # a^-1 a backtrack
-                        out.append((b, 1))
-                    for b in self.arrows_in(v):
-                        if eps == 1 and b == a:
-                            continue  # a a^-1 backtrack
-                        if eps == -1 and (b, a) in rels:
-                            continue  # (a^-1)(b^-1) = (ba)^-1 crosses the relation ba
-                        out.append((b, -1))
-                table[(a, eps)] = out
-        return table
-
-    @cached_property
     def calculus(self):
         """The per-quiver trail universe and cache of kissing data."""
         from .trails import TrailCalculus
@@ -279,8 +255,10 @@ class FringedQuiver(Value):
         return self.tail(a) if eps == 1 else self.head(a)
 
     def string_continuations(self, a: str, eps: int) -> list[tuple[str, int]]:
-        """Signed arrows x^z such that a^eps x^z is a string (at most one per sign)."""
-        return self._continuations[(a, eps)]
+        """Signed arrows x^z such that a^eps x^z is a string (at most one per
+        sign): the calculus's table cont, decoded."""
+        u = self.calculus.universe
+        return [u.signed[d] for d in self.calculus.cont[u.code[(a, eps)]]]
 
     def validate(self) -> None:
         """Check the fringed-quiver axioms; raise DomainError on failure."""
@@ -431,8 +409,7 @@ def find_pairing(f: FringedQuiver) -> dict[str, int] | None:
 
 def is_representation_finite(f: FringedQuiver) -> bool:
     """True iff no band exists: the signed-arrow transition graph is acyclic."""
-    nodes = [(a, e) for a in f.arrows for e in (1, -1)]
-    return not cyclic_core(nodes, lambda n: f.string_continuations(*n))
+    return not f.calculus.on_cycle
 
 
 # -- quiver file format ------------------------------------------------------

@@ -28,18 +28,22 @@ def parse_walk(text: str) -> Walk:
     return tuple((t[:-3], -1) if t.endswith("^-1") else (t, 1) for t in text.split())
 
 
-def is_string(f: FringedQuiver, w: Walk) -> bool:
-    """The four string conditions: known arrows, composability, no relation
-    crossing, no immediate backtrack."""
+def _string_codes(f: FringedQuiver, w: Walk) -> tuple[int, ...] | None:
+    """The code word of w when w is a string of f, else None; the known-arrow
+    check raises.  A continuation leaves the head of the code before it, so
+    membership in cont also checks composability."""
     for a, _e in w:
         if a not in f.arrows:
             raise DomainError(f"unknown arrow id {a}")
-    for (a, e), (b, z) in zip(w, w[1:]):
-        if f.signed_head(a, e) != f.signed_tail(b, z):
-            return False
-        if (b, z) not in f.string_continuations(a, e):
-            return False
-    return True
+    calc = f.calculus
+    word, cont = calc.universe.word(w), calc.cont
+    return word if all(d in cont[c] for c, d in zip(word, word[1:])) else None
+
+
+def is_string(f: FringedQuiver, w: Walk) -> bool:
+    """The four string conditions: known arrows, composability, no relation
+    crossing, no immediate backtrack."""
+    return _string_codes(f, w) is not None
 
 
 # -- Routes and bands ---------------------------------------------------------
@@ -182,8 +186,9 @@ def parse_trail(text: str) -> Trail:
 
 
 def is_route_walk(f: FringedQuiver, w: Walk) -> bool:
-    return (bool(w) and is_string(f, w) and not f.is_internal(f.signed_tail(*w[0]))
-            and not f.is_internal(f.signed_head(*w[-1])))
+    word = _string_codes(f, w) if w else None
+    lazy = f.calculus.lazy
+    return bool(word) and lazy[word[0] ^ 1] is None and lazy[word[-1]] is None
 
 
 def _is_primitive(w: tuple) -> bool:
@@ -192,11 +197,8 @@ def _is_primitive(w: tuple) -> bool:
 
 
 def is_band_walk(f: FringedQuiver, w: Walk) -> bool:
-    if not w or not is_string(f, w):
-        return False
-    if f.signed_head(*w[-1]) != f.signed_tail(*w[0]):
-        return False
-    return w[0] in f.string_continuations(*w[-1]) and _is_primitive(w)
+    word = _string_codes(f, w) if w else None
+    return bool(word) and word[0] in f.calculus.cont[word[-1]] and _is_primitive(w)
 
 
 def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
@@ -238,8 +240,7 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
     calc = f.calculus
-    cont = calc.cont
-    on_cycle = cyclic_core(range(len(cont)), cont.__getitem__)
+    cont, on_cycle = calc.cont, calc.on_cycle
     found: set[Band] = set()
     for start in sorted(on_cycle):
         walk = [start]
@@ -305,30 +306,45 @@ def _flanked_witnesses(u: tuple[int, ...], lazy, right_flanks, cap: int):
     return tops, bottoms
 
 
+def _vertex_tables(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[str]):
+    """(cont, lazy, family, partner), indexed by signed-arrow code, from one
+    pass over the relation pairs ((a1, a2), (b1, b2)) at each internal vertex
+    v, the vertex of rank r in `inner`.  The codes with head v are a1, a2^-1
+    (family S, 0) and b1, b2^-1 (family T, 1).  A code c of family S goes on
+    to b2 or b1^-1 and one of T to a2 or a1^-1: cont[c] is that (forward,
+    backward) pair, () at a fringe head.  lazy[c] is the lazy witness (r -
+    |V_int|,) at v, partner[c] the rank of the other arrow of c's own
+    relation pair; both, like family[c], are None at a fringe head."""
+    n = len(code)
+    cont: list[tuple[int, ...]] = [()] * n
+    lazy: list[tuple[int] | None] = [None] * n
+    family: list[int | None] = [None] * n
+    partner: list[int | None] = [None] * n
+    for r, v in enumerate(inner, -len(inner)):
+        (a1, a2), (b1, b2) = f.relation_pairs[v]
+        s, t = (code[(a1, 1)], code[(a2, -1)]), (code[(b1, 1)], code[(b2, -1)])
+        for fam, (x, y), (x2, y2) in ((0, s, t), (1, t, s)):
+            for c, other in ((x, y), (y, x)):
+                cont[c], lazy[c], family[c], partner[c] = (y2 ^ 1, x2 ^ 1), (r,), fam, other >> 1
+    return cont, lazy, family, partner
+
+
 class TrailCalculus:
-    """Per-quiver trail universe, straight routes, substring data and kissing."""
+    """Per-quiver trail universe, straight routes, substring data and kissing.
+
+    cont, lazy, family and partner are the code tables of _vertex_tables."""
 
     def __init__(self, f: FringedQuiver):
         self.f = f
         self.universe = TrailUniverse(f.arrows)
         self._inner = sorted(f.internal_vertices)
         self._tb: dict = {}
-
-    # The tables are built on first use: decomposition only interns trails.
-
-    @cached_property
-    def cont(self) -> list[tuple[int, ...]]:
-        """cont[c]: string_continuations of the signed arrow with code c, as codes."""
-        return [self.universe.word(self.f.string_continuations(*s)) for s in self.universe.signed]
+        self.cont, self.lazy, self.family, self.partner = _vertex_tables(f, self.universe.code, self._inner)
 
     @cached_property
-    def lazy(self) -> list[tuple[int] | None]:
-        """lazy[c]: the lazy witness at the head of the signed arrow with code
-        c, None when that head is a fringe vertex (so lazy[c ^ 1] is at its tail)."""
-        f = self.f
-        rank = {v: r - len(self._inner) for r, v in enumerate(self._inner)}
-        heads = (f.signed_head(a, e) for a, e in self.universe.signed)
-        return [(rank[v],) if v in rank else None for v in heads]
+    def on_cycle(self) -> set[int]:
+        """The codes on cycles of the transition graph cont: those of bands."""
+        return cyclic_core(range(len(self.cont)), self.cont.__getitem__)
 
     @cached_property
     def to_end(self) -> list[int | None]:
@@ -366,19 +382,6 @@ class TrailCalculus:
         the root) may take: last_start[c] >= first and to_end[c] <= room."""
         last, to_end = self.last_start, self.to_end
         return [c for c in codes if last[c] >= (c if first is None else first) and to_end[c] <= room]
-
-    @cached_property
-    def family(self) -> list[int | None]:
-        """family[c]: the family, S (0) or T (1), of the junctions that code c
-        opens at its internal head v: S when c enters v via a1 or backwards
-        via a2, (a1, a2) the first relation pair at v; None at a fringe head."""
-        f = self.f
-
-        def of(a, e):
-            (a1, a2), _ = f.relation_pairs[f.signed_head(a, e)]
-            return 0 if (a, e) in ((a1, 1), (a2, -1)) else 1
-
-        return [of(*s) if z else None for s, z in zip(self.universe.signed, self.lazy)]
 
     def witness(self, s: tuple[int, ...]):
         """A code witness as a walk, or as ("lazy", v) for a lazy string."""
@@ -651,7 +654,15 @@ def elementary_bands(f: FringedQuiver) -> list[Band]:
 
 
 def is_straight(t: Trail) -> bool:
-    return isinstance(t, Route) and len({e for _a, e in t.walk}) == 1
+    """A route whose codes all have one parity: all forward or all backward.
+    A plain loop: twice as fast as a set of signs, and all() over a generator."""
+    if not isinstance(t, Route) or not t.codes:
+        return False
+    r = t.codes[0] & 1
+    for c in t.codes:
+        if c & 1 != r:
+            return False
+    return True
 
 
 def straight_routes(f: FringedQuiver) -> list[Route]:

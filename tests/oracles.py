@@ -229,8 +229,10 @@ def oracle_arrow_profile(trace, cap):
 
 # -- the name-keyed tiling kernel: the reference for Flow.integer_tiles ---------------
 #
-# Steps look their (alpha', beta, beta') data up by signed arrow, flow values
-# by arrow name, and interval ends are (bound, open) tuples met in tuple order.
+# Steps look their (alpha', beta, beta') data up by signed arrow, decoded by
+# flows._forward_data from the relation pairs apart from the calculus's code
+# tables; flow values by arrow name, and interval ends are (bound, open)
+# tuples met in tuple order.
 
 def _oracle_step_tables(F):
     from gentleflow.flows import _backward_data, _forward_data
@@ -671,3 +673,43 @@ def oracle_members_key(k):
     """The order of the lists of cliques and bundles: by the tuple of the
     sort keys of their members, in trail_key order."""
     return tuple(t.sort_key for t in k.members)
+
+
+def oracle_lidskii_volume(g):
+    """The normalized volume of the unit flow polytope of a framed DAG g, by
+    the Lidskii formula (Baldoni-Vergne 2008; Meszaros-Morales 2019): the
+    sources merge into s and the sinks into t, d_v = indeg(v) - 1 at each
+    internal v (edges from s counted), and the volume is the number of
+    nonnegative integer flows on G - s with outflow - inflow = d_v at each
+    internal v, t taking the rest.  Counted by a memoized dynamic program
+    over the internal vertices in topological order; nothing here reads the
+    quiver side of the bridge."""
+    from functools import lru_cache
+
+    internal = [v for v, kind in sorted(g.vertices.items()) if kind == "internal"]
+    preds = {v: {t for t, h in g.edges.values() if h == v and t in internal} for v in internal}
+    order = []
+    while len(order) < len(internal):
+        ready = [v for v in internal if v not in order and preds[v] <= set(order)]
+        if not ready:
+            raise ValueError("the internal vertices lie on an oriented cycle")
+        order += ready
+    at = {v: i for i, v in enumerate(order)}
+    d = [sum(1 for _t, h in g.edges.values() if h == v) - 1 for v in order]
+    outs = [[at.get(h) for t, h in g.edges.values() if t == v] for v in order]  # None: into t
+
+    @lru_cache(maxsize=None)
+    def count(i, inflow):  # inflow: what order[i:] receive from order[:i]
+        if i == len(order):
+            return 1
+        total = inflow[0] + d[i]
+        n = 0
+        for split in (_compositions(total, len(outs[i])) if total >= 0 else ()):
+            rest = list(inflow[1:])
+            for x, j in zip(split, outs[i]):
+                if j is not None:
+                    rest[j - i - 1] += x
+            n += count(i + 1, tuple(rest))
+        return n
+
+    return count(0, (0,) * len(order))

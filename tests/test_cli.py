@@ -544,3 +544,27 @@ def test_one_command_parser_parses_like_the_full_one(argv):
 def test_plain_reader_leaves_other_lines_to_argparse(argv):
     from gentleflow.cli import _plain_parse
     assert _plain_parse(argv) is None
+
+
+def test_running_out_of_memory_is_a_json_error(kron_file):
+    # A child process caps its own address space at 200 MB; the long route
+    # listing exceeds it within a few seconds.  The error contract holds:
+    # exit 1, one JSON error on stderr, no traceback.
+    resource = pytest.importorskip("resource")
+    import os
+    import subprocess
+    import sys
+    import gentleflow
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
+
+    src = os.path.dirname(os.path.dirname(gentleflow.__file__))
+    run = subprocess.run([sys.executable, "-m", "gentleflow.cli", "routes", kron_file, "--max-arrows", "800"],
+                         capture_output=True, text=True, preexec_fn=cap, timeout=300,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    (line,) = run.stderr.splitlines()
+    assert json.loads(line) == {"error": "MemoryError", "message": "out of memory"}
+    assert run.stdout == ""

@@ -137,6 +137,20 @@ def test_double_kronecker_band_stable():
     assert got == expected
 
 
+def test_reduced_keeps_the_parent_member_order(quiver_pool):
+    # a reduced clique or bundle takes its parent's members, straight routes
+    # left out, in the parent's order; that order is still trail_key order
+    for pool in quiver_pool[:10]:
+        f = pool.quiver
+        for parent in maximal_cliques(f, pool.route_bound) + pool.bundles:
+            red = parent.reduced()
+            assert red.members == tuple(t for t in parent.members if not trails.is_straight(t))
+            assert list(red.members) == sorted(red.members, key=trails.trail_key)
+            assert red == type(parent)(frozenset(red.members))
+        for p in pool.routes:  # straight: one sign along the walk
+            assert trails.is_straight(p) == (len({e for _a, e in p.walk}) == 1)
+
+
 def test_distinguished_arrows_examples():
     f = fixture_quiver("kronecker")
     se, sf, band = R("e1 e2 e3"), R("f1 f2 f3"), B("e2 f2^-1")

@@ -1,0 +1,23 @@
+"""The benchmark's tiny runs (perfbench/run.py --tiny) check every payload
+against the digests recorded in perfbench/reference.json, so a change that
+alters a report fails here, not only in a timed benchmark run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["flow-decompose", "clique-search", "structure-reports"])
+def test_tiny_benchmark_payloads_match_the_reference(workload):
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+                          "--seconds", "0", "--tiny"], cwd=ROOT, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    summary = json.loads(run.stdout.splitlines()[-1])
+    assert summary["correct"] is True, run.stdout
+    assert summary["failed"] == 0, run.stdout

@@ -1,0 +1,41 @@
+"""The paper's main theorem, checked by oracles that share no code with the
+kiss: maximal cliques index a unimodular triangulation of the flow polytope.
+So each maximal clique's bending g-vectors form a unimodular basis, and on a
+framed DAG the maximal cliques are as many as the polytope's normalized
+volume, which the Lidskii formula counts."""
+
+import pytest
+
+from gentleflow import dag, quiver
+from gentleflow.cli import default_route_bound
+from gentleflow.complexes import maximal_cliques
+from gentleflow.fixtures import DAG_FIXTURES
+from gentleflow.polyhedra import unimodularity_check
+
+from oracles import oracle_lidskii_volume
+
+
+def test_every_maximal_clique_is_unimodular(quiver_pool):
+    checked = 0
+    for pool in quiver_pool:
+        f = pool.quiver
+        if not quiver.is_representation_finite(f):
+            continue
+        for k in maximal_cliques(f, default_route_bound(f)):
+            assert unimodularity_check(f, k.sorted_routes()), k.as_json()
+            checked += 1
+    assert checked == 483  # over 32 representation-finite quivers
+
+
+# each framed DAG with its known volume: doubled_path_dag(n) has (n + 1)!
+# maximal cliques, the square flow polytope of cube-dag 2
+VOLUMES = [("doubled_path_dag", 2, 6), ("doubled_path_dag", 3, 24), ("doubled_path_dag", 4, 120),
+           ("doubled_path_dag", 5, 720), ("cube-dag", None, 2), ("difdagc-dag", None, 5)]
+
+
+@pytest.mark.parametrize("name, n, volume", VOLUMES, ids=[f"{name}-{n}" for name, n, _v in VOLUMES])
+def test_maximal_cliques_count_the_lidskii_volume(perfbench_gen, name, n, volume):
+    g = dag.parse_framed_graph(DAG_FIXTURES[name] if n is None else perfbench_gen.doubled_path_dag(n))
+    assert oracle_lidskii_volume(g) == volume
+    f, _psi = dag.to_fringed_quiver(g)
+    assert len(maximal_cliques(f, default_route_bound(f))) == volume

@@ -1,8 +1,8 @@
 import pytest
 
-from gentleflow import cli, trails
-from gentleflow.fixtures import fixture_quiver
-from gentleflow.quiver import DomainError, FringedQuiver
+from gentleflow import cli, dag, trails
+from gentleflow.fixtures import DAG_FIXTURES, fixture_quiver
+from gentleflow.quiver import DomainError, FringedQuiver, fringe, parse_quiver_file
 from gentleflow.trails import (
     Band,
     Route,
@@ -56,6 +56,20 @@ def test_is_string_matches_oracle(quiver_pool):
             walk = tuple((rng.choice(arrows), rng.choice((1, -1)))
                          for _ in range(rng.randint(1, 4)))
             assert is_string(f, walk) == oracle_is_string(f, walk)
+
+
+def test_string_continuations_match_oracle_on_every_pair(quiver_pool, doubled_a5, perfbench_gen):
+    # y continues x exactly when x y is a string, read off the relation set
+    quivers = [pool.quiver for pool in quiver_pool] + [doubled_a5]
+    quivers.append(fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(1, 300))))
+    quivers += [dag.to_fringed_quiver(dag.parse_framed_graph(text))[0]
+                for text in (perfbench_gen.doubled_path_dag(3), DAG_FIXTURES["difdagc-dag"])]
+    for f in quivers:
+        signed = [(a, e) for a in f.arrows for e in (1, -1)]
+        for x in signed:
+            nxt = f.string_continuations(*x)
+            assert len(set(nxt)) == len(nxt)
+            assert set(nxt) == {y for y in signed if oracle_is_string(f, (x, y))}
 
 
 def test_enumerate_routes_kronecker_bound4():
