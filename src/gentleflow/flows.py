@@ -100,16 +100,9 @@ class Flow:
                 raise DomainError(f"flow value on unknown arrow {a}")
             vals[a] = parse_rational(x)
         self.values = vals
-        self._scaled: tuple[int, dict[str, int]] | None = None
         self._integer_tiles: dict[str, list[tuple[MarkedTrail, tuple]]] | None = None
         self._tiles: dict[str, list[tuple[MarkedTrail, QInterval]]] | None = None
         self._validate()
-
-    def scaled(self) -> tuple[int, dict[str, int]]:
-        """(common denominator, integer flow values): tracing runs on ints."""
-        if self._scaled is None:
-            self._scaled = scale_to_integers(self.values)
-        return self._scaled
 
     def start(self, a: str) -> SignedArrow:
         """The signed arrow whose arrow-flows tile [0, F(a)]."""
@@ -125,19 +118,21 @@ class Flow:
     def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
         """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at start(a)."""
         if self._tiles is None:
-            half = 2 * self.scaled()[0]
-            self._tiles = {k: [(mt, QInterval(Q(lo, half), Q(hi, half), lo_open, hi_open))
+            unit = self.int_values[0]
+            self._tiles = {k: [(mt, QInterval(Q(lo, unit), Q(hi, unit), lo_open, hi_open))
                                for mt, (lo, lo_open, hi, hi_open) in ts]
                            for k, ts in self.integer_tiles().items()}
         return self._tiles
 
     @cached_property
     def int_values(self) -> tuple[int, list[int]]:
-        """(unit, the flow times unit) with unit = 2 * den: the values the
-        tracer steps on, listed by arrow rank (signed-arrow code >> 1).  Tiles
-        and the midpoints tiling probes are integers in 1/unit units."""
-        den, iv = self.scaled()
-        return 2 * den, [2 * iv[a] for a, _e in self.quiver.calculus.universe.signed[::2]]
+        """(unit, the flow times unit) with unit = 2 * den, den the common
+        denominator of the flow: the values the tracer steps on, listed by
+        arrow rank (signed-arrow code >> 1).  Tiles and the midpoints tiling
+        probes are integers in 1/unit units."""
+        vals = [self.values[a] for a, _e in self.quiver.calculus.universe.signed[::2]]
+        unit = 2 * lcm(*(x.denominator for x in vals), 1)
+        return unit, [x.numerator * (unit // x.denominator) for x in vals]
 
     @cached_property
     def step_tables(self):
@@ -210,74 +205,48 @@ def flow_values(data) -> dict[str, Fraction]:
     return {a: parse_rational(x) for a, x in data.items()}
 
 
-def scale_to_integers(values: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
-    """(common denominator d, the values times d as ints)."""
-    den = lcm(*(x.denominator for x in values.values()), 1)
-    return den, {a: int(x * den) for a, x in values.items()}
-
-
 # -- Forward / Back -------------------------------------------------------------
 
-def _forward_data(f: FringedQuiver, a: str, eps: int):
-    """The arrows (alpha', beta, beta') governing Forward at the head of a^eps."""
-    v = f.signed_head(a, eps)
-    if not f.is_internal(v):
-        raise DomainError("boundary reached")
-    p1, p2 = f.relation_pairs[v]
-    if eps == 1:
-        mine, other = (p1, p2) if p1[0] == a else (p2, p1)
-        beta_prime = mine[1]       # a . beta' is the relation through a
-        beta, alpha_prime = other  # beta . alpha' is the other relation
-    else:
-        mine, other = (p1, p2) if p1[1] == a else (p2, p1)
-        beta_prime = mine[0]       # beta' . a is the relation into a
-        beta, alpha_prime = other
-    return alpha_prime, beta, beta_prime
-
-
-def _backward_data(f: FringedQuiver, a: str, eps: int):
-    """The arrows governing Back at the tail of a^eps: those of Forward at the
-    head of a^-eps, the same vertex, with alpha' and beta swapped."""
-    alpha_prime, beta, beta_prime = _forward_data(f, a, -eps)
-    return beta, alpha_prime, beta_prime
-
-
-def _step(F: Flow, sa: SignedArrow, c: Fraction, data_fn):
-    """One Forward (or Back) application.
-
-    Returns (next signed arrow, next value, constraint) where the constraint
-    (op, bound) describes on the *current* value the branch that fired.
-    """
+def _signed_code(F: Flow, sa: SignedArrow) -> int:
+    """The code of a signed arrow of F's quiver in its trail universe."""
     a, eps = sa
-    alpha_prime, beta, beta_prime = data_fn(F.quiver, a, eps)
-    fa, fb = F[alpha_prime], F[beta_prime]
-    if eps == 1:
-        if c <= fa:
-            return (alpha_prime, 1), c, ("le", fa)
-        return (beta, -1), c - fa, ("gt", fa)
-    if c + fb < fa:
-        return (alpha_prime, 1), c + fb, ("lt", fa - fb)
-    return (beta, -1), c + fb - fa, ("ge", fa - fb)
+    if a not in F.quiver.arrows:
+        raise DomainError(f"unknown arrow {a}")
+    if eps not in (1, -1):
+        raise DomainError(f"the sign of an arrow is 1 or -1, not {eps!r}")
+    return F.quiver.calculus.universe.code[sa]
+
+
+def _rescaled(F: Flow, c: Fraction) -> tuple[int, list[int], int]:
+    """(unit, flow values, c), all as ints in 1/unit units: F.int_values,
+    scaled up when c needs a finer unit.  The trace is the same at every scale."""
+    unit, vals = F.int_values
+    if unit % c.denominator:
+        k = c.denominator // gcd(unit, c.denominator)
+        unit, vals = unit * k, [v * k for v in vals]
+    return unit, vals, c.numerator * (unit // c.denominator)
+
+
+def _apply(F: Flow, sa: SignedArrow, c, table: int) -> tuple[SignedArrow, Fraction]:
+    """One step of the tracer's `_branch` on the step table F.step_tables[table]."""
+    c = parse_rational(c)
+    code = _signed_code(F, sa)
+    entry = F.step_tables[table][code]
+    if entry is None:
+        raise DomainError("boundary reached")
+    unit, vals, value = _rescaled(F, c)
+    nxt, val, _key, _upper = _branch(vals, entry, code, value)
+    return F.quiver.calculus.universe.signed[nxt], Q(val, unit)
 
 
 def forward(F: Flow, sa: SignedArrow, c: Fraction) -> tuple[SignedArrow, Fraction]:
-    """Forward on exact rationals: the reference for the integer sweep."""
-    nxt, val, _ = _step(F, sa, c, _forward_data)
-    return nxt, val
+    """Forward at the head of sa on the arrow-flow (sa, c)."""
+    return _apply(F, sa, c, 0)
 
 
 def backward(F: Flow, sa: SignedArrow, c: Fraction) -> tuple[SignedArrow, Fraction]:
-    """Back on exact rationals: the reference for the integer sweep."""
-    nxt, val, _ = _step(F, sa, c, _backward_data)
-    return nxt, val
-
-
-def _check_arrow_flow(F: Flow, sa: SignedArrow, c: Fraction) -> None:
-    a, _eps = sa
-    if a not in F.quiver.arrows:
-        raise DomainError(f"unknown arrow {a}")
-    if not (0 <= c <= F[a]):
-        raise DomainError(f"value {c} outside [0, F({a})={F[a]}]")
+    """Back at the tail of sa on the arrow-flow (sa, c)."""
+    return _apply(F, sa, c, 1)
 
 
 def trace(F: Flow, sa: SignedArrow, c: Fraction) -> MarkedTrail:
@@ -380,16 +349,14 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     back to exact bounds on the start value.
     """
     c = parse_rational(c)
-    _check_arrow_flow(F, sa, c)
-    den, vals = F.int_values        # the trace is the same at every scale
-    if den % c.denominator:
-        k = c.denominator // gcd(den, c.denominator)
-        den, vals = den * k, [v * k for v in vals]
+    code = _signed_code(F, sa)
+    if not (0 <= c <= F[sa[0]]):
+        raise DomainError(f"value {c} outside [0, F({sa[0]})={F[sa[0]]}]")
+    unit, vals, start = _rescaled(F, c)
     universe = F.quiver.calculus.universe
-    start = int(c * den)
-    walk, index, kind, low_key, up_key = _trace_codes(vals, F.step_tables, universe.code[sa], start)
+    walk, index, kind, low_key, up_key = _trace_codes(vals, F.step_tables, code, start)
     low_key, up_key = low_key + 2 * start, up_key + 2 * start     # keys on the start value
-    interval = QInterval(Q(low_key >> 1, den), Q((up_key + 1) >> 1, den),
+    interval = QInterval(Q(low_key >> 1, unit), Q((up_key + 1) >> 1, unit),
                          low_key & 1 == 1, up_key & 1 == 1)
     if kind is None:
         return None, interval, Q(0)
@@ -548,17 +515,16 @@ def _terms(coeffs: dict[Trail, Fraction]) -> list[dict]:
 def trail_coefficients(F: Flow) -> dict[Trail, Fraction]:
     """Each trail's coefficient: the common length of the tiles of its
     markings, checked to add up to the flow."""
-    den, iv = F.scaled()
-    half = 2 * den
-    lengths: dict[Trail, int] = {}            # in units of 1/half, like the tiles
+    unit, vals = F.int_values
+    lengths: dict[Trail, int] = {}            # in units of 1/unit, like the tiles
     for arrow_tiles in F.integer_tiles().values():
         for mt, (lo, _lo_open, hi, _hi_open) in arrow_tiles:
             prev = lengths.setdefault(mt.trail, hi - lo)
             if prev != hi - lo:
                 raise AssertionError(f"inconsistent coefficient for {mt.trail}: "
-                                     f"{Q(prev, half)} vs {Q(hi - lo, half)}")
-    _verify_combination({a: 2 * v for a, v in iv.items()}, lengths)
-    return {t: Q(n, half) for t, n in lengths.items()}
+                                     f"{Q(prev, unit)} vs {Q(hi - lo, unit)}")
+    _verify_combination(vals, lengths)
+    return {t: Q(n, unit) for t, n in lengths.items()}
 
 
 def decompose_bundle(F: Flow) -> BundleCombination:
@@ -566,13 +532,13 @@ def decompose_bundle(F: Flow) -> BundleCombination:
     return BundleCombination(trail_coefficients(F))
 
 
-def _verify_combination(values: dict[str, int], lengths: dict[Trail, int]) -> None:
+def _verify_combination(values: list[int], lengths: dict[Trail, int]) -> None:
     """Assert that the trails, with these coefficients, add up to the flow
-    `values` (per arrow or edge, both in one integer unit)."""
-    total = dict.fromkeys(values, 0)
+    `values` (by arrow rank, both in one integer unit)."""
+    total = [0] * len(values)
     for t, n in lengths.items():
-        for a, _e in t.walk:
-            total[a] += n
+        for c in t.codes:
+            total[c >> 1] += n
     if total != values:
         raise AssertionError("bundle combination does not reconstruct the flow")
 
@@ -629,12 +595,12 @@ def _blank_gaps(F: Flow, a: str):
     """(below, above, gap) per blank space of arrow a: the marked routes of
     consecutive route tiles at a (None for the sentinels {0} and {F(a)}) and
     the gap between them, each built once from the integer tiles."""
-    den, iv = F.scaled()
-    cap = 2 * iv[a]
+    unit, vals = F.int_values
+    cap = vals[F.quiver.calculus.universe.code[(a, 1)] >> 1]
     routes = [(mt, t) for mt, t in F.integer_tiles()[a] if isinstance(mt.trail, Route)]
     below, at, at_open = None, 0, False
     for above, (lo, lo_open, hi, hi_open) in routes + [(None, (cap, False, cap, False))]:
-        yield below, above, QInterval(Q(at, 2 * den), Q(lo, 2 * den), not at_open, not lo_open)
+        yield below, above, QInterval(Q(at, unit), Q(lo, unit), not at_open, not lo_open)
         below, at, at_open = above, hi, hi_open
 
 

@@ -251,9 +251,6 @@ class FringedQuiver(Value):
     def signed_head(self, a: str, eps: int) -> str:
         return self.head(a) if eps == 1 else self.tail(a)
 
-    def signed_tail(self, a: str, eps: int) -> str:
-        return self.tail(a) if eps == 1 else self.head(a)
-
     def string_continuations(self, a: str, eps: int) -> list[tuple[str, int]]:
         """Signed arrows x^z such that a^eps x^z is a string (at most one per
         sign): the calculus's table cont, decoded."""

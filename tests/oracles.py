@@ -3,6 +3,7 @@ library's own code paths."""
 
 from fractions import Fraction as Q
 from itertools import product
+from math import lcm
 
 
 def oracle_is_string(f, walk) -> bool:
@@ -229,22 +230,53 @@ def oracle_arrow_profile(trace, cap):
 
 # -- the name-keyed tiling kernel: the reference for Flow.integer_tiles ---------------
 #
-# Steps look their (alpha', beta, beta') data up by signed arrow, decoded by
-# flows._forward_data from the relation pairs apart from the calculus's code
-# tables; flow values by arrow name, and interval ends are (bound, open)
-# tuples met in tuple order.
+# Steps look their (alpha', beta, beta') data up by signed arrow, decoded from
+# the relation pairs apart from the calculus's code tables and Flow.step_tables;
+# flow values by arrow name, and interval ends are (bound, open) tuples met in
+# tuple order.
+
+def oracle_forward_data(f, a, eps):
+    """The arrows (alpha', beta, beta') governing Forward at the head of a^eps."""
+    from gentleflow.quiver import DomainError
+    v = f.signed_head(a, eps)
+    if not f.is_internal(v):
+        raise DomainError("boundary reached")
+    p1, p2 = f.relation_pairs[v]
+    if eps == 1:
+        mine, other = (p1, p2) if p1[0] == a else (p2, p1)
+        beta_prime = mine[1]       # a . beta' is the relation through a
+        beta, alpha_prime = other  # beta . alpha' is the other relation
+    else:
+        mine, other = (p1, p2) if p1[1] == a else (p2, p1)
+        beta_prime = mine[0]       # beta' . a is the relation into a
+        beta, alpha_prime = other
+    return alpha_prime, beta, beta_prime
+
+
+def oracle_backward_data(f, a, eps):
+    """The arrows governing Back at the tail of a^eps: those of Forward at the
+    head of a^-eps, the same vertex, with alpha' and beta swapped."""
+    alpha_prime, beta, beta_prime = oracle_forward_data(f, a, -eps)
+    return beta, alpha_prime, beta_prime
+
 
 def _oracle_step_tables(F):
-    from gentleflow.flows import _backward_data, _forward_data
     f = F.quiver
     fwd, bwd = {}, {}
     for a in f.arrows:
         for eps in (1, -1):
             if f.is_internal(f.signed_head(a, eps)):
-                fwd[(a, eps)] = _forward_data(f, a, eps)
-            if f.is_internal(f.signed_tail(a, eps)):
-                bwd[(a, eps)] = _backward_data(f, a, eps)
+                fwd[(a, eps)] = oracle_forward_data(f, a, eps)
+            if f.is_internal(f.signed_head(a, -eps)):
+                bwd[(a, eps)] = oracle_backward_data(f, a, eps)
     return fwd, bwd
+
+
+def oracle_step(F, sa, c, data_fn):
+    """One Forward (data_fn = oracle_forward_data) or Back
+    (oracle_backward_data) application on exact rationals, by arrow name."""
+    nxt, val, *_ = _oracle_branch(F.values, data_fn(F.quiver, *sa), sa[1], c)
+    return nxt, val
 
 
 def _oracle_branch(iv, data, eps, value):
@@ -361,7 +393,8 @@ def oracle_tile_markings(F):
     positive-length trail tiled from one re-walk."""
     from gentleflow.flows import _first_gap
     from gentleflow.trails import Band, MarkedTrail
-    _den, iv = F.scaled()
+    den = lcm(*(x.denominator for x in F.values.values()), 1)
+    iv = {a: int(x * den) for a, x in F.values.items()}
     tables = _oracle_step_tables(F)
     universe = F.quiver.calculus.universe
     starts = {a: F.start(a) for a in sorted(iv)}

@@ -21,7 +21,7 @@ from gentleflow.flows import (
 from gentleflow.quiver import DomainError
 from gentleflow.trails import Band, Route, parse_walk
 
-from oracles import solve_nonneg_band_combination
+from oracles import oracle_backward_data, oracle_forward_data, oracle_step, solve_nonneg_band_combination
 
 
 def R(text):
@@ -114,6 +114,69 @@ def test_forward_boundary_errors():
         forward(F, ("ap", 1), Q(0))  # head is fringe
     with pytest.raises(DomainError):
         backward(F, ("a", 1), Q(0))  # tail is fringe
+
+
+# the single-vertex flow's arrow-flows at which each stepping function is defined
+STEPS = [(forward, ("a", 1)), (backward, ("ap", 1)), (trace_interval, ("a", 1))]
+STEP_IDS = ["forward", "backward", "trace_interval"]
+
+
+@pytest.mark.parametrize("fn", [fn for fn, _sa in STEPS], ids=STEP_IDS)
+def test_stepping_an_unknown_arrow_is_a_domain_error(fn):
+    _f, F = singlevertex_flow()
+    with pytest.raises(DomainError, match="unknown arrow zz"):
+        fn(F, ("zz", 1), Q(0))
+
+
+@pytest.mark.parametrize("fn, sa", STEPS, ids=STEP_IDS)
+def test_stepping_with_a_sign_other_than_one_or_minus_one_is_a_domain_error(fn, sa):
+    _f, F = singlevertex_flow()
+    for eps in (0, 2, -2):
+        with pytest.raises(DomainError, match="sign"):
+            fn(F, (sa[0], eps), Q(0))
+
+
+@pytest.mark.parametrize("fn, sa", STEPS, ids=STEP_IDS)
+def test_stepping_rejects_a_float_value(fn, sa):
+    _f, F = singlevertex_flow()
+    with pytest.raises(DomainError, match="not an exact rational"):
+        fn(F, sa, 0.5)
+
+
+@pytest.mark.parametrize("fn, sa", STEPS, ids=STEP_IDS)
+def test_stepping_reads_a_rational_string(fn, sa):
+    _f, F = singlevertex_flow()
+    assert fn(F, sa, "1/2") == fn(F, sa, Q(1, 2))
+
+
+def test_forward_backward_match_the_name_keyed_oracle(quiver_pool):
+    # At 0, F(a)/2, F(a), F(a) k/97 and one value outside [0, F(a)], which
+    # Forward and Back accept too: the code-table step agrees with the step
+    # decoded by name from the relation pairs, boundary errors included.
+    rng = random.Random(97)
+    cases = boundary = 0
+    for pool in quiver_pool:
+        f = pool.quiver
+        for _ in range(3):
+            F, _ = pool.random_bundle_combination(rng)
+            for a in sorted(f.arrows):
+                out = Q(rng.randint(1, 40), rng.randint(2, 9))
+                values = (Q(0), F[a] / 2, F[a], F[a] * Q(rng.randint(1, 96), 97),
+                          F[a] + out if rng.random() < 0.5 else -out)
+                for c in values:
+                    for eps in (1, -1):
+                        for fn, data_fn in ((forward, oracle_forward_data),
+                                            (backward, oracle_backward_data)):
+                            cases += 1
+                            try:
+                                want = oracle_step(F, (a, eps), c, data_fn)
+                            except DomainError:
+                                boundary += 1
+                                with pytest.raises(DomainError, match="boundary reached"):
+                                    fn(F, (a, eps), c)
+                                continue
+                            assert fn(F, (a, eps), c) == want, (a, eps, c)
+    assert cases >= 5000 and 0 < boundary < cases
 
 
 def test_mirror_equivalence(quiver_pool):

@@ -4,6 +4,8 @@ So each maximal clique's bending g-vectors form a unimodular basis, and on a
 framed DAG the maximal cliques are as many as the polytope's normalized
 volume, which the Lidskii formula counts."""
 
+from itertools import product
+
 import pytest
 
 from gentleflow import dag, quiver
@@ -39,3 +41,28 @@ def test_maximal_cliques_count_the_lidskii_volume(perfbench_gen, name, n, volume
     assert oracle_lidskii_volume(g) == volume
     f, _psi = dag.to_fringed_quiver(g)
     assert len(maximal_cliques(f, default_route_bound(f))) == volume
+
+
+# each framed DAG with the number of {1, 2} edge labellings that frame it amply
+FRAMINGS = [("doubled_path_dag", 2, 8), ("doubled_path_dag", 3, 16), ("doubled_path_dag", 4, 32),
+            ("cube-dag", None, 4), ("difdagc-dag", None, 8)]
+
+
+@pytest.mark.parametrize("name, n, framings", FRAMINGS,
+                         ids=[f"{name}-{n}" for name, n, _k in FRAMINGS])
+def test_maximal_cliques_do_not_depend_on_the_framing(perfbench_gen, name, n, framings):
+    # The flow polytope of a DAG does not depend on its framing
+    # (Danilov-Karzanov-Koshevoy 2012), so every ample framing of it has as
+    # many maximal cliques as the Lidskii volume.
+    g = dag.parse_framed_graph(DAG_FIXTURES[name] if n is None else perfbench_gen.doubled_path_dag(n))
+    volume = oracle_lidskii_volume(g)
+    edges = sorted(g.edges)
+    counted = 0
+    for labels in product((1, 2), repeat=len(edges)):
+        h = dag.FramedDirectedGraph(g.vertices, g.edges, dict(zip(edges, labels)))
+        if dag.validate_framed(h):
+            continue
+        f, _psi = dag.to_fringed_quiver(h)
+        assert len(maximal_cliques(f, default_route_bound(f))) == volume, labels
+        counted += 1
+    assert counted == framings
