@@ -1,13 +1,14 @@
 """Compatibility graphs, maximal cliques and bundles, band-stable cliques.
 
 Straight routes are compatible with every trail, so every maximal clique or
-bundle contains them all; the search happens on bending trails only and the
-straight routes are re-attached afterwards.
-"""
+bundle contains them all.  The searches run on one trail_key order of the
+trails, straight routes included: read low bit up, a clique's bitset lists
+its members in order."""
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .quiver import DomainError, FringedQuiver, Value
 from .trails import (
@@ -24,65 +25,53 @@ from .trails import (
 )
 
 
-class Clique(Value):
-    routes: frozenset[Route]
-    # set by band_stable_cliques, not compared: is it maximal, its compatible bands
-    maximal: bool | None
-    band_generators: tuple[Band, ...]
+class _Members:
+    """What Clique and Bundle share.  A search builds one from its members in
+    trail_key order alone (_of): its set field and key are made on first use."""
 
-    def __init__(self, routes, maximal=None, band_generators=(), members=None):
-        self.__dict__.update(routes=routes, maximal=maximal, band_generators=band_generators, _key=(routes,))
-        if members is not None:
-            self.__dict__["members"] = members
+    members = cached_property(lambda self: tuple(sorted(self._key[0], key=trail_key)))
+    _key = cached_property(lambda self: (frozenset(self.members),))
 
-    def reduced(self) -> "Clique":
-        """The clique without its straight routes, its members kept in order."""
-        members = tuple(p for p in self.members if not is_straight(p))
-        return Clique(frozenset(members), members=members)
+    @classmethod
+    def _of(cls, members, **facts):
+        v = cls.__new__(cls)
+        v.__dict__.update(facts, members=members)
+        return v
 
-    @cached_property
-    def members(self) -> tuple[Route, ...]:
-        """The routes in trail_key order: as the searches build them, else sorted once."""
-        return tuple(sorted(self.routes, key=trail_key))
-
-    def sorted_routes(self) -> list[Route]:
-        return list(self.members)
+    def reduced(self):
+        """The value without its straight routes, its members kept in order."""
+        return self._of(tuple(t for t in self.members if not is_straight(t)))
 
     def as_json(self):
-        return [str(p) for p in self.members]
+        return [str(t) for t in self.members]
 
 
-class Bundle(Value):
+class Clique(_Members, Value):
+    routes: frozenset[Route]
+    # set by band_stable_cliques, not compared: is it maximal, its compatible bands
+    maximal: bool | None = None
+    band_generators: tuple[Band, ...] = ()
+
+    def __init__(self, routes, maximal=None, band_generators=()):
+        self.__dict__.update(routes=routes, maximal=maximal, band_generators=band_generators, _key=(routes,))
+
+    routes = cached_property(lambda self: self._key[0])
+
+
+class Bundle(_Members, Value):
     trails: frozenset[Trail]
 
-    def __init__(self, trails, members=None):
+    def __init__(self, trails):
         self.__dict__.update(trails=trails, _key=(trails,))
-        if members is not None:
-            self.__dict__["members"] = members
 
-    @property
-    def routes(self) -> frozenset[Route]:
-        return frozenset(t for t in self.trails if isinstance(t, Route))
+    trails = cached_property(lambda self: self._key[0])
 
     @property
     def bands(self) -> frozenset[Band]:
         return frozenset(t for t in self.trails if isinstance(t, Band))
 
-    def reduced(self) -> "Bundle":
-        """The bundle without its straight routes, its members kept in order."""
-        members = tuple(t for t in self.members if not is_straight(t))
-        return Bundle(frozenset(members), members)
-
-    @cached_property
-    def members(self) -> tuple[Trail, ...]:
-        """The trails in trail_key order: as the search builds them, else sorted once."""
-        return tuple(sorted(self.trails, key=trail_key))
-
     def sorted_trails(self) -> list[Trail]:
         return list(self.members)
-
-    def as_json(self):
-        return [str(t) for t in self.members]
 
 
 def bending_route_universe(f: FringedQuiver, route_bound: int) -> list[Route]:
@@ -94,6 +83,11 @@ def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
     calc = f.calculus
     return sorted((b for b in enumerate_bands(f, band_bound) if calc.self_compatible(b)),
                   key=trail_key)
+
+
+def _search_order(f: FringedQuiver, route_bound: int) -> list[Route]:
+    """The straight and the bending routes, in one trail_key order."""
+    return sorted(straight_routes(f) + bending_route_universe(f, route_bound), key=trail_key)
 
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
@@ -115,20 +109,23 @@ def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list
     when rows is cols, a trail's own bit is left out.
 
     A row is the complement of the cols with a bottom among the row's tops or
-    a top among its bottoms.  Band witnesses up to the band's length plus the
-    longest trail's decide every pair as kiss does: route witnesses are
-    shorter than the route, and distinct bands share none longer (kiss).
-    """
-    calc = f.calculus
-    longest = max(map(len, rows + cols), default=0)
+    a top among its bottoms; straight routes have neither, so their rows are
+    full.  Band witnesses up to the band's length plus the longest bending
+    trail's decide every pair as kiss does: route witnesses are shorter than
+    the route, and distinct bands share none longer (kiss)."""
+    calc, straight = f.calculus, set(f.calculus.straight)
+    longest = max((len(t) for t in rows + cols if t not in straight), default=0)
+
+    def tops_bottoms(t):
+        return ((), ()) if t in straight else calc.tops_bottoms(t, len(t) + longest)
     having = ({}, {})  # per witness, the bitset of the cols with it as a top, as a bottom
     for j, q in enumerate(cols):
-        for side, witnesses in zip(having, calc.tops_bottoms(q, len(q) + longest)):
+        for side, witnesses in zip(having, tops_bottoms(q)):
             for s in witnesses:
                 side[s] = side.get(s, 0) | 1 << j
     out = []
     for i, p in enumerate(rows):
-        tops, bottoms = calc.tops_bottoms(p, len(p) + longest)
+        tops, bottoms = tops_bottoms(p)
         kissed = 1 << i if rows is cols else 0
         for s in tops:
             kissed |= having[1].get(s, 0)
@@ -160,35 +157,30 @@ def _bron_kerbosch(adj: list[int]) -> list[int]:
     return cliques
 
 
-def _in_member_order(straights: list[Route], nodes: list[Trail], masks: list[int]):
-    """(members, j) per bitset masks[j] over nodes, with every straight route
-    added, sorted.  Read as the sorted tuple of its positions in one trail_key
-    order, a mask compares exactly as its members do, prefixes included."""
-    order = sorted(straights + nodes, key=trail_key)
-    at = {t: k for k, t in enumerate(order)}
-    fixed, pos = [at[p] for p in straights], [at[t] for t in nodes]
-    keyed = sorted((tuple(sorted(fixed + [pos[i] for i in _bits(m)])), j) for j, m in enumerate(masks))
-    return [(tuple(map(order.__getitem__, ks)), j) for ks, j in keyed]
+def _in_member_order(nodes: list[Trail], masks: list[int]):
+    """(members, j) per bitset masks[j] over nodes, sorted.  Read low bit up, a
+    mask lists its members in the trail_key order of nodes, prefixes first."""
+    keys = list(map(_bits, masks))
+    return [(tuple(map(nodes.__getitem__, keys[j])), j)
+            for j in sorted(range(len(masks)), key=keys.__getitem__)]
 
 
 def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
     """Maximal cliques within the bounded route universe, straight routes included."""
     if route_bound < 1:
         raise DomainError("route_bound must be >= 1")
-    bending = bending_route_universe(f, route_bound)
-    cliques = _bron_kerbosch(_compat_rows(f, bending, bending))
-    return [Clique(frozenset(ms), members=ms)
-            for ms, _j in _in_member_order(straight_routes(f), bending, cliques)]
+    nodes = _search_order(f, route_bound)
+    cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
+    return [Clique._of(ms) for ms, _j in _in_member_order(nodes, cliques)]
 
 
 def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Bundle]:
     """Maximal bundles within the bounded trail universe, straight routes included."""
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
-    nodes: list[Trail] = list(bending_route_universe(f, route_bound))
-    nodes += band_universe(f, band_bound)
+    nodes: list[Trail] = _search_order(f, route_bound) + band_universe(f, band_bound)
     cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
-    return [Bundle(frozenset(ms), ms) for ms, _j in _in_member_order(straight_routes(f), nodes, cliques)]
+    return [Bundle._of(ms) for ms, _j in _in_member_order(nodes, cliques)]
 
 
 def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Clique]:
@@ -197,39 +189,47 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
 
     Stability reduces to single-route extensions: a clique K' ⊋ K contains a
     route q ∉ K, and a K-compatible band kissing q is not K'-compatible.  The
-    candidates are the subsets of the maximal cliques of the bending graph.
-    For one candidate s, as bitsets, ext(s) is the routes outside s compatible
-    with all of s and ok(s) the bands compatible with all of s; s is stable
-    when every q in ext(s) kisses some band of ok(s).
+    candidates are the subsets of the maximal cliques.  For a candidate s, as
+    bitsets, ext(s) is the routes outside s compatible with all of s, ok(s)
+    the bands compatible with all of s, and killable(ok) the union of kills[b],
+    the routes band b kisses, over b in ok.  So s is stable iff
+    ext(s) & ~killable(ok(s)) == 0: a route is kissed by a band of ok exactly
+    when it lies in killable(ok).
 
     Routes no band can kill are forced.  Per maximal clique m, `forced`
-    starts empty and repeatedly takes in every route q of m that no band of
-    ok(forced) kisses.  This is exact: let s ⊆ m be stable with forced ⊆ s.
-    A route q ∈ m ∖ s is compatible with all of s, as m is a clique, so q
-    lies in ext(s) and some band of ok(s) ⊆ ok(forced) kills it.  So each
-    route taken in lies in s, and by induction every stable s ⊆ m contains
-    forced.  Only the candidates forced | t, t ⊆ m ∖ forced, are tried.
-
-    Each clique also carries what the search knows: it is maximal exactly
-    when s equals the maximal clique m it is first reached from, and its band
-    generators are ok(s), since straight routes are compatible with all bands.
+    starts empty and repeatedly takes in m & ~forced & ~killable(ok(forced)).
+    This is exact: let s ⊆ m be stable with forced ⊆ s.  A route q ∈ m ∖ s
+    lies in ext(s), as m is a clique, so some band of ok(s) ⊆ ok(forced)
+    kills it.  So each route taken in lies in s, and by induction every
+    stable s ⊆ m contains forced; only the candidates forced | t,
+    t ⊆ m ∖ forced, are tried.  A stable s is maximal exactly when it equals
+    the maximal clique m it is first reached from; its band generators are ok(s).
     """
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
-    bending = bending_route_universe(f, route_bound)
+    nodes = _search_order(f, route_bound)
     bands = band_universe(f, band_bound)
-    rows = _compat_rows(f, bending, bending)
-    band_rows = _compat_rows(f, bending, bands)
+    rows, band_rows = _compat_rows(f, nodes, nodes), _compat_rows(f, nodes, bands)
+    kills = [0] * len(bands)
+    for q, row in enumerate(band_rows):
+        for b in _bits(~row & (1 << len(bands)) - 1):
+            kills[b] |= 1 << q
+    per_ok = {}  # ok: (killable(ok), the bands of ok), made once per distinct ok
 
+    def killable(ok: int) -> tuple[int, tuple[Band, ...]]:
+        if ok not in per_ok:
+            gens = _bits(ok)
+            per_ok[ok] = reduce(or_, map(kills.__getitem__, gens), 0), tuple(map(bands.__getitem__, gens))
+        return per_ok[ok]
     # (ext, ok) per candidate; forced | t, t nonempty, extends the candidate without
     # t's lowest route, visited before it since submasks go in increasing order
     acc: dict[int, tuple[int, int]] = {}
-    stable, facts = [], []  # per stable clique: its bitset; (maximal, band generators)
+    stable, facts = [], []  # per stable clique: its bitset; maximal, band_generators
     for m in _bron_kerbosch(rows):
-        forced, ext, ok = 0, (1 << len(bending)) - 1, (1 << len(bands)) - 1
-        while unkillable := [q for q in _bits(m & ~forced) if not ok & ~band_rows[q]]:
-            for q in unkillable:
-                forced |= 1 << q
+        forced, ext, ok = 0, (1 << len(nodes)) - 1, (1 << len(bands)) - 1
+        while new := m & ~forced & ~killable(ok)[0]:
+            forced |= new
+            for q in _bits(new):
                 ext, ok = ext & rows[q], ok & band_rows[q]
         free = m & ~forced
         subs = [free]
@@ -245,11 +245,11 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
                 v = low.bit_length() - 1
                 ext, ok = ext & rows[v], ok & band_rows[v]
             acc[s] = ext, ok
-            if all(ok & ~band_rows[q] for q in _bits(ext)):
+            union, gens = killable(ok)
+            if not ext & ~union:
                 stable.append(s)
-                facts.append((s == m, tuple(bands[b] for b in _bits(ok))))
-    return [Clique(frozenset(ms), *facts[j], ms)
-            for ms, j in _in_member_order(straight_routes(f), bending, stable)]
+                facts.append({"maximal": s == m, "band_generators": gens})
+    return [Clique._of(ms, **facts[j]) for ms, j in _in_member_order(nodes, stable)]
 
 
 def distinguished_arrows(f: FringedQuiver, bundle: Bundle, p: Trail) -> set[str]:

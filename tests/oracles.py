@@ -132,7 +132,7 @@ def clique_simplex_points(f, cliques, denominator):
     arrows = sorted(f.arrows)
     points = set()
     for k in cliques:
-        routes = k.sorted_routes()
+        routes = k.members
         vecs = [indicator(f, p).values for p in routes]
         for split in _compositions(denominator, len(routes)):
             total = {a: Q(0) for a in arrows}

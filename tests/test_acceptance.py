@@ -108,7 +108,7 @@ def test_criterion_3_shard():
     assert len(ks) == 6
     for k in ks:
         assert len(k.routes) == 3 * 2 - 2
-        assert polyhedra.unimodularity_check(f, k.reduced().sorted_routes())
+        assert polyhedra.unimodularity_check(f, k.reduced().members)
 
     hs = polyhedra.g_facet(f, {"f2", "e1"})
     assert hs.coeffs == {"v1": Q(0), "v2": Q(1)} and hs.relation == "<=" and hs.rhs == 1

@@ -35,3 +35,16 @@ def test_traced_tiny_run_counts_trace_calls_and_steps():
     assert summary["failed"] == 0, run.stdout
     assert summary["metrics"]["flows.trace_interval.calls"]["value"] > 0
     assert summary["metrics"]["flows.trace_steps"]["value"] > 0
+
+
+def test_traced_tiny_clique_search_reaches_the_search_hooks():
+    # --trace 1 wraps complexes.bending_route_universe and the searches by
+    # name: the traced clique search must still pass through them
+    run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "clique-search", "--seed", "1",
+                          "--seconds", "0", "--tiny", "--trace", "1"], cwd=ROOT, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    summary = json.loads(run.stdout.splitlines()[-1])
+    assert summary["correct"] is True, run.stdout
+    assert summary["metrics"]["complexes.cliques_found"]["value"] > 0
+    assert summary["metrics"]["complexes.bending_route_universe.self_s"]["value"] > 0

@@ -15,7 +15,14 @@ import pytest
 from oracles import oracle_band_walk, oracle_walk_key
 
 from gentleflow import cli
-from gentleflow.complexes import Bundle, Clique, band_stable_cliques, band_universe, maximal_cliques
+from gentleflow.complexes import (
+    Bundle,
+    Clique,
+    band_stable_cliques,
+    band_universe,
+    maximal_bundles,
+    maximal_cliques,
+)
 from gentleflow.dag import FramedDirectedGraph
 from gentleflow.fixtures import FIXTURES, fixture_quiver
 from gentleflow.flows import BlankSpace, BundleCombination, QInterval, VortexDecomposition
@@ -156,19 +163,56 @@ def test_every_value_class_keys_on_its_fields():
         assert x._key == tuple(v for n, v in kw.items() if n not in uncompared.get(cls, ()))
 
 
-def test_stable_clique_facts_match_two_passes(quiver_pool):
+def assert_stable_facts_match_two_passes(f, rb, bb, stable):
     # the maximal flag against a second maximal_cliques search, and the
     # band generators against kissing every band with every route
+    calc = f.calculus
+    maximal = {frozenset(k.routes) for k in maximal_cliques(f, rb)}
+    bands = band_universe(f, bb)
+    for k in stable:
+        assert k.maximal == (frozenset(k.routes) in maximal)
+        assert list(k.band_generators) == [
+            b for b in bands if all(calc.compatible(b, p) for p in k.routes)]
+
+
+def test_stable_clique_facts_match_two_passes(quiver_pool):
     for pool in quiver_pool:
         f = pool.quiver
         rb, bb = pool.route_bound, pool.band_bound
-        calc = f.calculus
-        maximal = {frozenset(k.routes) for k in maximal_cliques(f, rb)}
-        bands = band_universe(f, bb)
-        for k in band_stable_cliques(f, rb, bb):
-            assert k.maximal == (frozenset(k.routes) in maximal)
-            assert list(k.band_generators) == [
-                b for b in bands if all(calc.compatible(b, p) for p in k.routes)]
+        assert_stable_facts_match_two_passes(f, rb, bb, band_stable_cliques(f, rb, bb))
+
+
+def test_band_stable_where_bands_kill_routes():
+    # triple-kronecker at the CLI's default bounds: bands kill routes, so the
+    # search tries unstable candidates (1436 for 420 stable cliques), and the
+    # kill sets decide which of them are stable
+    from oracles import oracle_band_stable_cliques
+
+    f = fixture_quiver("triple-kronecker")
+    rb, bb = cli.default_route_bound(f), cli.default_band_bound(f)
+    assert (rb, bb) == (18, 10)
+    stable = band_stable_cliques(f, rb, bb)
+    assert len(stable) == len(set(stable)) == 420
+    assert set(stable) == oracle_band_stable_cliques(f, rb, bb)
+    assert_stable_facts_match_two_passes(f, rb, bb, stable)
+    assert any(not k.maximal for k in stable)
+
+
+def test_searched_values_build_their_sets_on_first_use(quiver_pool):
+    # a search hands back its members only; the set field and the key come
+    # on first use, cached, and equal, and hash like, the hand-built value
+    for pool in quiver_pool:
+        f = pool.quiver
+        rb, bb = pool.route_bound, pool.band_bound
+        searched = (maximal_cliques(f, rb) + band_stable_cliques(f, rb, bb)
+                    + maximal_bundles(f, rb, bb))
+        for k in searched + [k.reduced() for k in searched]:
+            field = "routes" if isinstance(k, Clique) else "trails"
+            assert field not in vars(k) and "_key" not in vars(k)
+            built = type(k)(frozenset(k.members))
+            assert k == built and hash(k) == hash(built)
+            assert getattr(k, field) is getattr(k, field) and field in vars(k)
+            assert getattr(k, field) == frozenset(k.members)
 
 
 def test_kiss_reads_foreign_trails_by_walk(quiver_pool):
