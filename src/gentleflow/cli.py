@@ -35,8 +35,23 @@ def _load_quiver(text: str):
     return q
 
 
+def _read_flow(path: str) -> dict:
+    """The flow values in the JSON file at path.  JSON too deeply nested for
+    the parser, or with an integer too long to read, is a DomainError."""
+    text = _read(path)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise DomainError("the flow file is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # over the interpreter's limit on digits of an int as text
+        raise DomainError("the flow file holds an integer too long to read") from None
+    return flows.flow_values(data)
+
+
 def _load_flow(f: FringedQuiver, path: str) -> flows.Flow:
-    return flows.Flow(f, flows.flow_values(json.loads(_read(path))))
+    return flows.Flow(f, _read_flow(path))
 
 
 def default_route_bound(f: FringedQuiver) -> int:
@@ -253,7 +268,7 @@ def cmd_convert_dag(args):
 
 def cmd_dag_decompose(args):
     g = dag.parse_framed_graph(args.text)
-    F = dag.DagFlow(g, flows.flow_values(json.loads(_read(args.flow))))
+    F = dag.DagFlow(g, _read_flow(args.flow))
     payload = flows.BundleCombination(dag.dag_decompose(F)).as_json()
     _report(args, payload)
     return 0

@@ -100,29 +100,30 @@ class Flow:
                 raise DomainError(f"flow value on unknown arrow {a}")
             vals[a] = parse_rational(x)
         self.values = vals
-        self._integer_tiles: dict[str, list[tuple[MarkedTrail, tuple]]] | None = None
-        self._tiles: dict[str, list[tuple[MarkedTrail, QInterval]]] | None = None
         self._validate()
 
     def start(self, a: str) -> SignedArrow:
         """The signed arrow whose arrow-flows tile [0, F(a)]."""
         return (a, 1)
 
+    @cached_property
+    def markings(self) -> dict[str, list[tuple["Traced", int, tuple]]]:
+        """Per arrow a, the positive-length tiles of [0, F(a)] at start(a),
+        as (traced record, position of the marking in its codes, tile), with
+        each tile (lo, lo_open, hi, hi_open) on ints in units of 1/(2 * den),
+        den the common denominator of the flow (`tile_markings`)."""
+        return tile_markings(self)
+
     def integer_tiles(self) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
-        """`tiles` in units of 1/(2 * den), den the common denominator of the
-        flow: each interval as (lo, lo_open, hi, hi_open) on ints."""
-        if self._integer_tiles is None:
-            self._integer_tiles = tile_markings(self)
-        return self._integer_tiles
+        """`markings` with each marking built as a MarkedTrail."""
+        return {k: [(rec.marked(j), t) for rec, j, t in ms] for k, ms in self.markings.items()}
 
     def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
         """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at start(a)."""
-        if self._tiles is None:
-            unit = self.int_values[0]
-            self._tiles = {k: [(mt, QInterval(Q(lo, unit), Q(hi, unit), lo_open, hi_open))
-                               for mt, (lo, lo_open, hi, hi_open) in ts]
-                           for k, ts in self.integer_tiles().items()}
-        return self._tiles
+        unit = self.int_values[0]
+        return {k: [(mt, QInterval(Q(lo, unit), Q(hi, unit), lo_open, hi_open))
+                    for mt, (lo, lo_open, hi, hi_open) in ts]
+                for k, ts in self.integer_tiles().items()}
 
     @cached_property
     def int_values(self) -> tuple[int, list[int]]:
@@ -364,20 +365,41 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     return MarkedTrail(trail, tuple(map(universe.signed.__getitem__, walk)), index), interval, interval.length
 
 
-# -- tiling: one trace per trail orientation ------------------------------------------
+# -- tiling: one trace per route, one per band orientation --------------------------
 
-def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
+class Traced:
+    """One traced orientation of a trail: the trail and its code walk.  A
+    marking is a position j of `codes`; `marked(j)` builds it as a
+    MarkedTrail, on one signed-arrow walk per record, made on first use."""
+
+    def __init__(self, trail: Trail, codes: tuple[int, ...], walk=None):
+        self.trail, self.codes, self._walk = trail, codes, walk
+
+    def marked(self, j: int) -> MarkedTrail:
+        w = self._walk
+        if w is None:
+            w = self._walk = tuple(map(self.trail.universe.signed.__getitem__, self.codes))
+        if isinstance(self.trail, Band):
+            return MarkedTrail(self.trail, w[j:] + w[:j], 0)
+        return MarkedTrail(self.trail, w, j)
+
+
+def tile_markings(F: Flow) -> dict[str, list[tuple[Traced, int, tuple]]]:
     """Per arrow a, the positive-length marked-trail tiles of [0, F(a)]
-    traced from the signed arrow F.start(a), sorted along the interval.
-    Each tile is (lo, lo_open, hi, hi_open) on ints in units of 1/(2 * den),
-    den the flow's common denominator.
+    traced from the signed arrow F.start(a), sorted along the interval, as
+    (traced record, position of the marking, tile).  Each tile is
+    (lo, lo_open, hi, hi_open) on ints in units of 1/(2 * den), den the
+    flow's common denominator.
 
     Arrows are tiled in sorted order.  Each gap of [0, F(a)] left by the
     tiles known so far is probed at its midpoint with `trace_interval`;
     single-point gaps are skipped, as isolated points carry zero length.  A
-    probe that finds a positive-length trail yields the tiles of every
-    marking of that trail at a start arrow, at once (`_marking_tiles`), so
-    each trail orientation is traced once.
+    probe that finds a positive-length trail yields, from one re-walk
+    (`_marking_tiles`), the tiles of every marking of that trail at a start
+    arrow: for a route in both orientations, so each route is traced once;
+    for a band in the orientation traced, so each band orientation is
+    traced once.  Every tile found is filed under its arrow and covers its
+    stretch, which is never probed again.
     """
     unit, half = F.int_values
     tables = F.step_tables
@@ -397,20 +419,23 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
                 continue
             tile = (int(interval.lo * unit), interval.lo_open,
                     int(interval.hi * unit), interval.hi_open)
-            trail, walk, index = mt.trail, mt.walk, mt.index
-            band = isinstance(trail, Band)
-            for j, t in _marking_tiles(half, tables, universe.word(walk), index,
-                                       band, tile, far, start_codes):
-                a = walk[j][0]
-                if j == index and t != tile:
-                    raise AssertionError("re-walk disagrees with the traced tile")
-                if band:
-                    marked = MarkedTrail(trail, walk[j:] + walk[:j], 0)
+            codes = universe.word(mt.walk)
+            traced, inverse = Traced(mt.trail, codes, mt.walk), None
+            band = isinstance(mt.trail, Band)
+            for mirrored, j, t in _marking_tiles(half, tables, codes, mt.index, band,
+                                                 tile, far, start_codes):
+                if mirrored:
+                    if inverse is None:
+                        inverse = Traced(mt.trail, tuple(c ^ 1 for c in reversed(codes)))
+                    rec = inverse
                 else:
-                    marked = MarkedTrail(trail, walk, j)
-                found[a].append((marked, t))
+                    if j == mt.index and t != tile:
+                        raise AssertionError("re-walk disagrees with the traced tile")
+                    rec = traced
+                a = universe.signed[rec.codes[j]][0]
+                found[a].append((rec, j, t))
                 covered[a].append((t[0], t[2]))
-    return {k: sorted(ts, key=lambda x: x[1][:2]) for k, ts in found.items()}
+    return {k: sorted(ts, key=lambda x: x[2][:2]) for k, ts in found.items()}
 
 
 def _first_gap(covered: list[tuple[int, int]], cap: int):
@@ -425,7 +450,8 @@ def _first_gap(covered: list[tuple[int, int]], cap: int):
 
 def _marking_tiles(vals: list[int], tables, codes: tuple[int, ...], index: int, band: bool,
                    tile, far: int, starts: set[int]):
-    """The interval of every marking of one traced trail, from a single pass.
+    """The interval of every marking at a start code of one traced trail,
+    and for a route of its inverse too, from a single pass.
 
     `codes` is the traced code walk and `tile` the interval of its marking at
     `index`.  The values along the walk are taken at the tile's midpoint,
@@ -434,10 +460,32 @@ def _marking_tiles(vals: list[int], tables, codes: tuple[int, ...], index: int, 
     marking at j keeps its trail exactly for the offsets inside its cap
     [0, F(walk[j])], the Forward bounds after j and the Back bounds up to j
     (for a band, all Forward bounds of the cycle): suffix and prefix min/max
-    of the keys.  Yields (j, (lo, lo_open, hi, hi_open)) for the
-    positive-length ones among the markings at a start code (in `starts`);
-    the values and bounds are walked at every j.  `far` exceeds every value,
-    so the keys +-2 * far bound nothing.
+    of the keys.  `far` exceeds every value, so the keys +-2 * far bound
+    nothing.
+
+    Yields (mirrored, j, (lo, lo_open, hi, hi_open)) for the positive-length
+    markings: (False, j, tile) for the marking of the walk at j when codes[j]
+    is in `starts`; for a route, (True, n - 1 - j, mirrored tile) for the
+    marking of the inverse walk at n - 1 - j when codes[j] ^ 1 is.  With cap
+    the flow on the arrow, the tile (lo, lo_open, hi, hi_open) of p at j
+    mirrors to (cap - hi, hi_open, cap - lo, lo_open) for p^-1 at n - 1 - j:
+    - the tile of p at j is its cap cut by the Forward bounds after j and
+      the Back bounds up to j;
+    - Back along p is Forward along p^-1 with each value x on an arrow a
+      read as F(a) - x, and the cap [0, F(a)] mirrors onto itself.  So each
+      bound on p's offsets is a bound on p^-1's negated offsets: it keeps its
+      closedness, and upper and lower bounds swap.  The Forward bounds after
+      n - 1 - j on p^-1 are p's Back bounds up to j, mirrored, and its Back
+      bounds up to n - 1 - j are p's Forward bounds after j, mirrored, so
+      p^-1's tile at n - 1 - j is the mirror image;
+    - no marking is yielded twice: a marking of p^-1 is one of p only if p
+      is its own inverse walk, and then its middle would be a signed arrow
+      followed by its inverse (or, at odd length, a signed arrow equal to its
+      inverse), an immediate backtrack that no route has.
+    A band's tile takes the Forward bounds of the whole cycle only.  Their
+    mirror images are Back bounds along B^-1, not its Forward bounds, and
+    the two can differ at the ends of a tile, so a band's inverse is traced
+    itself.
     """
     fwd_table, bwd_table = tables
     n = len(codes)
@@ -470,16 +518,23 @@ def _marking_tiles(vals: list[int], tables, codes: tuple[int, ...], index: int, 
         ups = list(map(min, list(accumulate(reversed(fwd_ups), min))[::-1],
                        accumulate(back_ups, min)))
     for j, c in enumerate(codes):
-        if c in starts:
-            v2 = 2 * values[j]
-            low_key, up_key = lows[j] + v2, ups[j] + v2      # keys on the value at j
-            if low_key < 0:
-                low_key = 0
-            if up_key > 2 * vals[c >> 1]:
-                up_key = 2 * vals[c >> 1]
-            lo, hi = low_key >> 1, (up_key + 1) >> 1
-            if hi > lo:
-                yield j, (lo, low_key & 1 == 1, hi, up_key & 1 == 1)
+        mirrored = c not in starts
+        if mirrored and (band or c ^ 1 not in starts):
+            continue
+        cap = vals[c >> 1]
+        v2 = 2 * values[j]
+        low_key, up_key = lows[j] + v2, ups[j] + v2      # keys on the value at j
+        if low_key < 0:
+            low_key = 0
+        if up_key > 2 * cap:
+            up_key = 2 * cap
+        lo, hi = low_key >> 1, (up_key + 1) >> 1
+        if hi > lo:
+            lo_open, hi_open = low_key & 1 == 1, up_key & 1 == 1
+            if mirrored:
+                yield True, n - 1 - j, (cap - hi, hi_open, cap - lo, lo_open)
+            else:
+                yield False, j, (lo, lo_open, hi, hi_open)
 
 
 # -- bundle decomposition ---------------------------------------------------------
@@ -517,11 +572,11 @@ def trail_coefficients(F: Flow) -> dict[Trail, Fraction]:
     markings, checked to add up to the flow."""
     unit, vals = F.int_values
     lengths: dict[Trail, int] = {}            # in units of 1/unit, like the tiles
-    for arrow_tiles in F.integer_tiles().values():
-        for mt, (lo, _lo_open, hi, _hi_open) in arrow_tiles:
-            prev = lengths.setdefault(mt.trail, hi - lo)
+    for arrow_markings in F.markings.values():
+        for rec, _j, (lo, _lo_open, hi, _hi_open) in arrow_markings:
+            prev = lengths.setdefault(rec.trail, hi - lo)
             if prev != hi - lo:
-                raise AssertionError(f"inconsistent coefficient for {mt.trail}: "
+                raise AssertionError(f"inconsistent coefficient for {rec.trail}: "
                                      f"{Q(prev, unit)} vs {Q(hi - lo, unit)}")
     _verify_combination(vals, lengths)
     return {t: Q(n, unit) for t, n in lengths.items()}
@@ -597,7 +652,7 @@ def _blank_gaps(F: Flow, a: str):
     the gap between them, each built once from the integer tiles."""
     unit, vals = F.int_values
     cap = vals[F.quiver.calculus.universe.code[(a, 1)] >> 1]
-    routes = [(mt, t) for mt, t in F.integer_tiles()[a] if isinstance(mt.trail, Route)]
+    routes = [(rec.marked(j), t) for rec, j, t in F.markings[a] if isinstance(rec.trail, Route)]
     below, at, at_open = None, 0, False
     for above, (lo, lo_open, hi, hi_open) in routes + [(None, (cap, False, cap, False))]:
         yield below, above, QInterval(Q(at, unit), Q(lo, unit), not at_open, not lo_open)

@@ -250,6 +250,8 @@ BAD_FLOWS = {
     "json list": '["e1", "f1"]',
     "boolean": '{"e1": true, "f1": true}',
     "too many digits to print": '{"e1": "1e5000", "f1": "1e5000"}',
+    "nested too deeply": "[" * 100000,
+    "integer too long to read": '{"e1": %s, "f1": 1}' % ("1" * 5000),
 }
 
 
@@ -258,6 +260,15 @@ def test_decompose_bad_flow_json_is_domain_error(kron_file, capsys, tmp_path, te
     flow = tmp_path / "bad.json"
     flow.write_text(text)
     code, out, err = run_cli(capsys, "decompose", kron_file, "--flow", str(flow))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("text", BAD_FLOWS.values(), ids=BAD_FLOWS.keys())
+def test_blanks_bad_flow_json_is_domain_error(kron_file, capsys, tmp_path, text):
+    flow = tmp_path / "bad.json"
+    flow.write_text(text)
+    code, out, err = run_cli(capsys, "blanks", kron_file, "--flow", str(flow))
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "DomainError"
 

@@ -1,6 +1,7 @@
 """The one-trace-per-trail tiling against the per-gap probing oracle."""
 
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
@@ -108,20 +109,71 @@ def test_long_route_needs_no_step_cap():
     assert length == 1
 
 
+def recorded_traces(monkeypatch):
+    """Swap flows.trace_interval, the probe the benchmark tracer counts, for
+    a wrapper that records what each call returns."""
+    results = []
+    traced = flows.trace_interval
+
+    def recording(*args):
+        out = traced(*args)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(flows, "trace_interval", recording)
+    return results
+
+
 def test_only_kept_marking_tiles_are_built(monkeypatch):
     # a quiver flow keeps only the markings at (a, 1): 101 in each orientation
-    # of the winding route e1 (e2 f2^-1)^100 f1^-1, out of its 202 arrows
-    built = []
-    real = flows._marking_tiles
-
-    def counting(*args):
-        for j, t in real(*args):
-            built.append(j)
-            yield j, t
-
-    monkeypatch.setattr(flows, "_marking_tiles", counting)
+    # of the winding route e1 (e2 f2^-1)^100 f1^-1, out of its 202 arrows, and
+    # one positive-length trace of the route yields both orientations
+    results = recorded_traces(monkeypatch)
     tiles = winding(Q(1), Q(100)).integer_tiles()
-    assert len(built) == sum(map(len, tiles.values())) == 202
+    assert sum(map(len, tiles.values())) == 202
+    assert len({mt.walk for ts in tiles.values() for mt, _t in ts}) == 2
+    assert [mt.trail for mt, _iv, length in results if length > 0] == [tiles["e1"][0][0].trail]
+
+
+def tiled_flows(quiver_pool):
+    rng = random.Random(19)
+    cases = [winding(Q(outer), Q(inner)) for outer, inner in
+             ((1, 1), (1, 100), ("1", "1001/7"), ("3/2", "2003/13"), ("2/3", "5/7"))]
+    for pool in quiver_pool:
+        for integral in (True, False):
+            cases.append(pool.random_bundle_combination(rng, integral=integral)[0])
+    return cases
+
+
+def test_each_route_is_traced_once(monkeypatch, quiver_pool):
+    results = recorded_traces(monkeypatch)
+    with_bands = 0
+    for F in tiled_flows(quiver_pool):
+        results.clear()
+        coefficients = flows.trail_coefficients(F)
+        found = Counter(mt.trail for mt, _iv, length in results if length > 0)
+        assert set(found) == set(coefficients)
+        assert all(n == 1 for t, n in found.items() if isinstance(t, trails.Route))
+        assert all(n <= 2 for t, n in found.items() if isinstance(t, trails.Band))
+        with_bands += any(isinstance(t, trails.Band) for t in found)
+    assert with_bands > 0
+
+
+def test_every_probe_goes_through_trace_interval(monkeypatch, quiver_pool):
+    # perfbench/tracer.py counts flows.trace_interval calls and steps: one per
+    # zero-length gap, one per route and one per band orientation with a
+    # marking at a start arrow, since a band's inverse is traced, not mirrored
+    results = recorded_traces(monkeypatch)
+    for F in tiled_flows(quiver_pool):
+        results.clear()
+        found = {mt.trail for ts in F.integer_tiles().values() for mt, _t in ts}
+        starts = {F.start(a) for a in F.values}
+        routes = {t for t in found if isinstance(t, trails.Route)}
+        band_orientations = sum(any(sa in starts for sa in b.walk)
+                                + any((a, -e) in starts for a, e in b.walk)
+                                for b in found - routes)
+        gaps = sum(length == 0 for _mt, _iv, length in results)
+        assert len(results) == gaps + len(routes) + band_orientations > 0
 
 
 def assert_tiles_match_name_keyed_kernel(F):
