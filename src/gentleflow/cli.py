@@ -50,10 +50,6 @@ def _read_flow(path: str) -> dict:
     return flows.flow_values(data)
 
 
-def _load_flow(f: FringedQuiver, path: str) -> flows.Flow:
-    return flows.Flow(f, _read_flow(path))
-
-
 def default_route_bound(f: FringedQuiver) -> int:
     # at least 1, the least bound enumeration accepts, on the empty quiver too
     return max(1, len(f.arrows) + 2 * len(f.internal_vertices))
@@ -85,8 +81,7 @@ def _report(args, payload, bounds=None):
 
 def cmd_validate(args):
     q = parse_quiver_file(args.text)
-    if isinstance(q, FringedQuiver):
-        q.validate()
+    if isinstance(q, FringedQuiver):  # validated as it was parsed
         payload = {"kind": "fringed", "violations": []}
     else:
         payload = {"kind": "gentle", "violations": validate_gentle(q)}
@@ -162,7 +157,7 @@ def cmd_gvector(args):
 
 def cmd_decompose(args):
     f = _load_quiver(args.text)
-    F = _load_flow(f, args.flow)
+    F = flows.Flow(f, _read_flow(args.flow))
     if args.vortex:
         payload = flows.decompose_vortex(F).as_json()
     else:
@@ -173,7 +168,7 @@ def cmd_decompose(args):
 
 def cmd_blanks(args):
     f = _load_quiver(args.text)
-    F = _load_flow(f, args.flow)
+    F = flows.Flow(f, _read_flow(args.flow))
     spaces = flows.blank_spaces(F)
     payload = {"count": len(spaces), "blank_spaces": [b.as_json() for b in spaces]}
     _report(args, payload)

@@ -107,16 +107,16 @@ class Flow:
         return (a, 1)
 
     @cached_property
-    def markings(self) -> dict[str, list[tuple["Traced", int, tuple]]]:
+    def markings(self) -> dict[str, list[tuple[MarkedTrail, int, tuple]]]:
         """Per arrow a, the positive-length tiles of [0, F(a)] at start(a),
-        as (traced record, position of the marking in its codes, tile), with
+        as (traced marking, position of the marking in its codes, tile), with
         each tile (lo, lo_open, hi, hi_open) on ints in units of 1/(2 * den),
         den the common denominator of the flow (`tile_markings`)."""
         return tile_markings(self)
 
     def integer_tiles(self) -> dict[str, list[tuple[MarkedTrail, tuple]]]:
         """`markings` with each marking built as a MarkedTrail."""
-        return {k: [(rec.marked(j), t) for rec, j, t in ms] for k, ms in self.markings.items()}
+        return {k: [(mt.at(j), t) for mt, j, t in ms] for k, ms in self.markings.items()}
 
     def tiles(self) -> dict[str, list[tuple[MarkedTrail, QInterval]]]:
         """Per arrow a, the positive-length marked-trail tiles of [0, F(a)] at start(a)."""
@@ -344,10 +344,11 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     """Trace the arrow-flow (sa, c), pulling branch constraints back to the start.
 
     Returns (marked trail, interval of start values giving this marked trail,
-    interval length); the trail is None at an isolated value whose walk never
-    closes.  Tracing runs on the flow scaled to integers: each Forward/Back
-    branch shifts the value by a constant, so every branch constraint pulls
-    back to exact bounds on the start value.
+    interval length); the marked trail holds the code walk traced (for a
+    band, from sa) and is None at an isolated value whose walk never closes.
+    Tracing runs on the flow scaled to integers: each Forward/Back branch
+    shifts the value by a constant, so every branch constraint pulls back to
+    exact bounds on the start value.
     """
     c = parse_rational(c)
     code = _signed_code(F, sa)
@@ -362,34 +363,17 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     if kind is None:
         return None, interval, Q(0)
     trail = universe.band(walk) if kind == "band" else universe.route(walk)
-    return MarkedTrail(trail, tuple(map(universe.signed.__getitem__, walk)), index), interval, interval.length
+    return MarkedTrail(trail, walk, index), interval, interval.length
 
 
 # -- tiling: one trace per route, one per band orientation --------------------------
 
-class Traced:
-    """One traced orientation of a trail: the trail and its code walk.  A
-    marking is a position j of `codes`; `marked(j)` builds it as a
-    MarkedTrail, on one signed-arrow walk per record, made on first use."""
-
-    def __init__(self, trail: Trail, codes: tuple[int, ...], walk=None):
-        self.trail, self.codes, self._walk = trail, codes, walk
-
-    def marked(self, j: int) -> MarkedTrail:
-        w = self._walk
-        if w is None:
-            w = self._walk = tuple(map(self.trail.universe.signed.__getitem__, self.codes))
-        if isinstance(self.trail, Band):
-            return MarkedTrail(self.trail, w[j:] + w[:j], 0)
-        return MarkedTrail(self.trail, w, j)
-
-
-def tile_markings(F: Flow) -> dict[str, list[tuple[Traced, int, tuple]]]:
+def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, int, tuple]]]:
     """Per arrow a, the positive-length marked-trail tiles of [0, F(a)]
     traced from the signed arrow F.start(a), sorted along the interval, as
-    (traced record, position of the marking, tile).  Each tile is
-    (lo, lo_open, hi, hi_open) on ints in units of 1/(2 * den), den the
-    flow's common denominator.
+    (traced marking mt, position j of the marking, tile): the marking is
+    mt.at(j).  Each tile is (lo, lo_open, hi, hi_open) on ints in units of
+    1/(2 * den), den the flow's common denominator.
 
     Arrows are tiled in sorted order.  Each gap of [0, F(a)] left by the
     tiles known so far is probed at its midpoint with `trace_interval`;
@@ -419,21 +403,15 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[Traced, int, tuple]]]:
                 continue
             tile = (int(interval.lo * unit), interval.lo_open,
                     int(interval.hi * unit), interval.hi_open)
-            codes = universe.word(mt.walk)
-            traced, inverse = Traced(mt.trail, codes, mt.walk), None
             band = isinstance(mt.trail, Band)
-            for mirrored, j, t in _marking_tiles(half, tables, codes, mt.index, band,
+            inverse = None if band else mt.inverse()
+            for mirrored, j, t in _marking_tiles(half, tables, mt.codes, mt.index, band,
                                                  tile, far, start_codes):
-                if mirrored:
-                    if inverse is None:
-                        inverse = Traced(mt.trail, tuple(c ^ 1 for c in reversed(codes)))
-                    rec = inverse
-                else:
-                    if j == mt.index and t != tile:
-                        raise AssertionError("re-walk disagrees with the traced tile")
-                    rec = traced
-                a = universe.signed[rec.codes[j]][0]
-                found[a].append((rec, j, t))
+                if not mirrored and j == mt.index and t != tile:
+                    raise AssertionError("re-walk disagrees with the traced tile")
+                traced = inverse if mirrored else mt
+                a = universe.signed[traced.codes[j]][0]
+                found[a].append((traced, j, t))
                 covered[a].append((t[0], t[2]))
     return {k: sorted(ts, key=lambda x: x[2][:2]) for k, ts in found.items()}
 
@@ -573,10 +551,10 @@ def trail_coefficients(F: Flow) -> dict[Trail, Fraction]:
     unit, vals = F.int_values
     lengths: dict[Trail, int] = {}            # in units of 1/unit, like the tiles
     for arrow_markings in F.markings.values():
-        for rec, _j, (lo, _lo_open, hi, _hi_open) in arrow_markings:
-            prev = lengths.setdefault(rec.trail, hi - lo)
+        for mt, _j, (lo, _lo_open, hi, _hi_open) in arrow_markings:
+            prev = lengths.setdefault(mt.trail, hi - lo)
             if prev != hi - lo:
-                raise AssertionError(f"inconsistent coefficient for {rec.trail}: "
+                raise AssertionError(f"inconsistent coefficient for {mt.trail}: "
                                      f"{Q(prev, unit)} vs {Q(hi - lo, unit)}")
     _verify_combination(vals, lengths)
     return {t: Q(n, unit) for t, n in lengths.items()}
@@ -649,10 +627,10 @@ class BlankSpace(Record):
 def _blank_gaps(F: Flow, a: str):
     """(below, above, gap) per blank space of arrow a: the marked routes of
     consecutive route tiles at a (None for the sentinels {0} and {F(a)}) and
-    the gap between them, each built once from the integer tiles."""
+    the gap between them, each an `at(j)` of a traced marking."""
     unit, vals = F.int_values
     cap = vals[F.quiver.calculus.universe.code[(a, 1)] >> 1]
-    routes = [(rec.marked(j), t) for rec, j, t in F.markings[a] if isinstance(rec.trail, Route)]
+    routes = [(mt.at(j), t) for mt, j, t in F.markings[a] if isinstance(mt.trail, Route)]
     below, at, at_open = None, 0, False
     for above, (lo, lo_open, hi, hi_open) in routes + [(None, (cap, False, cap, False))]:
         yield below, above, QInterval(Q(at, unit), Q(lo, unit), not at_open, not lo_open)
@@ -672,9 +650,9 @@ def blank_spaces(F: Flow) -> list[BlankSpace]:
 def splitting_strength(F: Flow, b: Band) -> Fraction:
     """min |J| / N_{B,J} over the blank spaces J split by some marking of B."""
     calc = F.quiver.calculus
-    route_part = {mt.trail for a in sorted(F.quiver.arrows)
-                  for _below, mt, _gap in _blank_gaps(F, a) if mt is not None}
-    for p in route_part:
+    route_part = {mt.trail for ms in F.markings.values() for mt, _j, _t in ms
+                  if isinstance(mt.trail, Route)}
+    for p in sorted(route_part, key=trail_key):
         if not calc.compatible(b, p):
             raise DomainError(f"band is incompatible with the route {p} of K_F^+")
 
@@ -687,7 +665,7 @@ def splitting_strength(F: Flow, b: Band) -> Fraction:
         for marking in markings_at(b, a, 1):
             below = 0
             for mt in routes:
-                if countercurrent_compare(F.quiver, mt.viewed_at(a, 1), marking) < 0:
+                if countercurrent_compare(F.quiver, mt, marking) < 0:
                     below += 1
             counts[below] += 1
         for j, n in enumerate(counts):

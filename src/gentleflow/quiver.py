@@ -112,7 +112,21 @@ def cyclic_core(nodes, succ) -> set:
     return core
 
 
-class GentleQuiver(Value):
+class _Incidence:
+    """Arrows in and out of each vertex, indexed on first use (a plain mixin: no fields)."""
+
+    @cached_property
+    def _incidence(self):
+        return incidence(self.arrows)
+
+    def arrows_out(self, v: str) -> list[str]:
+        return self._incidence[1].get(v, [])
+
+    def arrows_in(self, v: str) -> list[str]:
+        return self._incidence[0].get(v, [])
+
+
+class GentleQuiver(_Incidence, Value):
     vertices: tuple[str, ...]
     arrows: dict[str, tuple[str, str]]          # id -> (tail, head)
     relations: frozenset[tuple[str, str]]       # ordered pairs (a, b), h(a) = t(b)
@@ -133,16 +147,6 @@ class GentleQuiver(Value):
                 raise StructuralError(f"relation {a} {b} uses an unknown arrow")
             if self.arrows[a][1] != self.arrows[b][0]:
                 raise StructuralError(f"relation {a} {b} between non-composable arrows")
-
-    @cached_property
-    def _incidence(self):
-        return incidence(self.arrows)
-
-    def arrows_out(self, v: str) -> list[str]:
-        return self._incidence[1].get(v, [])
-
-    def arrows_in(self, v: str) -> list[str]:
-        return self._incidence[0].get(v, [])
 
 
 def validate_gentle(q: GentleQuiver) -> list[str]:
@@ -181,7 +185,7 @@ def validate_gentle(q: GentleQuiver) -> list[str]:
     return violations
 
 
-class FringedQuiver(Value):
+class FringedQuiver(_Incidence, Value):
     """A fringed quiver together with its relation pairs at each internal vertex.
 
     ``relation_pairs[v]`` holds the two ordered pairs ((a1, a2), (b1, b2)) that
@@ -200,10 +204,6 @@ class FringedQuiver(Value):
                              _key=(internal_vertices, fringe_vertices, arrows, relation_pairs))
 
     # -- the index, built on first use (so malformed input reaches validate) --
-
-    @cached_property
-    def _incidence(self):
-        return incidence(self.arrows)
 
     @cached_property
     def _internal(self) -> frozenset[str]:
@@ -237,12 +237,6 @@ class FringedQuiver(Value):
     def fringe_arrows(self) -> list[str]:
         return sorted(set(self.arrows) - set(self.internal_arrows()))
 
-    def arrows_out(self, v: str) -> list[str]:
-        return self._incidence[1].get(v, [])
-
-    def arrows_in(self, v: str) -> list[str]:
-        return self._incidence[0].get(v, [])
-
     def straight_route_count(self) -> int:
         return 2 * len(self.internal_vertices) - len(self.internal_arrows())
 
@@ -258,10 +252,19 @@ class FringedQuiver(Value):
         return [u.signed[d] for d in self.calculus.cont[u.code[(a, eps)]]]
 
     def validate(self) -> None:
-        """Check the fringed-quiver axioms; raise DomainError on failure."""
+        """Check the fringed-quiver axioms; raise DomainError on failure.
+
+        The checks before the cycle test imply every other gentle axiom:
+        distinct vertices, known arrow ends, degree 1 at the fringe and 2/2
+        inside, and relation pairs at internal vertices only, each matching the
+        two arrows in with the two out, so each relation composes and each arrow
+        has one relation and one relation-free neighbour at an internal end.
+        """
         vi, vf = self._internal, frozenset(self.fringe_vertices)
         if vi & vf:
             raise DomainError("a vertex is both internal and fringe")
+        if len(vi) + len(vf) != len(self.internal_vertices) + len(self.fringe_vertices):
+            raise StructuralError("duplicate vertex id")
         known = vi | vf
         for a, (t, h) in self.arrows.items():
             if t not in known or h not in known:
@@ -279,14 +282,11 @@ class FringedQuiver(Value):
             (a1, a2), (b1, b2) = self.relation_pairs[v]
             if sorted((a1, b1)) != ins or sorted((a2, b2)) != outs:
                 raise DomainError(f"relation pairs at {v} do not match its incident arrows")
-        base = GentleQuiver(
-            vertices=tuple(sorted(known)),
-            arrows=dict(self.arrows),
-            relations=self.relations,
-        )
-        problems = validate_gentle(base)
-        if problems:
-            raise DomainError("; ".join(problems))
+        if len(self.relation_pairs) != len(vi):
+            raise DomainError(f"relation data at {min(set(self.relation_pairs) - vi)}, not an internal vertex")
+        if cyclic_core(self.arrows, lambda a: [b for b in self.arrows_out(self.head(a))
+                                               if (a, b) not in self.relations]):
+            raise DomainError("oriented relation-free cycle (algebra is infinite-dimensional)")
 
 
 def fringe(q: GentleQuiver) -> FringedQuiver:

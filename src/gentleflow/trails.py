@@ -687,50 +687,75 @@ def g_vector(f: FringedQuiver, t: Trail) -> dict[str, int]:
 class MarkedTrail(Value):
     """A trail with one marked signed-arrow occurrence.
 
-    walk is a concrete traversal (one period for a band); index points at the
-    marked occurrence.  (p marked at a^e) == (p^-1 marked at a^-e).
+    codes is a traversal of the trail as a code word of trail.universe, and
+    index points at the marked occurrence: for a route, p or p^-1 whole; for
+    a band, one period of B or B^-1 read from the mark, so index is 0.
+    Markings of one universe are equal when they mark the same trail, walked
+    in the same direction, at the same occurrence: (p marked at a^e) and its
+    view from the other side, (p^-1 marked at a^-e), are not equal.
     """
     trail: Trail
-    walk: Walk
+    codes: tuple[int, ...]
     index: int
 
-    def __init__(self, trail, walk, index):
-        self.__dict__.update(trail=trail, walk=walk, index=index, _key=(trail, walk, index))
+    def __init__(self, trail, codes, index):
+        self.__dict__.update(trail=trail, codes=codes, index=index, _key=(trail, codes, index))
+
+    @cached_property
+    def walk(self) -> Walk:
+        return tuple(map(self.trail.universe.signed.__getitem__, self.codes))
 
     def marked(self) -> SignedArrow:
-        return self.walk[self.index]
+        return self.trail.universe.signed[self.codes[self.index]]
+
+    def at(self, j: int) -> "MarkedTrail":
+        """The marking of the same traversal at its position j."""
+        if isinstance(self.trail, Band):
+            return MarkedTrail(self.trail, self.codes[j:] + self.codes[:j], 0)
+        return MarkedTrail(self.trail, self.codes, j)
+
+    def inverse(self) -> "MarkedTrail":
+        """The same occurrence, walked the other way."""
+        w, i = self.codes, self.index
+        if isinstance(self.trail, Band):
+            return MarkedTrail(self.trail, _inverse_codes(w[i + 1:] + w[:i + 1]), 0)
+        return MarkedTrail(self.trail, _inverse_codes(w), len(w) - 1 - i)
 
     def viewed_at(self, a: str, eps: int) -> "MarkedTrail":
-        if self.marked() == (a, eps):
+        c, m = self.trail.universe.code.get((a, eps)), self.codes[self.index]
+        if m == c:
             return self
-        if self.marked() == (a, -eps):
-            inv = inverse_walk(self.walk)
-            return MarkedTrail(self.trail, inv, len(self.walk) - 1 - self.index)
+        if c is not None and m == c ^ 1:
+            return self.inverse()
         raise DomainError(f"trail is not marked at {a}^{eps}")
 
 
 def markings_at(t: Trail, a: str, eps: int) -> list[MarkedTrail]:
     """All markings of t^{±1} at the signed arrow a^eps, one per occurrence."""
-    return [MarkedTrail(t, t.walk, i).viewed_at(a, eps)
-            for i, (x, _e) in enumerate(t.walk) if x == a]
+    whole = MarkedTrail(t, t.codes, 0)
+    return [whole.at(i).viewed_at(a, eps) for i, (x, _e) in enumerate(t.walk) if x == a]
 
 
-def _post_sequence(m: MarkedTrail, length: int) -> Walk:
-    w, i = m.walk, m.index
-    if isinstance(m.trail, Band):
-        n = len(w)
-        return tuple(w[(i + 1 + k) % n] for k in range(length))
-    return w[i + 1:i + 1 + length]
+def _in_universe(u: TrailUniverse, m: MarkedTrail) -> MarkedTrail:
+    """m in the universe u, read through its walk once if it is of another."""
+    if m.trail.universe is u:
+        return m
+    word = u.word(m.walk)
+    return MarkedTrail(u.band(word) if isinstance(m.trail, Band) else u.route(word), word, m.index)
 
 
-def _cmp_post(f: FringedQuiver, p: MarkedTrail, q: MarkedTrail) -> int:
-    horizon = 2 * (len(p.walk) + len(q.walk)) + 4
-    sp = _post_sequence(p, horizon)
-    sq = _post_sequence(q, horizon)
+def _post_sequence(m: MarkedTrail, length: int) -> tuple[int, ...]:
+    w = m.codes * (length // len(m.codes) + 2) if isinstance(m.trail, Band) else m.codes
+    return w[m.index + 1:m.index + 1 + length]
+
+
+def _cmp_post(p: MarkedTrail, q: MarkedTrail) -> int:
+    horizon = 2 * (len(p.codes) + len(q.codes)) + 4
+    sp, sq = _post_sequence(p, horizon), _post_sequence(q, horizon)
     for x, y in zip(sp, sq):
         if x != y:
-            # after the common prefix one walk turns forward, the other back
-            return -1 if x[1] == 1 else 1
+            # after the common prefix one walk turns forward (an even code), the other back
+            return 1 if x & 1 else -1
     if len(sp) == len(sq):
         return 0
     # one route ended while the other continues: impossible through a fringe
@@ -741,17 +766,17 @@ def _cmp_post(f: FringedQuiver, p: MarkedTrail, q: MarkedTrail) -> int:
 def countercurrent_compare(f: FringedQuiver, p: MarkedTrail, q: MarkedTrail) -> int:
     """The order ≺ at the common marked signed arrow: -1, 0 or 1.
 
-    Combines the post- and pre-orders; raises DomainError("not comparable")
-    when they disagree (which cannot happen for compatible trails).
+    Combines the post- and pre-orders, on the codes of f's universe; raises
+    DomainError("not comparable") when they disagree (which cannot happen
+    for compatible trails).
     """
-    a, eps = p.marked()
-    q = q.viewed_at(a, eps)
-    post = _cmp_post(f, p, q)
+    u = f.calculus.universe
+    p, q = _in_universe(u, p), _in_universe(u, q)
+    q = q.viewed_at(*p.marked())
+    post = _cmp_post(p, q)
     # pre-order via inversion: the walk before the mark becomes the walk after
     # it with flipped signs, which also flips which trail counts as smaller
-    p_inv = p.viewed_at(a, -eps)
-    q_inv = q.viewed_at(a, -eps)
-    pre = -_cmp_post(f, p_inv, q_inv)
+    pre = -_cmp_post(p.inverse(), q.inverse())
     if post and pre and post != pre:
         raise DomainError("not comparable")
     return post or pre

@@ -415,12 +415,47 @@ def oracle_tile_markings(F):
                                               tile, far, starts):
                 assert j != index or t == tile, "re-walk disagrees with the traced tile"
                 if isinstance(trail, Band):
-                    marked = MarkedTrail(trail, walk[j:] + walk[:j], 0)
+                    marked = MarkedTrail(trail, word[j:] + word[:j], 0)
                 else:
-                    marked = MarkedTrail(trail, walk, j)
+                    marked = MarkedTrail(trail, word, j)
                 found[walk[j][0]].append((marked, t))
                 covered[walk[j][0]].append((t[0], t[2]))
     return {k: sorted(ts, key=lambda x: x[1][:2]) for k, ts in found.items()}
+
+
+def oracle_countercurrent_compare(p, q):
+    """The countercurrent order on signed-arrow walks, each marking given as
+    (walk, index, is_band): -1, 0 or 1, or the message of the DomainError."""
+    def inverse(m):
+        walk, i, band = m
+        return tuple((a, -e) for a, e in reversed(walk)), len(walk) - 1 - i, band
+
+    def post(m, length):
+        walk, i, band = m
+        if band:
+            return tuple(walk[(i + 1 + k) % len(walk)] for k in range(length))
+        return walk[i + 1:i + 1 + length]
+
+    def cmp_post(m1, m2):
+        horizon = 2 * (len(m1[0]) + len(m2[0])) + 4
+        s1, s2 = post(m1, horizon), post(m2, horizon)
+        for x, y in zip(s1, s2):
+            if x != y:
+                return -1 if x[1] == 1 else 1
+        return 0 if len(s1) == len(s2) else "not comparable"
+
+    mark = p[0][p[1]]
+    if q[0][q[1]] != mark:
+        if q[0][q[1]] != (mark[0], -mark[1]):
+            return f"trail is not marked at {mark[0]}^{mark[1]}"
+        q = inverse(q)
+    orders = cmp_post(p, q), cmp_post(inverse(p), inverse(q))
+    if "not comparable" in orders:
+        return "not comparable"
+    after, before = orders[0], -orders[1]
+    if after and before and after != before:
+        return "not comparable"
+    return after or before
 
 
 def _oracle_segment_occurrences(t, cap):

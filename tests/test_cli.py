@@ -579,3 +579,18 @@ def test_running_out_of_memory_is_a_json_error(kron_file):
     (line,) = run.stderr.splitlines()
     assert json.loads(line) == {"error": "MemoryError", "message": "out of memory"}
     assert run.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "vertices", "rays"])
+@pytest.mark.parametrize("repeat", ["vertex 1", "fringe-vertex 1!in1"])
+def test_fringed_file_with_a_repeated_vertex_is_structural_error(tmp_path, capsys, repeat, command):
+    # a repeated vertex line was dropped by a set: validate passed, and
+    # vertices and rays reported wrong dimensions
+    base, fringed = tmp_path / "a2.qv", tmp_path / "a2-fringed.qv"
+    base.write_text("vertex 1\nvertex 2\narrow a: 1 -> 2\n")
+    assert run_cli(capsys, "fringe", str(base), "-o", str(fringed))[0] == 0
+    p = tmp_path / "repeat.qv"
+    p.write_text(fringed.read_text() + repeat + "\n")
+    code, out, err = run_cli(capsys, command, str(p))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "StructuralError", "message": "duplicate vertex id"}

@@ -24,8 +24,9 @@ def test_tiny_benchmark_payloads_match_the_reference(workload):
 
 
 def test_traced_tiny_run_counts_trace_calls_and_steps():
-    # --trace 1 wraps flows.trace_interval and reads the length of every
-    # walk it returns: the traced path must run and count the tracer's work.
+    # --trace 1 wraps flows.trace_interval and reads len(mt.walk) of every
+    # marked trail it returns: seed 1's tiny run makes 24 probes of 153
+    # steps in all.
     run = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "flow-decompose", "--seed", "1",
                           "--seconds", "0", "--tiny", "--trace", "1"], cwd=ROOT, capture_output=True,
                          text=True, timeout=300)
@@ -33,8 +34,8 @@ def test_traced_tiny_run_counts_trace_calls_and_steps():
     summary = json.loads(run.stdout.splitlines()[-1])
     assert summary["correct"] is True, run.stdout
     assert summary["failed"] == 0, run.stdout
-    assert summary["metrics"]["flows.trace_interval.calls"]["value"] > 0
-    assert summary["metrics"]["flows.trace_steps"]["value"] > 0
+    assert summary["metrics"]["flows.trace_interval.calls"]["value"] == 24
+    assert summary["metrics"]["flows.trace_steps"]["value"] == 153
 
 
 def test_traced_tiny_clique_search_reaches_the_search_hooks():

@@ -197,3 +197,41 @@ def test_fringed_quiver_validation_errors():
     bad = quiver.FringedQuiver(("v",), ("w",), {"a": ("w", "v")}, {})
     with pytest.raises(DomainError):
         bad.validate()
+
+
+def rematched(f, v):
+    """f with the relation pairs at v matching its in- and out-arrows the other way."""
+    (a1, a2), (b1, b2) = f.relation_pairs[v]
+    return quiver.FringedQuiver(f.internal_vertices, f.fringe_vertices, f.arrows,
+                                {**f.relation_pairs, v: ((a1, b2), (b1, a2))})
+
+
+def test_fringed_validation_agrees_with_the_gentle_axioms(quiver_pool):
+    # validate tests only the relation-free cycle of validate_gentle, since
+    # its own checks imply the other axioms: on every rematching of one
+    # vertex of the pool, it agrees with validate_gentle on the gentle quiver
+    # of all the vertices, arrows and relations
+    verdicts = set()
+    for pool in quiver_pool:
+        for v in pool.quiver.internal_vertices:
+            f = rematched(pool.quiver, v)
+            vertices = tuple(sorted(f.internal_vertices + f.fringe_vertices))
+            problems = validate_gentle(GentleQuiver(vertices, f.arrows, f.relations))
+            if problems:
+                with pytest.raises(DomainError) as err:
+                    f.validate()
+                assert str(err.value) == "; ".join(problems)
+            else:
+                f.validate()
+            verdicts.add(bool(problems))
+    assert verdicts == {True, False}
+
+
+def test_relation_data_off_the_internal_vertices_is_domain_error():
+    f = fixture_quiver("kronecker")
+    w = min(f.fringe_vertices)
+    pairs = {**f.relation_pairs, w: f.relation_pairs[f.internal_vertices[0]]}
+    bad = quiver.FringedQuiver(f.internal_vertices, f.fringe_vertices, f.arrows, pairs)
+    with pytest.raises(DomainError) as err:
+        bad.validate()
+    assert str(err.value) == f"relation data at {w}, not an internal vertex"

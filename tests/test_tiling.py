@@ -159,6 +159,24 @@ def test_each_route_is_traced_once(monkeypatch, quiver_pool):
     assert with_bands > 0
 
 
+def test_decomposition_builds_no_signed_arrow_walk(monkeypatch, quiver_pool):
+    # traces and tiles stay on codes: no marked trail spells its walk out
+    built = []
+    walk = trails.MarkedTrail.walk
+
+    def counting(self):
+        built.append(self)
+        return walk.func(self)
+
+    monkeypatch.setattr(trails.MarkedTrail, "walk", property(counting))
+    cases = tiled_flows(quiver_pool)
+    for F in cases:
+        flows.trail_coefficients(F)
+    assert built == []
+    mt = cases[0].markings["e1"][0][0]
+    assert mt.walk == walk.func(mt) and built == [mt]
+
+
 def test_every_probe_goes_through_trace_interval(monkeypatch, quiver_pool):
     # perfbench/tracer.py counts flows.trace_interval calls and steps: one per
     # zero-length gap, one per route and one per band orientation with a

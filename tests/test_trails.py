@@ -311,3 +311,61 @@ def test_straight_routes(quiver_pool):
         assert len(ss) == f.straight_route_count()
         for s in ss:
             assert trails.is_straight(s)
+
+
+def test_marked_trails_compare_by_trail_direction_and_occurrence():
+    from fractions import Fraction as Q
+    from gentleflow.flows import Flow, trace_interval
+
+    # the two sides of one occurrence are two values, each the other's view
+    f = fixture_quiver("kronecker")
+    m = markings_at(R("e1 e2 f2^-1 f1^-1"), "e2", 1)[0]
+    other = m.viewed_at("e2", -1)
+    assert other != m and other == m.inverse()
+    assert other.marked() == ("e2", -1) and other.viewed_at("e2", 1) == m
+    # a band marking is read from its mark, whichever way it is made: by
+    # markings_at, by at(j) of a traced marking, by viewed_at or by a trace
+    f = fixture_quiver("double-kronecker")
+    band = f.calculus.universe.band(f.calculus.codes(B("e2 e3 f3^-1 f2^-1")))
+    F = Flow(f, dict.fromkeys(("e2", "e3", "f2", "f3"), 1))
+    tiles = F.integer_tiles()
+    for a, e in band.walk:
+        traced = trace_interval(F, (a, e), Q(1, 2))[0]
+        (marking,) = markings_at(band, a, e)
+        assert traced == marking and marking.index == 0 and marking.walk[0] == (a, e)
+        assert marking.viewed_at(a, -e).walk[0] == (a, -e)
+        assert marking.viewed_at(a, -e).viewed_at(a, e) == marking
+        if e == 1:
+            assert [mt for mt, _t in tiles[a]] == [marking]
+        for j in range(len(band)):
+            assert traced.at(j) == markings_at(band, *traced.walk[j])[0]
+
+
+def as_walk(m):
+    return m.walk, m.index, isinstance(m.trail, Band)
+
+
+def test_countercurrent_matches_the_walk_oracle(quiver_pool):
+    # every pair of markings at each signed arrow of some bundles, also with
+    # one side read into a universe of its own
+    from oracles import oracle_countercurrent_compare
+
+    compared = set()
+    for pool in quiver_pool[::4]:
+        f = pool.quiver
+        for bundle in pool.bundles[:3]:
+            for a in sorted(f.arrows):
+                for eps in (1, -1):
+                    marks = [m for t in bundle.sorted_trails() for m in markings_at(t, a, eps)]
+                    for m1 in marks:
+                        for m2 in marks:
+                            foreign = markings_at(type(m2.trail).of(m2.trail.walk), a, -eps)
+                            for q in [m2] + foreign[:1]:
+                                want = oracle_countercurrent_compare(as_walk(m1), as_walk(q))
+                                try:
+                                    got = countercurrent_compare(f, m1, q)
+                                except DomainError as err:
+                                    got = str(err)
+                                assert got == want
+                                compared.add(got)
+    assert compared >= {-1, 0, 1}

@@ -83,14 +83,14 @@ def value_cases():
     f = fixture_quiver("kronecker")
     r1, r2 = sorted(enumerate_routes(f, 3), key=trail_key)[:2]
     band = min(enumerate_bands(f, 4), key=trail_key)
-    mt, iv = MarkedTrail(r1, r1.walk, 0), QInterval(Q(0), Q(1, 2))
+    mt, iv = MarkedTrail(r1, r1.codes, 0), QInterval(Q(0), Q(1, 2))
     return [
         (GentleQuiver, {"vertices": ("1", "2"), "arrows": {"a": ("1", "2")}, "relations": frozenset()},
          {"vertices": ("1",)}, {}, True, None),
         (FringedQuiver, {"internal_vertices": f.internal_vertices, "fringe_vertices": f.fringe_vertices,
                          "arrows": f.arrows, "relation_pairs": f.relation_pairs},
          {"arrows": {}}, {}, True, "relations"),
-        (MarkedTrail, {"trail": r1, "walk": r1.walk, "index": 0}, {"index": 1}, {}, True, None),
+        (MarkedTrail, {"trail": r1, "codes": r1.codes, "index": 0}, {"index": 1}, {}, True, "walk"),
         (QInterval, {"lo": Q(0), "hi": Q(1, 2), "lo_open": False, "hi_open": True},
          {"lo_open": True}, {}, True, None),
         (BundleCombination, {"coefficients": {r1: Q(1)}}, {"coefficients": {r1: Q(2)}}, {}, False, None),
