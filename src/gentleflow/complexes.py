@@ -135,11 +135,13 @@ def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list
     return out
 
 
-def _bron_kerbosch(adj: list[int]) -> list[int]:
+def _bron_kerbosch(adj: list[int], r: int = 0, p: int | None = None, x: int = 0) -> list[int]:
     """Maximal cliques of the graph on range(len(adj)) with neighbour bitsets
-    adj, as bitsets: Bron-Kerbosch with Tomita pivoting, on an explicit stack."""
+    adj, as bitsets: Bron-Kerbosch with Tomita pivoting, on an explicit stack.
+    From the node (r, p, x), r a clique and p | x common neighbours of it, it
+    gives the cliques r | t, t ⊆ p, that no vertex of p | x extends."""
     cliques = []
-    stack = [(0, (1 << len(adj)) - 1, 0)]
+    stack = [(r, (1 << len(adj)) - 1 if p is None else p, x)]
     while stack:
         r, p, x = stack.pop()
         if not p:
@@ -188,22 +190,24 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
     route extension kills some K-compatible band.
 
     Stability reduces to single-route extensions: a clique K' ⊋ K contains a
-    route q ∉ K, and a K-compatible band kissing q is not K'-compatible.  The
-    candidates are the subsets of the maximal cliques.  For a candidate s, as
-    bitsets, ext(s) is the routes outside s compatible with all of s, ok(s)
-    the bands compatible with all of s, and killable(ok) the union of kills[b],
-    the routes band b kisses, over b in ok.  So s is stable iff
-    ext(s) & ~killable(ok(s)) == 0: a route is kissed by a band of ok exactly
-    when it lies in killable(ok).
+    route q ∉ K, and a K-compatible band kissing q is not K'-compatible.  For
+    a clique s, as bitsets, ext(s) is the routes outside s compatible with
+    all of s, ok(s) the bands compatible with all of s, and killable(ok) the
+    union of kills[b], the routes band b kisses, over b in ok.  So s is
+    stable iff ext(s) & ~killable(ok(s)) == 0; it is maximal iff ext(s) == 0,
+    and its band generators are the bands of ok(s).
 
-    Routes no band can kill are forced.  Per maximal clique m, `forced`
-    starts empty and repeatedly takes in m & ~forced & ~killable(ok(forced)).
-    This is exact: let s ⊆ m be stable with forced ⊆ s.  A route q ∈ m ∖ s
-    lies in ext(s), as m is a clique, so some band of ok(s) ⊆ ok(forced)
-    kills it.  So each route taken in lies in s, and by induction every
-    stable s ⊆ m contains forced; only the candidates forced | t,
-    t ⊆ m ∖ forced, are tried.  A stable s is maximal exactly when it equals
-    the maximal clique m it is first reached from; its band generators are ok(s).
+    One depth-first search visits each clique once, in member order: a
+    child of s adds one route v of hi(s), the routes of ext(s) after the
+    last one added, and has hi = hi(s) & rows[v] & above(v).  Below s lie
+    the cliques s | t, t ⊆ hi(s), and down the tree ok, so killable, only
+    shrinks.  Two facts prune it:
+    - the cut: take q ∈ ext(s) ∖ hi(s) ∖ killable(ok(s)) compatible with all
+      of hi(s).  Below s no clique adds q, each has q in ext, and none kills
+      it: none is stable.  A skipped straight route is such a q;
+    - the hand-off: if killable(ok(s)) == 0, stable below s means ext == 0,
+      maximal, and the bands of ok(s) kiss no route, so ok stays ok(s).
+      Bron-Kerbosch from (s, hi(s), ext(s) ∖ hi(s)) lists exactly those.
     """
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
@@ -221,35 +225,24 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
             gens = _bits(ok)
             per_ok[ok] = reduce(or_, map(kills.__getitem__, gens), 0), tuple(map(bands.__getitem__, gens))
         return per_ok[ok]
-    # (ext, ok) per candidate; forced | t, t nonempty, extends the candidate without
-    # t's lowest route, visited before it since submasks go in increasing order
-    acc: dict[int, tuple[int, int]] = {}
-    stable, facts = [], []  # per stable clique: its bitset; maximal, band_generators
-    for m in _bron_kerbosch(rows):
-        forced, ext, ok = 0, (1 << len(nodes)) - 1, (1 << len(bands)) - 1
-        while new := m & ~forced & ~killable(ok)[0]:
-            forced |= new
-            for q in _bits(new):
-                ext, ok = ext & rows[q], ok & band_rows[q]
-        free = m & ~forced
-        subs = [free]
-        while subs[-1]:
-            subs.append((subs[-1] - 1) & free)
-        for t in reversed(subs):
-            s = forced | t
-            if s in acc:
-                continue
-            if t:  # else (ext, ok) are forced's, from the fixpoint
-                low = t & -t
-                ext, ok = acc[s ^ low]
-                v = low.bit_length() - 1
-                ext, ok = ext & rows[v], ok & band_rows[v]
-            acc[s] = ext, ok
-            union, gens = killable(ok)
-            if not ext & ~union:
-                stable.append(s)
-                facts.append({"maximal": s == m, "band_generators": gens})
-    return [Clique._of(ms, **facts[j]) for ms, j in _in_member_order(nodes, stable)]
+    out = []
+    everything = (1 << len(nodes)) - 1
+    stack = [(0, everything, (1 << len(bands)) - 1, everything)]  # (s, ext, ok, hi)
+    while stack:
+        s, ext, ok, hi = stack.pop()
+        union, gens = killable(ok)
+        if any(rows[q] & hi == hi for q in _bits(ext & ~hi & ~union)):
+            continue
+        if not union:
+            out += [Clique._of(ms, maximal=True, band_generators=gens)
+                    for ms, _j in _in_member_order(nodes, _bron_kerbosch(rows, s, hi, ext & ~hi))]
+            continue
+        if not ext & ~union:
+            out.append(Clique._of(tuple(map(nodes.__getitem__, _bits(s))),
+                                  maximal=not ext, band_generators=gens))
+        for v in reversed(_bits(hi)):
+            stack.append((s | 1 << v, ext & rows[v], ok & band_rows[v], hi & rows[v] & ~((2 << v) - 1)))
+    return out
 
 
 def distinguished_arrows(f: FringedQuiver, bundle: Bundle, p: Trail) -> set[str]:

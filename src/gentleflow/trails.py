@@ -153,7 +153,10 @@ class TrailUniverse:
         self._bands: dict[tuple[int, ...], Band] = {}
 
     def word(self, w: Walk) -> tuple[int, ...]:
-        return tuple(map(self.code.__getitem__, w))
+        try:
+            return tuple(map(self.code.__getitem__, w))
+        except KeyError as exc:
+            raise DomainError(f"unknown arrow id {exc.args[0][0]}") from None
 
     def route(self, word: tuple[int, ...]) -> Route:
         hit = self._routes.get(word)

@@ -230,6 +230,25 @@ def test_bron_kerbosch_matches_networkx():
         expected = sorted(sorted(c) for c in nx.find_cliques(g))
         got = sorted(sorted(complexes._bits(c)) for c in complexes._bron_kerbosch(adj))
         assert got == expected
+        # from a start node (r, p, x): a clique r, its common neighbours split
+        # into p and x, gives the maximal cliques C with r ⊆ C ⊆ r | p
+        r, common = 0, (1 << n) - 1
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            if common >> v & 1 and rng.random() < 0.5:
+                r, common = r | 1 << v, common & adj[v]
+        p = x = 0
+        for v in complexes._bits(common):
+            if rng.random() < 0.5:
+                p |= 1 << v
+            else:
+                x |= 1 << v
+        members, allowed = set(complexes._bits(r)), set(complexes._bits(r | p))
+        expected = sorted(sorted(c) for c in nx.find_cliques(g) if members <= set(c) <= allowed)
+        got = sorted(sorted(complexes._bits(c)) for c in complexes._bron_kerbosch(adj, r, p, x))
+        assert got == expected
+        if x:
+            assert complexes._bron_kerbosch(adj, r, 0, x) == []
+        assert complexes._bron_kerbosch(adj, r, 0, 0) == [r]
 
 
 def test_band_stable_matches_subset_oracle(quiver_pool):
@@ -284,3 +303,20 @@ def test_doubled_a5_clique_search():
     bound = len(f.arrows) + 2 * len(f.internal_vertices)
     assert len(complexes.bending_route_universe(f, bound)) == 218
     assert len(maximal_cliques(f, bound)) == 2084
+
+
+def test_band_stable_without_bands_are_the_maximal_cliques(quiver_pool, perfbench_gen):
+    # no band kills a route, so the search hands the root off to Bron-Kerbosch
+    from gentleflow.cli import default_band_bound, default_route_bound
+    from gentleflow.quiver import fringe, parse_quiver_file
+
+    cases = [(pool.quiver, pool.route_bound, pool.band_bound) for pool in quiver_pool if not pool.bands]
+    for seed in (8, 17, 24, 36, 38, 41):  # the benchmark's MID_CLIQUE_POOL
+        f = fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(seed, 6)))
+        assert not complexes.band_universe(f, default_band_bound(f))
+        cases.append((f, default_route_bound(f), default_band_bound(f)))
+    assert len(cases) == 32 + 6
+    for f, rb, bb in cases:
+        got = band_stable_cliques(f, rb, bb)
+        assert [k.members for k in got] == [k.members for k in maximal_cliques(f, rb)]
+        assert all(k.maximal is True and k.band_generators == () for k in got)

@@ -336,6 +336,13 @@ def test_splitting_strength():
         splitting_strength(F_bad, band)
 
 
+def test_splitting_strength_on_an_unknown_arrow_is_a_domain_error():
+    f = fixture_quiver("kronecker")
+    F = indicator(f, R("e1 e2 e3")).plus(indicator(f, B("e2 f2^-1")), Q(5))
+    with pytest.raises(DomainError, match="unknown arrow id zz"):
+        splitting_strength(F, B("zz e2"))
+
+
 def test_splitting_shrinks_proper_blanks():
     f = fixture_quiver("kronecker")
     band = B("e2 f2^-1")

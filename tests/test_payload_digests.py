@@ -1,0 +1,234 @@
+"""Byte-identical reports.  `cli.main` runs in-process on a fixed set of
+command lines, and the sha256 of each line's stdout, stderr and exit code
+must equal the digests in payload_digests.json.
+
+A change that alters a report on purpose re-records the file and names each
+changed digest in CHANGES.md.  To record, from the repository root:
+
+    PYTHONPATH=src python tests/test_payload_digests.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from gentleflow import cli, complexes, trails
+from gentleflow.fixtures import DAG_FIXTURES, FIXTURES, QUIVER_FIXTURES
+from gentleflow.quiver import fringe, parse_quiver_file
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "payload_digests.json"
+
+
+def _gen():
+    """perfbench/gen.py, the benchmark's input generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", HERE.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _plain_text(q) -> str:
+    lines = [f"vertex {v}" for v in q.vertices]
+    lines += [f"arrow {a}: {t} -> {h}" for a, (t, h) in sorted(q.arrows.items())]
+    lines += [f"relation {a} {b}" for a, b in sorted(q.relations)]
+    return "\n".join(lines) + "\n"
+
+
+def pool_texts() -> dict[str, str]:
+    """The 40-quiver pool of conftest.quiver_pool, as quiver files: the five
+    quiver fixtures, then the 35 random quivers of its seed, unfringed."""
+    from conftest import random_gentle_quiver
+
+    out = dict(QUIVER_FIXTURES)
+    rng = random.Random(20240917)
+    for i in range(40 - len(out)):
+        out[f"pool-{i:02d}"] = _plain_text(random_gentle_quiver(rng))
+    return out
+
+
+def pool_bounds(f) -> tuple[int, int]:
+    """The route and band bounds conftest.TrailPool gives f."""
+    return max(min(len(f.arrows), 10), 1), max(min(2 * len(f.internal_vertices) + 2, 8), 2)
+
+
+CLIQUE_COMMANDS = [["cliques"], ["cliques", "--reduced"], ["bundles"], ["band-stable"],
+                   ["cells", "--kind", "clique"], ["cells", "--kind", "bundle"],
+                   ["cells", "--kind", "vortex"]]
+QUIVER_COMMANDS = [["validate"], ["pairing"], ["vertices"], ["rays"], ["facets"], ["fringe"],
+                   ["routes"], ["bands"]] + CLIQUE_COMMANDS
+# the six 6-vertex quivers of the benchmark's MID_CLIQUE_POOL, as (vertices, seed)
+MID_CLIQUE_POOL = [(6, 8), (6, 17), (6, 24), (6, 36), (6, 38), (6, 41)]
+
+
+class Cases:
+    """Command lines by group, with their input files in one directory."""
+
+    def __init__(self, root: Path):
+        self.root, self.groups, self.labels = root, {}, {}
+
+    def file(self, text: str, label: str) -> str:
+        """A new input file holding text; command lines name it by label."""
+        path = str(self.root / f"{len(self.labels)}.txt")
+        Path(path).write_text(text)
+        self.labels[path] = label
+        return path
+
+    def add(self, group: str, *argv: str) -> None:
+        key = " ".join(self.labels.get(token, token) for token in argv)
+        assert key not in self.groups.setdefault(group, {}), key
+        self.groups[group][key] = list(argv)
+
+    def quiver_commands(self, group, name, text, commands, bounds=None):
+        """commands on a new quiver file, at the bounds (rb, bb) if given."""
+        path = self.file(text, name)
+        for cmd, *options in commands:
+            self.add(group, cmd, path, *options, *(_bounds(cmd, *bounds) if bounds else ()))
+        return path
+
+
+def _bounds(cmd: str, rb: int, bb: int) -> list[str]:
+    """The options that give cmd the route bound rb and the band bound bb."""
+    if cmd in ("routes", "cliques"):
+        return ["--max-arrows", str(rb)]
+    if cmd == "bands":
+        return ["--max-arrows", str(bb)]
+    return ["--max-arrows", str(rb), "--band-bound", str(bb)]
+
+
+def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
+    gen = _gen()
+    cases = Cases(root)
+    for name, text in pool_texts().items():
+        group = "fixtures" if name in QUIVER_FIXTURES else "pool"
+        path = cases.quiver_commands(group, name, text, QUIVER_COMMANDS)
+        f = parse_quiver_file(text)
+        f = f if name in QUIVER_FIXTURES else fringe(f)
+        rb, bb = pool_bounds(f)
+        for cmd, *options in [["routes"], ["bands"]] + CLIQUE_COMMANDS:
+            cases.add(group, cmd, path, *options, *_bounds(cmd, rb, bb))
+        routes = sorted(trails.enumerate_routes(f, rb), key=trails.trail_key)
+        for t in routes[:1] + routes[-1:] + complexes.band_universe(f, bb)[:1]:
+            cases.add(group, "gvector", path, "--trail", str(t))
+        # decompose, decompose --vortex and blanks on two bundle flows
+        bundles = complexes.maximal_bundles(f, rb, bb)
+        for seed, bundle in enumerate(bundles[:1] + bundles[len(bundles) // 2:][:1]):
+            flow, _coeffs = gen.bundle_flow(seed, bundle.as_json())
+            flow_path = cases.file(json.dumps(flow, sort_keys=True), f"{name}#{seed}.json")
+            for cmd, *options in (["decompose"], ["decompose", "--vortex"], ["blanks"]):
+                cases.add("flows", cmd, path, "--flow", flow_path, *options)
+    for name in FIXTURES:
+        cases.add("fixtures", "examples", name)
+
+    kron = cases.file(QUIVER_FIXTURES["kronecker"], "kronecker")
+    for label, flow in [("winding-1", gen.winding_flow(1)), ("winding-40", gen.winding_flow(40)),
+                        ("rational", gen.rational_winding_flow("1001/7", "3/2"))]:
+        flow_path = cases.file(json.dumps(flow), f"{label}.json")
+        for cmd, *options in (["decompose"], ["decompose", "--vortex"], ["blanks"]):
+            cases.add("flows", cmd, kron, "--flow", flow_path, *options)
+
+    # clique search where it is heavy: doubled A5 at the default bounds,
+    # triple-kronecker at 8/8, the benchmark's 6-vertex quivers
+    cases.quiver_commands("clique-search", "doubled-A5", gen.doubled_path(5), CLIQUE_COMMANDS)
+    cases.quiver_commands("clique-search", "triple-kronecker", QUIVER_FIXTURES["triple-kronecker"],
+                          CLIQUE_COMMANDS, bounds=(8, 8))
+    for n, seed in MID_CLIQUE_POOL:
+        cases.quiver_commands("clique-search", f"random-{n}-{seed}", gen.random_gentle_quiver(seed, n),
+                              [["band-stable"], ["cells", "--kind", "vortex"]])
+
+    dags = {**DAG_FIXTURES, **{f"doubled-path-dag-{n}": gen.doubled_path_dag(n) for n in (2, 3, 4, 5)}}
+    dag_flows = {"cube-dag": [{"e1": 1, "e2": 3, "f1": 3, "f2": 1}],
+                 "difdagc-dag": [{"p1": 1, "m1": 1, "r1": 1}],
+                 **{f"doubled-path-dag-{n}": [gen.dag_flow(seed, n) for seed in (0, 1)]
+                    for n in (2, 3, 4, 5)}}
+    for name, text in dags.items():
+        path = cases.file(text, name)
+        cases.add("dags", "convert-dag", path)
+        for i, flow in enumerate(dag_flows[name]):
+            cases.add("dags", "dag-decompose", path, "--flow", cases.file(json.dumps(flow), f"{name}#{i}.json"))
+
+    # exit 1: a report and an error, or an error alone
+    loop = cases.file("vertex v\narrow a: v -> v\n", "loop")
+    cases.add("errors", "validate", loop)
+    cases.add("errors", "cliques", loop)
+    cases.add("errors", "vertices", cases.file("fringed\nvertex 1\nvertex 1\n", "repeated-vertex"))
+    cases.add("errors", "fringe", kron)
+    cases.add("errors", "cliques", kron, "--max-arrows", "0")
+    cases.add("errors", "band-stable", kron, "--band-bound", "0")
+    cases.add("errors", "cells", kron, "--kind", "clique", "--band-bound", "0")
+    cases.add("errors", "gvector", kron, "--trail", "e1 e2")
+    cases.add("errors", "gvector", kron, "--trail", "zz")
+    for label, text in [("unbalanced", '{"e1": "1"}'), ("unknown-arrow", '{"zz": "1"}'),
+                        ("negative", '{"e1": "-1", "f1": "-1"}'), ("not-json", "{"),
+                        ("nested", "[" * 100000)]:
+        flow_path = cases.file(text, f"{label}.json")
+        for cmd in ("decompose", "blanks"):
+            cases.add("errors", cmd, kron, "--flow", flow_path)
+    cases.add("errors", "dag-decompose", cases.file(DAG_FIXTURES["cube-dag"], "cube-dag"),
+              "--flow", cases.file('{"e1": "1"}', "unbalanced.json"))
+    cases.add("errors", "examples", "no-such-example")
+    cases.add("errors", "vertices", "/no/such/file.qv")
+    return cases.groups
+
+
+def run(argv: list[str]) -> list[str]:
+    """The sha256 of the stdout, the stderr and the exit code of argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return [hashlib.sha256(s.encode()).hexdigest() for s in (out.getvalue(), err.getvalue(), str(code))]
+
+
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    return build_cases(tmp_path_factory.mktemp("payloads"))
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+GROUPS = ["fixtures", "pool", "clique-search", "flows", "dags", "errors"]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_reports_match_the_recorded_digests(cases, recorded, group):
+    assert set(cases[group]) == set(recorded[group])  # the same command lines
+    changed = [key for key, argv in cases[group].items() if run(argv) != recorded[group][key]]
+    assert not changed, f"{len(changed)} of {len(cases[group])} reports changed: {changed[:10]}"
+
+
+def test_the_command_lines_cover_every_command(cases, recorded):
+    assert {argv[0] for group in cases.values() for argv in group.values()} == set(cli.COMMANDS)
+    exit_codes = {hashlib.sha256(str(code).encode()).hexdigest(): code for code in (0, 1)}
+    assert {exit_codes[digest] for _out, _err, digest in recorded["errors"].values()} == {1}
+
+
+def record() -> None:
+    with tempfile.TemporaryDirectory() as root:
+        groups = build_cases(Path(root))
+        digests = {group: {key: run(argv) for key, argv in sorted(groups[group].items())}
+                   for group in GROUPS}
+    # one command line a line, so a diff of the file names the changed reports
+    DIGESTS.write_text("{\n%s\n}\n" % ",\n".join(
+        "%s: {\n%s\n}" % (json.dumps(group), ",\n".join(
+            "%s: %s" % (json.dumps(key), json.dumps(value)) for key, value in lines.items()))
+        for group, lines in digests.items()))
+    print(f"wrote {sum(map(len, digests.values()))} digests to {DIGESTS}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()

@@ -66,3 +66,20 @@ def test_maximal_cliques_do_not_depend_on_the_framing(perfbench_gen, name, n, fr
         assert len(maximal_cliques(f, default_route_bound(f))) == volume, labels
         counted += 1
     assert counted == framings
+
+
+def test_maximal_cliques_count_the_lidskii_volume_on_the_pool(quiver_pool):
+    # every paired pool quiver with an acyclic flow-graph: the clique count
+    # against the volume of the flow polytope of its DAG
+    checked = 0
+    for pool in quiver_pool:
+        f = pool.quiver
+        psi = quiver.find_pairing(f)
+        if psi is None:
+            continue
+        g = dag.from_paired(f, psi)
+        if not g.is_acyclic():
+            continue
+        assert len(maximal_cliques(f, default_route_bound(f))) == oracle_lidskii_volume(g)
+        checked += 1
+    assert checked == 19  # of the 32 representation-finite pool quivers

@@ -289,6 +289,15 @@ def test_countercurrent_band_vs_straight():
     assert countercurrent_compare(f, straight, band_mark) == -1
 
 
+def test_countercurrent_on_an_unknown_arrow_is_a_domain_error():
+    f = fixture_quiver("kronecker")
+    known = markings_at(R("e1 e2 e3"), "e2", 1)[0]
+    unknown = markings_at(R("zz e2 e3"), "e2", 1)[0]
+    for p, q in ((known, unknown), (unknown, known)):
+        with pytest.raises(DomainError, match="unknown arrow id zz"):
+            countercurrent_compare(f, p, q)
+
+
 def test_countercurrent_total_on_bundles(quiver_pool):
     for pool in quiver_pool[:10]:
         f = pool.quiver
