@@ -242,7 +242,7 @@ def cmd_cells(args):
         payload = [b.as_json() for b in complexes.maximal_bundles(f, rb, bb)]
     else:
         payload = [{"clique": k.as_json(),
-                    "band_generators": [str(b) for b in k.band_generators]}
+                    "band_generators": [b._str for b in k.band_generators]}
                    for k in complexes.band_stable_cliques(f, rb, bb)]
     _report(args, payload, bounds={"route_bound": rb, "band_bound": bb})
     return 0

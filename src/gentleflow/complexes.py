@@ -2,8 +2,9 @@
 
 Straight routes are compatible with every trail, so every maximal clique or
 bundle contains them all.  The searches run on one trail_key order of the
-trails, straight routes included: read low bit up, a clique's bitset lists
-its members in order."""
+trails, straight routes included, and give each clique as its increasing
+positions in that order: the positions list its members in order, and
+tuple order on them is member order."""
 
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ class _Members:
         return self._of(tuple(t for t in self.members if not is_straight(t)))
 
     def as_json(self):
-        return [str(t) for t in self.members]
+        return [t._str for t in self.members]
 
 
 class Clique(_Members, Value):
@@ -135,36 +136,38 @@ def _compat_rows(f: FringedQuiver, rows: list[Trail], cols: list[Trail]) -> list
     return out
 
 
-def _bron_kerbosch(adj: list[int], r: int = 0, p: int | None = None, x: int = 0) -> list[int]:
+def _bron_kerbosch(adj: list[int], r: tuple[int, ...] = (), p: int | None = None,
+                   x: int = 0) -> list[tuple[int, ...]]:
     """Maximal cliques of the graph on range(len(adj)) with neighbour bitsets
-    adj, as bitsets: Bron-Kerbosch with Tomita pivoting, on an explicit stack.
-    From the node (r, p, x), r a clique and p | x common neighbours of it, it
-    gives the cliques r | t, t ⊆ p, that no vertex of p | x extends."""
+    adj, as increasing position tuples in tuple order: Bron-Kerbosch with
+    Tomita pivoting, on an explicit stack.  From the node (r, p, x), r a
+    clique as a tuple of positions and the bitset p | x common neighbours of
+    it, it gives the cliques r + t, t ⊆ p, that no vertex of p | x extends."""
     cliques = []
     stack = [(r, (1 << len(adj)) - 1 if p is None else p, x)]
     while stack:
         r, p, x = stack.pop()
         if not p:
             if not x:
-                cliques.append(r)
+                cliques.append(tuple(sorted(r)))
             continue
-        most = -1
-        for u in _bits(p | x):  # the first u with the most neighbours in p
+        most, m = -1, p | x
+        while m:  # the first u with the most neighbours in p, low bit up
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
             if (n := (p & adj[u]).bit_count()) > most:
                 most, pivot = n, u
-        for v in _bits(p & ~adj[pivot]):
-            stack.append((r | 1 << v, p & adj[v], x & adj[v]))
-            p &= ~(1 << v)
-            x |= 1 << v
+        m = p & ~adj[pivot]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            stack.append((r + (v,), p & adj[v], x & adj[v]))
+            p ^= low
+            x |= low
+    cliques.sort()
     return cliques
-
-
-def _in_member_order(nodes: list[Trail], masks: list[int]):
-    """(members, j) per bitset masks[j] over nodes, sorted.  Read low bit up, a
-    mask lists its members in the trail_key order of nodes, prefixes first."""
-    keys = list(map(_bits, masks))
-    return [(tuple(map(nodes.__getitem__, keys[j])), j)
-            for j in sorted(range(len(masks)), key=keys.__getitem__)]
 
 
 def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
@@ -172,8 +175,8 @@ def maximal_cliques(f: FringedQuiver, route_bound: int) -> list[Clique]:
     if route_bound < 1:
         raise DomainError("route_bound must be >= 1")
     nodes = _search_order(f, route_bound)
-    cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
-    return [Clique._of(ms) for ms, _j in _in_member_order(nodes, cliques)]
+    return [Clique._of(tuple(map(nodes.__getitem__, k)))
+            for k in _bron_kerbosch(_compat_rows(f, nodes, nodes))]
 
 
 def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Bundle]:
@@ -181,8 +184,8 @@ def maximal_bundles(f: FringedQuiver, route_bound: int, band_bound: int) -> list
     if route_bound < 1 or band_bound < 1:
         raise DomainError("bounds must be >= 1")
     nodes: list[Trail] = _search_order(f, route_bound) + band_universe(f, band_bound)
-    cliques = _bron_kerbosch(_compat_rows(f, nodes, nodes))
-    return [Bundle._of(ms) for ms, _j in _in_member_order(nodes, cliques)]
+    return [Bundle._of(tuple(map(nodes.__getitem__, k)))
+            for k in _bron_kerbosch(_compat_rows(f, nodes, nodes))]
 
 
 def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> list[Clique]:
@@ -191,16 +194,17 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
 
     Stability reduces to single-route extensions: a clique K' ⊋ K contains a
     route q ∉ K, and a K-compatible band kissing q is not K'-compatible.  For
-    a clique s, as bitsets, ext(s) is the routes outside s compatible with
-    all of s, ok(s) the bands compatible with all of s, and killable(ok) the
-    union of kills[b], the routes band b kisses, over b in ok.  So s is
-    stable iff ext(s) & ~killable(ok(s)) == 0; it is maximal iff ext(s) == 0,
-    and its band generators are the bands of ok(s).
+    a clique s, a tuple of increasing positions, the bitset ext(s) is the
+    routes outside s compatible with all of s, ok(s) the bands compatible
+    with all of s, and killable(ok) the union of kills[b], the routes band b
+    kisses, over b in ok.  So s is stable iff ext(s) & ~killable(ok(s)) == 0;
+    it is maximal iff ext(s) == 0, and its band generators are the bands of
+    ok(s).
 
     One depth-first search visits each clique once, in member order: a
     child of s adds one route v of hi(s), the routes of ext(s) after the
     last one added, and has hi = hi(s) & rows[v] & above(v).  Below s lie
-    the cliques s | t, t ⊆ hi(s), and down the tree ok, so killable, only
+    the cliques s + t, t ⊆ hi(s), and down the tree ok, so killable, only
     shrinks.  Two facts prune it:
     - the cut: take q ∈ ext(s) ∖ hi(s) ∖ killable(ok(s)) compatible with all
       of hi(s).  Below s no clique adds q, each has q in ext, and none kills
@@ -227,21 +231,21 @@ def band_stable_cliques(f: FringedQuiver, route_bound: int, band_bound: int) -> 
         return per_ok[ok]
     out = []
     everything = (1 << len(nodes)) - 1
-    stack = [(0, everything, (1 << len(bands)) - 1, everything)]  # (s, ext, ok, hi)
+    stack = [((), everything, (1 << len(bands)) - 1, everything)]  # (s, ext, ok, hi)
     while stack:
         s, ext, ok, hi = stack.pop()
         union, gens = killable(ok)
         if any(rows[q] & hi == hi for q in _bits(ext & ~hi & ~union)):
             continue
         if not union:
-            out += [Clique._of(ms, maximal=True, band_generators=gens)
-                    for ms, _j in _in_member_order(nodes, _bron_kerbosch(rows, s, hi, ext & ~hi))]
+            out += [Clique._of(tuple(map(nodes.__getitem__, k)), maximal=True, band_generators=gens)
+                    for k in _bron_kerbosch(rows, s, hi, ext & ~hi)]
             continue
         if not ext & ~union:
-            out.append(Clique._of(tuple(map(nodes.__getitem__, _bits(s))),
+            out.append(Clique._of(tuple(map(nodes.__getitem__, s)),
                                   maximal=not ext, band_generators=gens))
         for v in reversed(_bits(hi)):
-            stack.append((s | 1 << v, ext & rows[v], ok & band_rows[v], hi & rows[v] & ~((2 << v) - 1)))
+            stack.append((s + (v,), ext & rows[v], ok & band_rows[v], hi & rows[v] & ~((2 << v) - 1)))
     return out
 
 

@@ -237,13 +237,7 @@ class FringedQuiver(_Incidence, Value):
     def fringe_arrows(self) -> list[str]:
         return sorted(set(self.arrows) - set(self.internal_arrows()))
 
-    def straight_route_count(self) -> int:
-        return 2 * len(self.internal_vertices) - len(self.internal_arrows())
-
     # -- signed-arrow bookkeeping -------------------------------------------
-
-    def signed_head(self, a: str, eps: int) -> str:
-        return self.head(a) if eps == 1 else self.tail(a)
 
     def string_continuations(self, a: str, eps: int) -> list[tuple[str, int]]:
         """Signed arrows x^z such that a^eps x^z is a string (at most one per

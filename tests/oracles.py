@@ -6,6 +6,17 @@ from itertools import product
 from math import lcm
 
 
+def signed_head(f, a, eps):
+    """The vertex a^eps ends at: the head of a, or the tail for eps = -1."""
+    return f.head(a) if eps == 1 else f.tail(a)
+
+
+def straight_route_count(f) -> int:
+    """The number of straight routes of the fringed quiver f: 2 per internal
+    vertex, less one per internal arrow."""
+    return 2 * len(f.internal_vertices) - len(f.internal_arrows())
+
+
 def oracle_is_string(f, walk) -> bool:
     """String axioms checked straight off the relation set."""
     rels = f.relations
@@ -238,7 +249,7 @@ def oracle_arrow_profile(trace, cap):
 def oracle_forward_data(f, a, eps):
     """The arrows (alpha', beta, beta') governing Forward at the head of a^eps."""
     from gentleflow.quiver import DomainError
-    v = f.signed_head(a, eps)
+    v = signed_head(f, a, eps)
     if not f.is_internal(v):
         raise DomainError("boundary reached")
     p1, p2 = f.relation_pairs[v]
@@ -265,9 +276,9 @@ def _oracle_step_tables(F):
     fwd, bwd = {}, {}
     for a in f.arrows:
         for eps in (1, -1):
-            if f.is_internal(f.signed_head(a, eps)):
+            if f.is_internal(signed_head(f, a, eps)):
                 fwd[(a, eps)] = oracle_forward_data(f, a, eps)
-            if f.is_internal(f.signed_head(a, -eps)):
+            if f.is_internal(signed_head(f, a, -eps)):
                 bwd[(a, eps)] = oracle_backward_data(f, a, eps)
     return fwd, bwd
 

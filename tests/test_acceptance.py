@@ -21,7 +21,7 @@ from gentleflow.flows import (
 )
 from gentleflow.trails import Band, Route, g_vector, parse_walk
 
-from oracles import clique_simplex_points, lattice_points_of_unit_flows
+from oracles import clique_simplex_points, lattice_points_of_unit_flows, signed_head
 
 
 def R(text):
@@ -288,7 +288,7 @@ def test_criterion_6d_back_forward_identity(quiver_pool):
                 continue
             c = F[a] * Q(rng.randint(1, 996), 997)
             for eps in (1, -1):
-                if not f.is_internal(f.signed_head(a, eps)):
+                if not f.is_internal(signed_head(f, a, eps)):
                     continue
                 nxt, val = forward(F, (a, eps), c)
                 assert backward(F, nxt, val) == ((a, eps), c)

@@ -211,7 +211,7 @@ def test_bron_kerbosch_matches_networkx():
 
     import networkx as nx
 
-    assert complexes._bron_kerbosch([]) == [0]  # the empty graph has one, empty, clique
+    assert complexes._bron_kerbosch([]) == [()]  # the empty graph has one, empty, clique
     rng = random.Random(11)
     graphs = [(n, [(i, j) for i in range(n) for j in range(i + 1, n)]) for n in (1, 2, 7)]
     for _ in range(200):
@@ -227,28 +227,52 @@ def test_bron_kerbosch_matches_networkx():
         g = nx.Graph()
         g.add_nodes_from(range(n))  # isolated nodes are cliques of their own
         g.add_edges_from(edges)
+        # increasing position tuples, in tuple order: no sort on the result
         expected = sorted(sorted(c) for c in nx.find_cliques(g))
-        got = sorted(sorted(complexes._bits(c)) for c in complexes._bron_kerbosch(adj))
-        assert got == expected
-        # from a start node (r, p, x): a clique r, its common neighbours split
-        # into p and x, gives the maximal cliques C with r ⊆ C ⊆ r | p
-        r, common = 0, (1 << n) - 1
+        assert [list(c) for c in complexes._bron_kerbosch(adj)] == expected
+        # from a start node (r, p, x): a clique r, as positions in any order,
+        # its common neighbours split into p and x, gives the maximal cliques
+        # C with r ⊆ C ⊆ r | p
+        r, common = (), (1 << n) - 1
         for v in rng.sample(range(n), rng.randint(0, n)):
             if common >> v & 1 and rng.random() < 0.5:
-                r, common = r | 1 << v, common & adj[v]
+                r, common = r + (v,), common & adj[v]
         p = x = 0
         for v in complexes._bits(common):
             if rng.random() < 0.5:
                 p |= 1 << v
             else:
                 x |= 1 << v
-        members, allowed = set(complexes._bits(r)), set(complexes._bits(r | p))
+        members, allowed = set(r), set(r) | set(complexes._bits(p))
         expected = sorted(sorted(c) for c in nx.find_cliques(g) if members <= set(c) <= allowed)
-        got = sorted(sorted(complexes._bits(c)) for c in complexes._bron_kerbosch(adj, r, p, x))
-        assert got == expected
+        assert [list(c) for c in complexes._bron_kerbosch(adj, r, p, x)] == expected
         if x:
             assert complexes._bron_kerbosch(adj, r, 0, x) == []
-        assert complexes._bron_kerbosch(adj, r, 0, 0) == [r]
+        assert complexes._bron_kerbosch(adj, r, 0, 0) == [tuple(sorted(r))]
+
+
+def test_clique_lists_expand_no_bitset_and_call_no_str(monkeypatch, perfbench_gen):
+    # Bron-Kerbosch hands over its cliques as sorted position tuples, and
+    # as_json reads each trail's interned string
+    from gentleflow.cli import default_band_bound, default_route_bound
+    from gentleflow.quiver import fringe, parse_quiver_file
+
+    calls = []
+    bits, trail_str = complexes._bits, trails.Trail.__str__
+    monkeypatch.setattr(complexes, "_bits", lambda mask: calls.append(mask) or bits(mask))
+    monkeypatch.setattr(trails.Trail, "__str__", lambda self: calls.append(self) or trail_str(self))
+    cases = [parse_quiver_file(perfbench_gen.doubled_path(5))]
+    cases += [fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(seed, 6)))
+              for seed in (8, 17, 24, 36, 38, 41)]  # the benchmark's MID_CLIQUE_POOL
+    listed = 0
+    for f in cases:
+        rb, bb = default_route_bound(f), default_band_bound(f)
+        for ks in (maximal_cliques(f, rb), maximal_bundles(f, rb, bb)):
+            listed += sum(len(k.as_json()) for k in ks)
+    assert listed > 0 and calls == []
+    k = maximal_cliques(cases[1], 8)[0]  # the counters see calls made on purpose
+    assert complexes._bits(5) == [0, 2] and str(k.members[0]) == k.as_json()[0]
+    assert calls == [5, k.members[0]]
 
 
 def test_band_stable_matches_subset_oracle(quiver_pool):

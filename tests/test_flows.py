@@ -21,7 +21,13 @@ from gentleflow.flows import (
 from gentleflow.quiver import DomainError
 from gentleflow.trails import Band, Route, parse_walk
 
-from oracles import oracle_backward_data, oracle_forward_data, oracle_step, solve_nonneg_band_combination
+from oracles import (
+    oracle_backward_data,
+    oracle_forward_data,
+    oracle_step,
+    signed_head,
+    solve_nonneg_band_combination,
+)
 
 
 def R(text):
@@ -99,7 +105,7 @@ def test_forward_backward_identity_interior(quiver_pool):
                     continue
                 c = F[a] * Q(rng.randint(1, 96), 97)
                 for eps in (1, -1):
-                    if not f.is_internal(f.signed_head(a, eps)):
+                    if not f.is_internal(signed_head(f, a, eps)):
                         continue
                     nxt, val = forward(F, (a, eps), c)
                     back, val2 = backward(F, nxt, val)

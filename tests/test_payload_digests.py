@@ -138,11 +138,12 @@ def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
             cases.add("flows", cmd, kron, "--flow", flow_path, *options)
 
     # clique search where it is heavy: doubled A5 at the default bounds,
-    # triple-kronecker at 8/8, the benchmark's 6-vertex quivers
+    # triple-kronecker at 8/8, the benchmark's 6-vertex quivers, and a
+    # 7-vertex quiver whose band-stable search hands off below the root
     cases.quiver_commands("clique-search", "doubled-A5", gen.doubled_path(5), CLIQUE_COMMANDS)
     cases.quiver_commands("clique-search", "triple-kronecker", QUIVER_FIXTURES["triple-kronecker"],
                           CLIQUE_COMMANDS, bounds=(8, 8))
-    for n, seed in MID_CLIQUE_POOL:
+    for n, seed in MID_CLIQUE_POOL + [(7, 1)]:
         cases.quiver_commands("clique-search", f"random-{n}-{seed}", gen.random_gentle_quiver(seed, n),
                               [["band-stable"], ["cells", "--kind", "vortex"]])
 

@@ -30,6 +30,7 @@ from oracles import (
     oracle_is_elementary,
     oracle_kiss,
     oracle_s_coefficients,
+    straight_route_count,
 )
 
 
@@ -48,7 +49,7 @@ def test_turbulence_dimension():
     for name in ("kronecker", "shard", "double-kronecker"):
         f = fixture_quiver(name)
         assert turbulence_dimension(f) == \
-            len(f.internal_vertices) + f.straight_route_count() - 1
+            len(f.internal_vertices) + straight_route_count(f) - 1
 
 
 def test_kronecker_presentation():

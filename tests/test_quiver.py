@@ -18,6 +18,8 @@ from gentleflow.quiver import (
     validate_gentle,
 )
 
+from oracles import straight_route_count
+
 
 def kronecker_base():
     return GentleQuiver(("1", "2"), {"a": ("1", "2"), "b": ("1", "2")}, frozenset())
@@ -69,7 +71,7 @@ def test_fringe_kronecker_counts():
     assert len(f.internal_vertices) == 2
     assert len(f.internal_arrows()) == 2
     assert len(f.arrows) == 6
-    assert f.straight_route_count() == 2
+    assert straight_route_count(f) == 2
     f.validate()
 
 
@@ -77,13 +79,13 @@ def test_fringe_single_vertex():
     f = fringe(GentleQuiver(("v",), {}, frozenset()))
     assert len(f.arrows) == 4
     assert len(f.fringe_vertices) == 4
-    assert f.straight_route_count() == 2
+    assert straight_route_count(f) == 2
 
 
 def test_fringe_shard_base_counts():
     f = fringe(shard_base())
     assert len(f.arrows) == 4 * 2 - 2
-    assert f.straight_route_count() == 2
+    assert straight_route_count(f) == 2
     f.validate()
 
 
@@ -91,7 +93,7 @@ def test_fringe_matches_equation_on_random_quivers(quiver_pool):
     for pool in quiver_pool:
         f = pool.quiver
         assert len(f.arrows) == 4 * len(f.internal_vertices) - len(f.internal_arrows())
-        assert f.straight_route_count() == \
+        assert straight_route_count(f) == \
             2 * len(f.internal_vertices) - len(f.internal_arrows())
 
 
