@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .flows import Flow, decompose_bundle, trace_interval
-from .quiver import DomainError, FringedQuiver, StructuralError, Value, _strip_comment, cyclic_core, incidence
+from .quiver import (DomainError, FringedQuiver, StructuralError, Value, _checked_id, _strip_comment,
+                     cyclic_core, incidence)
 from .trails import Band, SignedArrow, Trail, TrailUniverse
 
 
@@ -242,7 +243,7 @@ def parse_framed_graph(text: str) -> FramedDirectedGraph:
             raise StructuralError(f"line {ln}: unknown directive {parts[0]!r}")
         if len(parts) not in ((2, 3) if parts[0] == "vertex" else (7,)):
             raise StructuralError(f"line {ln}: malformed line {raw!r}")
-        name = parts[1].rstrip(":") if parts[0] == "edge" else parts[1]
+        name = _checked_id(ln, parts[1].rstrip(":")) if parts[0] == "edge" else parts[1]
         if name in (edges if parts[0] == "edge" else vertices):
             raise StructuralError(f"line {ln}: duplicate {parts[0]} id {name}")
         if parts[0] == "vertex":

@@ -135,24 +135,6 @@ class Flow:
         unit = 2 * lcm(*(x.denominator for x in vals), 1)
         return unit, [x.numerator * (unit // x.denominator) for x in vals]
 
-    @cached_property
-    def step_tables(self):
-        """The (forward, backward) step tables, indexed by the signed-arrow
-        codes of the quiver's trail universe: None where the head (tail) of
-        the code is a fringe vertex, else (code on the upper branch, code on
-        the lower branch, ranks of alpha' and beta'), the entry `_branch`
-        reads.  Forward at the head of c goes on to cont[c], with alpha' the
-        forward successor and beta' c's relation partner; Back at the tail
-        of c is Forward at the head of c ^ 1 with alpha' and beta swapped."""
-        calc = self.quiver.calculus
-        fwd, bwd = [None] * len(calc.cont), [None] * len(calc.cont)
-        for c, nxt in enumerate(calc.cont):
-            if nxt:
-                up, low = nxt
-                fwd[c] = up, low, up >> 1, calc.partner[c]
-                bwd[c ^ 1] = low ^ 1, up ^ 1, low >> 1, calc.partner[c]
-        return fwd, bwd
-
     def _validate(self) -> None:
         for a, x in self.values.items():
             if x < 0:
@@ -229,10 +211,10 @@ def _rescaled(F: Flow, c: Fraction) -> tuple[int, list[int], int]:
 
 
 def _apply(F: Flow, sa: SignedArrow, c, table: int) -> tuple[SignedArrow, Fraction]:
-    """One step of the tracer's `_branch` on the step table F.step_tables[table]."""
+    """One step of the tracer's `_branch` on the calculus's step table steps[table]."""
     c = parse_rational(c)
     code = _signed_code(F, sa)
-    entry = F.step_tables[table][code]
+    entry = F.quiver.calculus.steps[table][code]
     if entry is None:
         raise DomainError("boundary reached")
     unit, vals, value = _rescaled(F, c)
@@ -355,14 +337,14 @@ def trace_interval(F: Flow, sa: SignedArrow, c: Fraction):
     if not (0 <= c <= F[sa[0]]):
         raise DomainError(f"value {c} outside [0, F({sa[0]})={F[sa[0]]}]")
     unit, vals, start = _rescaled(F, c)
-    universe = F.quiver.calculus.universe
-    walk, index, kind, low_key, up_key = _trace_codes(vals, F.step_tables, code, start)
+    calc = F.quiver.calculus
+    walk, index, kind, low_key, up_key = _trace_codes(vals, calc.steps, code, start)
     low_key, up_key = low_key + 2 * start, up_key + 2 * start     # keys on the start value
     interval = QInterval(Q(low_key >> 1, unit), Q((up_key + 1) >> 1, unit),
                          low_key & 1 == 1, up_key & 1 == 1)
     if kind is None:
         return None, interval, Q(0)
-    trail = universe.band(walk) if kind == "band" else universe.route(walk)
+    trail = calc.universe.band(walk) if kind == "band" else calc.universe.route(walk)
     return MarkedTrail(trail, walk, index), interval, interval.length
 
 
@@ -386,8 +368,8 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, int, tuple]]]:
     stretch, which is never probed again.
     """
     unit, half = F.int_values
-    tables = F.step_tables
-    universe = F.quiver.calculus.universe
+    calc = F.quiver.calculus
+    tables, universe = calc.steps, calc.universe
     starts = {a: F.start(a) for a in sorted(F.values)}
     start_codes = {universe.code[sa] for sa in starts.values()}
     far = max(half, default=0) + 1

@@ -416,6 +416,15 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _checked_id(ln: int, name: str) -> str:
+    """name, unless trail text would misread it: a token ending in '^-1'
+    reads as an inverse arrow, and a leading 'band:' as a band."""
+    if name.endswith("^-1") or name.startswith("band:"):
+        raise StructuralError(f"line {ln}: id {name!r} ends in '^-1' or starts with 'band:', "
+                              "which trail text reserves")
+    return name
+
+
 # the number of tokens on each kind of line
 _TOKENS = {"vertex": 2, "fringe-vertex": 2, "arrow": 5, "relation": 3}
 
@@ -445,12 +454,12 @@ def parse_quiver_file(text: str):
         if len(parts) != _TOKENS[parts[0]]:
             raise StructuralError(f"line {ln}: malformed line {raw!r}")
         if parts[0] == "vertex":
-            vertices.append(parts[1])
+            vertices.append(_checked_id(ln, parts[1]))
         elif parts[0] == "fringe-vertex":
-            fringe_vs.append(parts[1])
+            fringe_vs.append(_checked_id(ln, parts[1]))
         elif parts[0] == "arrow":
             # arrow <id>: <tail> -> <head>
-            name = parts[1].rstrip(":")
+            name = _checked_id(ln, parts[1].rstrip(":"))
             if parts[3] != "->":
                 raise StructuralError(f"line {ln}: expected '->'")
             if name in arrows:

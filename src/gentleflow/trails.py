@@ -310,39 +310,47 @@ def _flanked_witnesses(u: tuple[int, ...], lazy, right_flanks, cap: int):
 
 
 def _vertex_tables(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[str]):
-    """(cont, lazy, family, partner), indexed by signed-arrow code, from one
+    """(cont, lazy, family, steps), indexed by signed-arrow code, from one
     pass over the relation pairs ((a1, a2), (b1, b2)) at each internal vertex
     v, the vertex of rank r in `inner`.  The codes with head v are a1, a2^-1
     (family S, 0) and b1, b2^-1 (family T, 1).  A code c of family S goes on
     to b2 or b1^-1 and one of T to a2 or a1^-1: cont[c] is that (forward,
     backward) pair, () at a fringe head.  lazy[c] is the lazy witness (r -
-    |V_int|,) at v, partner[c] the rank of the other arrow of c's own
-    relation pair; both, like family[c], are None at a fringe head."""
+    |V_int|,) at v; it and family[c] are None at a fringe head.
+
+    steps holds the tracer's (Forward, Back) tables of `flows._branch`
+    entries: None where the head (tail) of the code is a fringe vertex, else
+    (code on the upper branch, code on the lower branch, ranks of alpha' and
+    beta').  Forward at the head of c goes on to cont[c], with alpha' the
+    forward successor and beta' the other arrow of c's relation pair; Back at
+    the tail of c ^ 1 is that Forward with alpha' and beta swapped."""
     n = len(code)
     cont: list[tuple[int, ...]] = [()] * n
     lazy: list[tuple[int] | None] = [None] * n
     family: list[int | None] = [None] * n
-    partner: list[int | None] = [None] * n
+    fwd, bwd = [None] * n, [None] * n
     for r, v in enumerate(inner, -len(inner)):
         (a1, a2), (b1, b2) = f.relation_pairs[v]
         s, t = (code[(a1, 1)], code[(a2, -1)]), (code[(b1, 1)], code[(b2, -1)])
         for fam, (x, y), (x2, y2) in ((0, s, t), (1, t, s)):
             for c, other in ((x, y), (y, x)):
-                cont[c], lazy[c], family[c], partner[c] = (y2 ^ 1, x2 ^ 1), (r,), fam, other >> 1
-    return cont, lazy, family, partner
+                cont[c], lazy[c], family[c] = (y2 ^ 1, x2 ^ 1), (r,), fam
+                fwd[c] = y2 ^ 1, x2 ^ 1, y2 >> 1, other >> 1
+                bwd[c ^ 1] = x2, y2, x2 >> 1, other >> 1
+    return cont, lazy, family, (fwd, bwd)
 
 
 class TrailCalculus:
     """Per-quiver trail universe, straight routes, substring data and kissing.
 
-    cont, lazy, family and partner are the code tables of _vertex_tables."""
+    cont, lazy, family and steps are the code tables of _vertex_tables."""
 
     def __init__(self, f: FringedQuiver):
         self.f = f
         self.universe = TrailUniverse(f.arrows)
         self._inner = sorted(f.internal_vertices)
         self._tb: dict = {}
-        self.cont, self.lazy, self.family, self.partner = _vertex_tables(f, self.universe.code, self._inner)
+        self.cont, self.lazy, self.family, self.steps = _vertex_tables(f, self.universe.code, self._inner)
 
     @cached_property
     def on_cycle(self) -> set[int]:

@@ -242,7 +242,7 @@ def oracle_arrow_profile(trace, cap):
 # -- the name-keyed tiling kernel: the reference for Flow.integer_tiles ---------------
 #
 # Steps look their (alpha', beta, beta') data up by signed arrow, decoded from
-# the relation pairs apart from the calculus's code tables and Flow.step_tables;
+# the relation pairs apart from the calculus's code tables and step tables;
 # flow values by arrow name, and interval ends are (bound, open) tuples met in
 # tuple order.
 

@@ -406,6 +406,38 @@ def test_fringe_id_clash_is_domain_error(tmp_path, capsys, clash, command):
     assert json.loads(err) == {"error": "DomainError", "message": message}
 
 
+def test_every_route_listed_reads_back_or_the_file_is_rejected(tmp_path, capsys):
+    # an arrow named a^-1 made `routes` print "1#i1 a^-1 2#o1", which
+    # `gvector --trail` then read as the inverse of a
+    p = tmp_path / "inverse-id.qv"
+    p.write_text("vertex 1\nvertex 2\narrow a: 1 -> 2\narrow a^-1: 1 -> 2\n")
+    code, out, err = run_cli(capsys, "routes", str(p))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "StructuralError", "message": (
+        "line 4: id 'a^-1' ends in '^-1' or starts with 'band:', which trail text reserves")}
+    # the fringed Kronecker quiver under other names: every listed route reads back
+    p.write_text("vertex 1\nvertex 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    code, out, _ = run_cli(capsys, "routes", str(p))
+    assert code == 0
+    for item in json.loads(out)["payload"]:
+        assert run_cli(capsys, "gvector", str(p), "--trail", item["trail"])[0] == 0
+
+
+def test_a_band_free_quiver_lists_no_bundle_with_bands(tmp_path, capsys):
+    # a vertex named band:1 gave fringe arrows band:1#i1, ..., and `bundles`
+    # listed every bundle of this band-free path under with_bands
+    p = tmp_path / "band-id.qv"
+    p.write_text("vertex band:1\nvertex 2\narrow a: band:1 -> 2\n")
+    code, out, err = run_cli(capsys, "bundles", str(p))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "StructuralError", "message": (
+        "line 1: id 'band:1' ends in '^-1' or starts with 'band:', which trail text reserves")}
+    p.write_text("vertex u1\nvertex 2\narrow a: u1 -> 2\n")
+    code, out, _ = run_cli(capsys, "bundles", str(p))
+    payload = json.loads(out)["payload"]
+    assert code == 0 and payload["bundles"] and payload["with_bands"] == []
+
+
 def test_empty_trail_is_domain_error(kron_file, capsys):
     for trail in ("", "band:"):
         code, _out, err = run_cli(capsys, "gvector", kron_file, "--trail", trail)

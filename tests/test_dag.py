@@ -358,6 +358,9 @@ def test_framed_graph_file_roundtrip():
     "vertex m internal junk\n",
     "vertex s source\nvertex t sink\nedge e: s -> t label 1 extra\n",
     "vertex s source\nvertex t sink\nedge e: s -> t label one\n",
+    # ids that trail text misreads: an inverse arrow, a band
+    "vertex s source\nvertex t sink\nedge e^-1: s -> t label 1\n",
+    "vertex s source\nvertex t sink\nedge band:e: s -> t label 1\n",
 ])
 def test_parse_framed_graph_errors(text):
     with pytest.raises(quiver.StructuralError, match=r"line \d+: "):

@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gentleflow import trails
-from gentleflow.fixtures import fixture_quiver, singleton_quiver
+from gentleflow import dag, trails
+from gentleflow.fixtures import DAG_FIXTURES, fixture_quiver, singleton_quiver
 from gentleflow.flows import (
     Flow,
     QInterval,
@@ -22,6 +22,7 @@ from gentleflow.quiver import DomainError
 from gentleflow.trails import Band, Route, parse_walk
 
 from oracles import (
+    _oracle_step_tables,
     oracle_backward_data,
     oracle_forward_data,
     oracle_step,
@@ -183,6 +184,35 @@ def test_forward_backward_match_the_name_keyed_oracle(quiver_pool):
                                 continue
                             assert fn(F, (a, eps), c) == want, (a, eps, c)
     assert cases >= 5000 and 0 < boundary < cases
+
+
+def test_step_tables_match_the_name_keyed_oracle(quiver_pool):
+    # Entry by entry, the calculus's (Forward, Back) tables are the oracle's
+    # (alpha', beta, beta') decoded by name from the relation pairs, as
+    # (code of alpha', code of beta^-1, rank of alpha', rank of beta'), and
+    # None exactly where the head (Forward) or tail (Back) is a fringe vertex.
+    quivers = [pool.quiver for pool in quiver_pool]
+    quivers += [dag.fringed_quiver(dag.make_convenient(dag.parse_framed_graph(text)))
+                for text in DAG_FIXTURES.values()]
+    entries = ends = 0
+    for f in quivers:
+        code = f.calculus.universe.code
+        want = _oracle_step_tables(Flow(f))
+        for table, oracle, side in zip(f.calculus.steps, want, (1, -1)):
+            assert len(table) == 2 * len(f.arrows)
+            for (a, eps), c in code.items():
+                data = oracle.get((a, eps))
+                fringe_end = not f.is_internal(signed_head(f, a, side * eps))
+                assert (data is None) == fringe_end, (a, eps)
+                if data is None:
+                    ends += 1
+                    assert table[c] is None, (a, eps)
+                    continue
+                entries += 1
+                alpha_prime, beta, beta_prime = data
+                assert table[c] == (code[(alpha_prime, 1)], code[(beta, -1)],
+                                    code[(alpha_prime, 1)] >> 1, code[(beta_prime, 1)] >> 1), (a, eps)
+    assert entries == 880 and ends == 576
 
 
 def test_mirror_equivalence(quiver_pool):

@@ -69,6 +69,11 @@ QUIVER_COMMANDS = [["validate"], ["pairing"], ["vertices"], ["rays"], ["facets"]
                    ["routes"], ["bands"]] + CLIQUE_COMMANDS
 # the six 6-vertex quivers of the benchmark's MID_CLIQUE_POOL, as (vertices, seed)
 MID_CLIQUE_POOL = [(6, 8), (6, 17), (6, 24), (6, 36), (6, 38), (6, 41)]
+FLOW_COMMANDS = (["decompose"], ["decompose", "--vortex"], ["blanks"])
+# bundle flows whose expected coefficients include a band, as (quiver, index
+# of the bundle among its maximal bundles at bounds 8/8, gen.bundle_flow seed)
+BAND_BUNDLE_FLOWS = [("double-kronecker", 1, 0), ("double-kronecker", 12, 3),
+                     ("triple-kronecker", 7, 0), ("triple-kronecker", 9, 3)]
 
 
 class Cases:
@@ -106,6 +111,59 @@ def _bounds(cmd: str, rb: int, bb: int) -> list[str]:
     return ["--max-arrows", str(rb), "--band-bound", str(bb)]
 
 
+def _file(spec: str) -> str:
+    """An input file from its lines, separated by ';'."""
+    return "".join(line.strip() + "\n" for line in spec.split(";"))
+
+
+# a fringed quiver with one internal vertex v, for the fringed-file errors
+ONE_VERTEX = ("fringed; vertex v; fringe-vertex pa; fringe-vertex pb; fringe-vertex qa; fringe-vertex qb;"
+              " arrow a: pa -> v; arrow b: pb -> v; arrow ap: v -> qa; arrow bp: v -> qb")
+# one line per message of the quiver and framed-graph checks, each read by
+# `validate` or `convert-dag`
+QUIVER_ERRORS = {
+    "two-free-continuations": "vertex 1; vertex 2; vertex 3; vertex 4;"
+                              " arrow a: 1 -> 2; arrow b: 2 -> 3; arrow c: 2 -> 4",
+    "two-relation-continuations": "vertex 1; vertex 2; vertex 3; vertex 4;"
+                                  " arrow a: 1 -> 2; arrow b: 2 -> 3; arrow c: 2 -> 4; relation a b; relation a c",
+    "two-free-predecessors": "vertex 1; vertex 2; vertex 3; vertex 4;"
+                             " arrow a: 1 -> 3; arrow b: 2 -> 3; arrow c: 3 -> 4",
+    "two-relation-predecessors": "vertex 1; vertex 2; vertex 3; vertex 4;"
+                                 " arrow a: 1 -> 3; arrow b: 2 -> 3; arrow c: 3 -> 4; relation a c; relation b c",
+    "duplicate-vertex": "vertex 1; vertex 1",
+    "relation-on-unknown-arrow": "vertex 1; relation a b",
+    "no-arrow-sign": "vertex 1; vertex 2; arrow a: 1 => 2",
+    "internal-and-fringe": ONE_VERTEX + "; fringe-vertex v; relation a bp; relation b ap",
+    "dangling-endpoint": ONE_VERTEX.replace(" fringe-vertex qb;", "") + "; relation a bp; relation b ap",
+    "fringe-degree": ONE_VERTEX.replace(" fringe-vertex pb;", "").replace("b: pb", "b: pa")
+                     + "; relation a bp; relation b ap",
+    "unmatched-relation-pairs": ONE_VERTEX + "; relation a ap; relation a bp",
+    "unlocated-relation": ONE_VERTEX + "; relation a bp; relation b ap; relation zz yy",
+}
+GRAPH_ERRORS = {
+    "label-not-a-number": "vertex s source; vertex t sink; edge e: s -> t label x",
+    "label-3": "vertex s source; vertex t sink; edge e: s -> t label 3",
+    "unknown-kind": "vertex s middle",
+    "no-edge-sign": "vertex s source; vertex t sink; edge e: s => t label 1",
+}
+# a valid quiver file with mid-line comments and '#' inside ids
+COMMENTED = """\
+# one internal vertex; a '#' inside an id opens no comment
+fringed
+vertex v  # the internal vertex
+fringe-vertex p#a
+fringe-vertex p#b\t# a tab before the comment
+fringe-vertex q#a
+fringe-vertex q#b
+arrow a#1: p#a -> v    # in
+arrow a#2: v -> q#a
+arrow b#1: p#b -> v
+arrow b#2: v -> q#b
+relation a#1 b#2
+relation b#1 a#2
+"""
+
+
 def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
     gen = _gen()
     cases = Cases(root)
@@ -125,17 +183,28 @@ def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
         for seed, bundle in enumerate(bundles[:1] + bundles[len(bundles) // 2:][:1]):
             flow, _coeffs = gen.bundle_flow(seed, bundle.as_json())
             flow_path = cases.file(json.dumps(flow, sort_keys=True), f"{name}#{seed}.json")
-            for cmd, *options in (["decompose"], ["decompose", "--vortex"], ["blanks"]):
+            for cmd, *options in FLOW_COMMANDS:
                 cases.add("flows", cmd, path, "--flow", flow_path, *options)
     for name in FIXTURES:
         cases.add("fixtures", "examples", name)
+    cases.quiver_commands("fixtures", "commented", COMMENTED, [["validate"], ["routes"]])
 
     kron = cases.file(QUIVER_FIXTURES["kronecker"], "kronecker")
     for label, flow in [("winding-1", gen.winding_flow(1)), ("winding-40", gen.winding_flow(40)),
-                        ("rational", gen.rational_winding_flow("1001/7", "3/2"))]:
+                        ("rational", gen.rational_winding_flow("1001/7", "3/2")),
+                        ("band", {"e2": "1", "f2": "1"})]:
         flow_path = cases.file(json.dumps(flow), f"{label}.json")
-        for cmd, *options in (["decompose"], ["decompose", "--vortex"], ["blanks"]):
+        for cmd, *options in FLOW_COMMANDS:
             cases.add("flows", cmd, kron, "--flow", flow_path, *options)
+    # bundle flows with a band term, so that the tracer meets bands
+    for name, i, seed in BAND_BUNDLE_FLOWS:
+        bundle = complexes.maximal_bundles(parse_quiver_file(QUIVER_FIXTURES[name]), 8, 8)[i]
+        flow, coeffs = gen.bundle_flow(seed, bundle.as_json())
+        assert any(t.startswith("band:") for t in coeffs), (name, i, seed)
+        path = cases.file(QUIVER_FIXTURES[name], name)
+        flow_path = cases.file(json.dumps(flow, sort_keys=True), f"{name}-bundle-{i}#{seed}.json")
+        for cmd, *options in FLOW_COMMANDS:
+            cases.add("flows", cmd, path, "--flow", flow_path, *options)
 
     # clique search where it is heavy: doubled A5 at the default bounds,
     # triple-kronecker at 8/8, the benchmark's 6-vertex quivers, and a
@@ -157,6 +226,9 @@ def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
         cases.add("dags", "convert-dag", path)
         for i, flow in enumerate(dag_flows[name]):
             cases.add("dags", "dag-decompose", path, "--flow", cases.file(json.dumps(flow), f"{name}#{i}.json"))
+    # an amply framed graph with a source-to-sink edge has flows, but no gentle fringed quiver
+    source_to_sink = cases.file(_file("vertex s source; vertex t sink; edge e: s -> t label 1"), "source-to-sink")
+    cases.add("dags", "dag-decompose", source_to_sink, "--flow", cases.file('{"e": "1"}', "source-to-sink.json"))
 
     # exit 1: a report and an error, or an error alone
     loop = cases.file("vertex v\narrow a: v -> v\n", "loop")
@@ -169,14 +241,31 @@ def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
     cases.add("errors", "cells", kron, "--kind", "clique", "--band-bound", "0")
     cases.add("errors", "gvector", kron, "--trail", "e1 e2")
     cases.add("errors", "gvector", kron, "--trail", "zz")
+    cases.add("errors", "gvector", kron, "--trail", "band: e1")
     for label, text in [("unbalanced", '{"e1": "1"}'), ("unknown-arrow", '{"zz": "1"}'),
                         ("negative", '{"e1": "-1", "f1": "-1"}'), ("not-json", "{"),
-                        ("nested", "[" * 100000)]:
+                        ("nested", "[" * 100000), ("long-int", '{"e1": %s}' % ("7" * 5000))]:
         flow_path = cases.file(text, f"{label}.json")
         for cmd in ("decompose", "blanks"):
             cases.add("errors", cmd, kron, "--flow", flow_path)
     cases.add("errors", "dag-decompose", cases.file(DAG_FIXTURES["cube-dag"], "cube-dag"),
               "--flow", cases.file('{"e1": "1"}', "unbalanced.json"))
+    for label, spec in QUIVER_ERRORS.items():
+        cases.add("errors", "validate", cases.file(_file(spec), label))
+    for label, spec in GRAPH_ERRORS.items():
+        cases.add("errors", "convert-dag", cases.file(_file(spec), label))
+    not_ample = cases.file(_file("vertex s source; vertex m; vertex t sink;"
+                                 " edge a: s -> m label 1; edge b: m -> t label 1"), "not-amply-framed")
+    cases.add("errors", "convert-dag", not_ample)
+    cases.add("errors", "dag-decompose", not_ample, "--flow", cases.file('{"a": "1", "b": "1"}', "a-b.json"))
+    cases.add("errors", "convert-dag", source_to_sink)
+    # ids that trail text would misread
+    cases.add("errors", "routes", cases.file(_file("vertex 1; vertex 2; arrow a: 1 -> 2; arrow a^-1: 1 -> 2"),
+                                             "inverse-arrow-id"))
+    cases.add("errors", "bundles", cases.file(_file("vertex band:1; vertex 2; arrow a: band:1 -> 2"), "band-vertex-id"))
+    for edge in ("e^-1", "band:e"):
+        text = _file(f"vertex s source; vertex t sink; edge {edge}: s -> t label 1")
+        cases.add("errors", "convert-dag", cases.file(text, f"edge-id-{edge}"))
     cases.add("errors", "examples", "no-such-example")
     cases.add("errors", "vertices", "/no/such/file.qv")
     return cases.groups

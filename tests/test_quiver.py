@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentleflow import dag, quiver
+from gentleflow import dag, quiver, trails
 from gentleflow.fixtures import DAG_FIXTURES, QUIVER_FIXTURES, fixture_quiver
 from gentleflow.quiver import (
     DomainError,
@@ -71,7 +71,7 @@ def test_fringe_kronecker_counts():
     assert len(f.internal_vertices) == 2
     assert len(f.internal_arrows()) == 2
     assert len(f.arrows) == 6
-    assert straight_route_count(f) == 2
+    assert len(trails.straight_routes(f)) == straight_route_count(f) == 2
     f.validate()
 
 
@@ -79,13 +79,13 @@ def test_fringe_single_vertex():
     f = fringe(GentleQuiver(("v",), {}, frozenset()))
     assert len(f.arrows) == 4
     assert len(f.fringe_vertices) == 4
-    assert straight_route_count(f) == 2
+    assert len(trails.straight_routes(f)) == straight_route_count(f) == 2
 
 
 def test_fringe_shard_base_counts():
     f = fringe(shard_base())
     assert len(f.arrows) == 4 * 2 - 2
-    assert straight_route_count(f) == 2
+    assert len(trails.straight_routes(f)) == straight_route_count(f) == 2
     f.validate()
 
 
@@ -93,8 +93,7 @@ def test_fringe_matches_equation_on_random_quivers(quiver_pool):
     for pool in quiver_pool:
         f = pool.quiver
         assert len(f.arrows) == 4 * len(f.internal_vertices) - len(f.internal_arrows())
-        assert straight_route_count(f) == \
-            2 * len(f.internal_vertices) - len(f.internal_arrows())
+        assert len(trails.straight_routes(f)) == 2 * len(f.internal_vertices) - len(f.internal_arrows())
 
 
 def base_quiver(f):
@@ -179,6 +178,23 @@ def test_parse_errors():
                          "fringed\nvertex v\nfringe-vertex w x\n"):
         with pytest.raises(StructuralError, match=r"line \d+: malformed line"):
             parse_quiver_file(extra_tokens)
+
+
+@pytest.mark.parametrize("text, ln", [
+    ("vertex 1\nvertex 2\narrow a: 1 -> 2\narrow a^-1: 1 -> 2\n", 4),
+    ("vertex band:1\nvertex 2\narrow a: band:1 -> 2\n", 1),
+    ("vertex 1\n# a comment\narrow band:a: 1 -> 1\n", 3),
+    ("fringed\nvertex v\nfringe-vertex p^-1\n", 3),
+    ("fringed\nvertex v\nfringe-vertex band:p\n", 3),
+    ("vertex v^-1\n", 1),
+], ids=["arrow-inverse", "vertex-band", "arrow-band", "fringe-vertex-inverse", "fringe-vertex-band",
+        "vertex-inverse"])
+def test_ids_that_trail_text_misreads_are_structural_errors(text, ln):
+    # parse_walk reads a token ending in '^-1' as an inverse arrow and
+    # parse_trail a leading 'band:' as a band; fringe arrow ids start with
+    # their vertex id
+    with pytest.raises(StructuralError, match=rf"^line {ln}: id '.*' ends in '\^-1' or starts with 'band:'"):
+        parse_quiver_file(text)
 
 
 def test_cyclic_core_matches_networkx():
