@@ -144,13 +144,7 @@ def cmd_bands(args):
 
 def cmd_gvector(args):
     f = _load_quiver(args.text)
-    t = trails.parse_trail(args.trail)
-    if isinstance(t, trails.Band):
-        if not trails.is_band_walk(f, t.walk):
-            raise DomainError("not a band of this quiver")
-    elif not trails.is_route_walk(f, t.walk):
-        raise DomainError("not a route of this quiver")
-    g = trails.g_vector(f, t)
+    g = trails.g_vector(f, trails.parse_trail(args.trail))
     _report(args, {v: g[v] for v in sorted(g)})
     return 0
 

@@ -23,8 +23,6 @@ from .trails import (
     SignedArrow,
     Trail,
     countercurrent_compare,
-    is_band_walk,
-    is_route_walk,
     markings_at,
     trail_key,
 )
@@ -77,14 +75,6 @@ class QInterval(Value):
             "lo_open": self.lo_open,
             "hi_open": self.hi_open,
         }
-
-    def __str__(self) -> str:
-        if self.is_empty():
-            return "{}"
-        if self.lo == self.hi:
-            return "{%s}" % format_rational(self.lo)
-        return "%s%s,%s%s" % ("(" if self.lo_open else "[", format_rational(self.lo),
-                              format_rational(self.hi), ")" if self.hi_open else "]")
 
 
 # -- flows ----------------------------------------------------------------------
@@ -164,12 +154,10 @@ class Flow:
 def trail_counts(f: FringedQuiver, t: Trail) -> dict[str, int]:
     """Arrow-use counts of a trail on every arrow, as ints: a unit flow for
     routes, a vortex for bands, so conserved at every relation pair."""
-    ok = is_band_walk(f, t.walk) if isinstance(t, Band) else is_route_walk(f, t.walk)
-    if not ok:
-        raise DomainError(f"not a trail of this quiver: {t}")
+    signed = f.calculus.universe.signed
     counts = dict.fromkeys(f.arrows, 0)
-    for a, _e in t.walk:
-        counts[a] += 1
+    for c in f.calculus.codes(t):
+        counts[signed[c][0]] += 1
     for v, ((a1, a2), (b1, b2)) in f.relation_pairs.items():
         if counts[a1] + counts[a2] != counts[b1] + counts[b2]:
             raise DomainError(f"conservation of flow fails at vertex {v}")
@@ -586,8 +574,8 @@ def decompose_vortex(F: Flow) -> VortexDecomposition:
 class BlankSpace(Record):
     arrow: str
     interval: QInterval
-    below: MarkedTrail | None   # None = the sentinel {0}
-    above: MarkedTrail | None   # None = the sentinel {F(arrow)}
+    below: Route | None   # None = the sentinel {0}
+    above: Route | None   # None = the sentinel {F(arrow)}
 
     def __init__(self, arrow, interval, below, above):
         self.arrow, self.interval, self.below, self.above = arrow, interval, below, above
@@ -600,19 +588,19 @@ class BlankSpace(Record):
         return {
             "arrow": self.arrow,
             "interval": self.interval.as_json(),
-            "below": None if self.below is None else str(self.below.trail),
-            "above": None if self.above is None else str(self.above.trail),
+            "below": None if self.below is None else str(self.below),
+            "above": None if self.above is None else str(self.above),
             "proper": self.proper,
         }
 
 
 def _blank_gaps(F: Flow, a: str):
-    """(below, above, gap) per blank space of arrow a: the marked routes of
+    """(below, above, gap) per blank space of arrow a: the routes of
     consecutive route tiles at a (None for the sentinels {0} and {F(a)}) and
-    the gap between them, each an `at(j)` of a traced marking."""
+    the gap between them."""
     unit, vals = F.int_values
     cap = vals[F.quiver.calculus.universe.code[(a, 1)] >> 1]
-    routes = [(mt.at(j), t) for mt, j, t in F.markings[a] if isinstance(mt.trail, Route)]
+    routes = [(mt.trail, t) for mt, _j, t in F.markings[a] if isinstance(mt.trail, Route)]
     below, at, at_open = None, 0, False
     for above, (lo, lo_open, hi, hi_open) in routes + [(None, (cap, False, cap, False))]:
         yield below, above, QInterval(Q(at, unit), Q(lo, unit), not at_open, not lo_open)
@@ -632,6 +620,7 @@ def blank_spaces(F: Flow) -> list[BlankSpace]:
 def splitting_strength(F: Flow, b: Band) -> Fraction:
     """min |J| / N_{B,J} over the blank spaces J split by some marking of B."""
     calc = F.quiver.calculus
+    b = calc.universe.band(calc.codes(b))
     route_part = {mt.trail for ms in F.markings.values() for mt, _j, _t in ms
                   if isinstance(mt.trail, Route)}
     for p in sorted(route_part, key=trail_key):
@@ -640,8 +629,8 @@ def splitting_strength(F: Flow, b: Band) -> Fraction:
 
     best: Fraction | None = None
     for a in sorted({x for x, _e in b.walk}):
-        gaps = list(_blank_gaps(F, a))
-        routes = [mt for _below, mt, _gap in gaps[:-1]]
+        gaps = [gap for _below, _above, gap in _blank_gaps(F, a)]
+        routes = [mt.at(j) for mt, j, _t in F.markings[a] if isinstance(mt.trail, Route)]
         # count, per blank-space index, the markings of B splitting it
         counts = [0] * len(gaps)
         for marking in markings_at(b, a, 1):
@@ -652,9 +641,7 @@ def splitting_strength(F: Flow, b: Band) -> Fraction:
             counts[below] += 1
         for j, n in enumerate(counts):
             if n > 0:
-                ratio = gaps[j][2].length / n
+                ratio = gaps[j].length / n
                 if best is None or ratio < best:
                     best = ratio
-    if best is None:
-        raise DomainError("band uses no arrows")
     return best

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .flows import format_rational, trail_counts
+from .flows import format_rational, parse_rational, trail_counts
 from .quiver import DomainError, FringedQuiver, Record, cyclic_core
 from .trails import (
     Trail,
@@ -72,7 +72,7 @@ def phi(f: FringedQuiver, vec: dict[str, Fraction]) -> dict[str, Fraction]:
     for a, x in vec.items():
         if a not in f.arrows:
             raise DomainError(f"unknown arrow {a}")
-        x = Q(x)
+        x = parse_rational(x)
         t, h = f.arrows[a]
         if f.is_internal(t):
             out[t] += x / 2
@@ -157,7 +157,7 @@ class HalfSpace(Record):
         self.coeffs, self.relation, self.rhs, self.form = coeffs, relation, rhs, form
 
     def evaluate(self, x: dict[str, Fraction]) -> Fraction:
-        return sum((self.coeffs[v] * Q(x.get(v, 0)) for v in self.coeffs), Q(0))
+        return sum((self.coeffs[v] * parse_rational(x.get(v, 0)) for v in self.coeffs), Q(0))
 
     def as_json(self):
         return {

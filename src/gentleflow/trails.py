@@ -29,12 +29,9 @@ def parse_walk(text: str) -> Walk:
 
 
 def _string_codes(f: FringedQuiver, w: Walk) -> tuple[int, ...] | None:
-    """The code word of w when w is a string of f, else None; the known-arrow
-    check raises.  A continuation leaves the head of the code before it, so
-    membership in cont also checks composability."""
-    for a, _e in w:
-        if a not in f.arrows:
-            raise DomainError(f"unknown arrow id {a}")
+    """The code word of w when w is a string of f, else None; an unknown
+    arrow raises (TrailUniverse.word).  A continuation leaves the head of the
+    code before it, so membership in cont also checks composability."""
     calc = f.calculus
     word, cont = calc.universe.word(w), calc.cont
     return word if all(d in cont[c] for c, d in zip(word, word[1:])) else None
@@ -401,8 +398,15 @@ class TrailCalculus:
         return tuple(self.universe.signed[c] for c in s)
 
     def codes(self, t: Trail) -> tuple[int, ...]:
-        """The code word of t in this quiver's universe."""
-        return t.codes if t.universe is self.universe else self.universe.word(t.walk)
+        """The code word of t in this quiver's universe: the one place where a
+        trail enters it.  A trail of this universe was built here and is
+        trusted; one of another must be a route (band) walk of the quiver."""
+        if t.universe is self.universe:
+            return t.codes
+        band = isinstance(t, Band)
+        if not (is_band_walk if band else is_route_walk)(self.f, t.walk):
+            raise DomainError(f"not a {'band' if band else 'route'} of this quiver")
+        return self.universe.word(t.walk)
 
     @cached_property
     def straight(self) -> list[Route]:
@@ -747,12 +751,16 @@ def markings_at(t: Trail, a: str, eps: int) -> list[MarkedTrail]:
     return [whole.at(i).viewed_at(a, eps) for i, (x, _e) in enumerate(t.walk) if x == a]
 
 
-def _in_universe(u: TrailUniverse, m: MarkedTrail) -> MarkedTrail:
-    """m in the universe u, read through its walk once if it is of another."""
-    if m.trail.universe is u:
-        return m
-    word = u.word(m.walk)
-    return MarkedTrail(u.band(word) if isinstance(m.trail, Band) else u.route(word), word, m.index)
+def _in_universe(calc: TrailCalculus, m: MarkedTrail) -> MarkedTrail:
+    """m in the universe of calc; one of another universe has its trail read
+    through calc.codes and its traversal through its walk, once."""
+    u = calc.universe
+    if m.trail.universe is not u:
+        trail = (u.band if isinstance(m.trail, Band) else u.route)(calc.codes(m.trail))
+        m = MarkedTrail(trail, u.word(m.walk), m.index)
+    if not 0 <= m.index < len(m.codes):
+        raise DomainError(f"marked position {m.index} is outside the trail")
+    return m
 
 
 def _post_sequence(m: MarkedTrail, length: int) -> tuple[int, ...]:
@@ -781,8 +789,7 @@ def countercurrent_compare(f: FringedQuiver, p: MarkedTrail, q: MarkedTrail) -> 
     DomainError("not comparable") when they disagree (which cannot happen
     for compatible trails).
     """
-    u = f.calculus.universe
-    p, q = _in_universe(u, p), _in_universe(u, q)
+    p, q = _in_universe(f.calculus, p), _in_universe(f.calculus, q)
     q = q.viewed_at(*p.marked())
     post = _cmp_post(p, q)
     # pre-order via inversion: the walk before the mark becomes the walk after

@@ -34,6 +34,19 @@ def oracle_is_string(f, walk) -> bool:
     return True
 
 
+def oracle_is_trail(f, walk, band: bool) -> bool:
+    """A route: a nonempty string whose ends are fringe vertices.  A band: a
+    nonempty string that is still one when walked once more around, and no
+    proper rotation of which is itself.  The walk's arrows are f's."""
+    if not walk:
+        return False
+    if band:
+        return (oracle_is_string(f, walk + walk[:1])
+                and all(walk[d:] + walk[:d] != walk for d in range(1, len(walk))))
+    (a, ea), fringe = walk[0], set(f.fringe_vertices)
+    return oracle_is_string(f, walk) and signed_head(f, a, -ea) in fringe and signed_head(f, *walk[-1]) in fringe
+
+
 def oracle_routes(f, bound):
     """All maximal strings between fringe vertices, as canonical walks."""
     from gentleflow.trails import Route

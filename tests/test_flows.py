@@ -358,6 +358,21 @@ def test_blank_spaces_clique_combination_has_none():
     assert not any(b.proper for b in blank_spaces(F))
 
 
+def test_blank_spaces_build_no_marked_trail(perfbench_gen, monkeypatch):
+    # a blank space is bounded by routes: the tiles' traced markings are read
+    # as they are, and no marking is built per route tile
+    f = fixture_quiver("kronecker")
+    F = Flow(f, perfbench_gen.winding_flow(5))
+    F.markings
+    built = []
+    init = trails.MarkedTrail.__init__
+    monkeypatch.setattr(trails.MarkedTrail, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    spaces = blank_spaces(F)
+    assert not built
+    assert len(spaces) == len(f.arrows) + len(perfbench_gen.winding_route(5).split())
+    assert {type(x) for b in spaces for x in (b.below, b.above)} == {Route, type(None)}
+
+
 def test_splitting_strength():
     f = fixture_quiver("kronecker")
     band = B("e2 f2^-1")

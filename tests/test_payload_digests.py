@@ -242,6 +242,9 @@ def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
     cases.add("errors", "gvector", kron, "--trail", "e1 e2")
     cases.add("errors", "gvector", kron, "--trail", "zz")
     cases.add("errors", "gvector", kron, "--trail", "band: e1")
+    # the empty route and band, a band walked twice, a backtrack, a band walk given as a route
+    for text in ("", "band:", "band: e2 f2^-1 e2 f2^-1", "e1 e1^-1", "e2 f2^-1"):
+        cases.add("errors", "gvector", kron, "--trail", text)
     for label, text in [("unbalanced", '{"e1": "1"}'), ("unknown-arrow", '{"zz": "1"}'),
                         ("negative", '{"e1": "-1", "f1": "-1"}'), ("not-json", "{"),
                         ("nested", "[" * 100000), ("long-int", '{"e1": %s}' % ("7" * 5000))]:

@@ -86,6 +86,20 @@ def test_phi_examples():
     assert phi(f, indicator(f, B("e2 f2^-1")).values) == {"v1": 1, "v2": -1}
 
 
+@pytest.mark.parametrize("x", [0.1, True, "x", "1/0"], ids=repr)
+def test_phi_and_evaluate_take_exact_rationals_only(x):
+    # a float would read as its binary expansion, a boolean as 0 or 1, and bad
+    # text as a bare ValueError or ZeroDivisionError
+    f = fixture_quiver("kronecker")
+    with pytest.raises(DomainError, match="not an exact rational"):
+        phi(f, {"e1": x})
+    _W, facet = g_facets(f)[0]
+    with pytest.raises(DomainError, match="not an exact rational"):
+        facet.evaluate(dict.fromkeys(facet.coeffs, x))
+    assert phi(f, {"e1": "1/3"})["v1"] == Q(-1, 6)
+    assert facet.evaluate(dict.fromkeys(facet.coeffs, "1/3")) == sum(facet.coeffs.values()) / 3
+
+
 def test_phi_equals_g_vector(quiver_pool):
     for pool in quiver_pool[:12]:
         f = pool.quiver

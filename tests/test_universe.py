@@ -83,7 +83,7 @@ def value_cases():
     f = fixture_quiver("kronecker")
     r1, r2 = sorted(enumerate_routes(f, 3), key=trail_key)[:2]
     band = min(enumerate_bands(f, 4), key=trail_key)
-    mt, iv = MarkedTrail(r1, r1.codes, 0), QInterval(Q(0), Q(1, 2))
+    iv = QInterval(Q(0), Q(1, 2))
     return [
         (GentleQuiver, {"vertices": ("1", "2"), "arrows": {"a": ("1", "2")}, "relations": frozenset()},
          {"vertices": ("1",)}, {}, True, None),
@@ -95,8 +95,8 @@ def value_cases():
          {"lo_open": True}, {}, True, None),
         (BundleCombination, {"coefficients": {r1: Q(1)}}, {"coefficients": {r1: Q(2)}}, {}, False, None),
         (VortexDecomposition, {"routes": {r1: Q(1)}, "vortex": {band: Q(1)}}, {"vortex": {}}, {}, False, None),
-        (BlankSpace, {"arrow": "a", "interval": iv, "below": None, "above": mt},
-         {"below": mt}, {}, False, None),
+        (BlankSpace, {"arrow": "a", "interval": iv, "below": None, "above": r1},
+         {"below": r1}, {}, False, None),
         (Clique, {"routes": frozenset({r1, r2}), "maximal": None, "band_generators": ()},
          {"routes": frozenset({r1})}, {"maximal": True, "band_generators": (band,)}, True, "members"),
         (Bundle, {"trails": frozenset({r1, band})}, {"trails": frozenset({r1})}, {}, True, "members"),
