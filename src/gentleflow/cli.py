@@ -163,8 +163,8 @@ def cmd_decompose(args):
 def cmd_blanks(args):
     f = _load_quiver(args.text)
     F = flows.Flow(f, _read_flow(args.flow))
-    spaces = flows.blank_spaces(F)
-    payload = {"count": len(spaces), "blank_spaces": [b.as_json() for b in spaces]}
+    rows = flows.blank_rows(F)
+    payload = {"count": len(rows), "blank_spaces": rows}
     _report(args, payload)
     return 0
 

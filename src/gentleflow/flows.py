@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from math import gcd, lcm
 
 from .quiver import DomainError, FringedQuiver, Record, Value
@@ -28,6 +27,7 @@ from .trails import (
 )
 
 Q = Fraction
+ZERO = Q(0)
 
 
 def parse_rational(x) -> Fraction:
@@ -44,10 +44,18 @@ def parse_rational(x) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
+    return _format_ratio(x.numerator, x.denominator)
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """The rational n/d (d > 0) as text in lowest terms: `p/q`, or `p` if q is 1."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
     try:
-        return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+        return f"{n}/{d}" if d != 1 else str(n)
     except ValueError:  # over the interpreter's limit on digits of an int as text
-        raise DomainError(f"a rational of {x.numerator.bit_length()} bits is too long to print") from None
+        raise DomainError(f"a rational of {n.bit_length()} bits is too long to print") from None
 
 
 # -- intervals ----------------------------------------------------------------
@@ -68,14 +76,6 @@ class QInterval(Value):
     def length(self) -> Fraction:
         return Q(0) if self.is_empty() else self.hi - self.lo
 
-    def as_json(self):
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "lo_open": self.lo_open,
-            "hi_open": self.hi_open,
-        }
-
 
 # -- flows ----------------------------------------------------------------------
 
@@ -84,7 +84,7 @@ class Flow:
 
     def __init__(self, f: FringedQuiver, values: dict[str, Fraction] | None = None):
         self.quiver = f
-        vals = {a: Q(0) for a in f.arrows}
+        vals = dict.fromkeys(f.arrows, ZERO)
         for a, x in (values or {}).items():
             if a not in vals:
                 raise DomainError(f"flow value on unknown arrow {a}")
@@ -127,10 +127,12 @@ class Flow:
 
     def _validate(self) -> None:
         for a, x in self.values.items():
-            if x < 0:
+            if x.numerator < 0:
                 raise DomainError(f"negative flow on arrow {a}")
+        _unit, vals = self.int_values
+        at = dict(zip([a for a, _e in self.quiver.calculus.universe.signed[::2]], vals))
         for v, ((a1, a2), (b1, b2)) in self.quiver.relation_pairs.items():
-            if self[a1] + self[a2] != self[b1] + self[b2]:
+            if at[a1] + at[a2] != at[b1] + at[b2]:
                 raise DomainError(f"conservation of flow fails at vertex {v}")
 
     def __getitem__(self, a: str) -> Fraction:
@@ -371,8 +373,9 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, int, tuple]]]:
             if length == 0:
                 covered[k].append((mid, mid))
                 continue
-            tile = (int(interval.lo * unit), interval.lo_open,
-                    int(interval.hi * unit), interval.hi_open)
+            lo, hi = interval.lo, interval.hi      # their denominators divide unit
+            tile = (lo.numerator * (unit // lo.denominator), interval.lo_open,
+                    hi.numerator * (unit // hi.denominator), interval.hi_open)
             band = isinstance(mt.trail, Band)
             inverse = None if band else mt.inverse()
             for mirrored, j, t in _marking_tiles(half, tables, mt.codes, mt.index, band,
@@ -460,11 +463,24 @@ def _marking_tiles(vals: list[int], tables, codes: tuple[int, ...], index: int, 
         rewalk(bwd_table, range(index, 0, -1), -1, back_lows, back_ups)
         rewalk(fwd_table, range(index), 1, fwd_lows, fwd_ups)
         rewalk(bwd_table, range(index + 1, n), -1, back_lows, back_ups)
-        # suffix meets of the Forward keys, prefix meets of the Back keys
-        lows = list(map(max, list(accumulate(reversed(fwd_lows), max))[::-1],
-                        accumulate(back_lows, max)))
-        ups = list(map(min, list(accumulate(reversed(fwd_ups), min))[::-1],
-                       accumulate(back_ups, min)))
+        lows, ups = fwd_lows, fwd_ups
+        low, up = -2 * far, 2 * far
+        for j in range(n - 1, -1, -1):          # suffix meets of the Forward keys
+            if lows[j] > low:
+                low = lows[j]
+            if ups[j] < up:
+                up = ups[j]
+            lows[j], ups[j] = low, up
+        low, up = -2 * far, 2 * far
+        for j in range(n):                      # met with prefix meets of the Back keys
+            if back_lows[j] > low:
+                low = back_lows[j]
+            if back_ups[j] < up:
+                up = back_ups[j]
+            if low > lows[j]:
+                lows[j] = low
+            if up < ups[j]:
+                ups[j] = up
     for j, c in enumerate(codes):
         mirrored = c not in starts
         if mirrored and (band or c ^ 1 not in starts):
@@ -584,27 +600,20 @@ class BlankSpace(Record):
     def proper(self) -> bool:
         return self.interval.lo < self.interval.hi
 
-    def as_json(self):
-        return {
-            "arrow": self.arrow,
-            "interval": self.interval.as_json(),
-            "below": None if self.below is None else str(self.below),
-            "above": None if self.above is None else str(self.above),
-            "proper": self.proper,
-        }
-
 
 def _blank_gaps(F: Flow, a: str):
     """(below, above, gap) per blank space of arrow a: the routes of
     consecutive route tiles at a (None for the sentinels {0} and {F(a)}) and
-    the gap between them."""
-    unit, vals = F.int_values
+    the gap (lo, lo_open, hi, hi_open) between them, on ints in the tiles'
+    unit (lo <= hi)."""
+    _unit, vals = F.int_values
     cap = vals[F.quiver.calculus.universe.code[(a, 1)] >> 1]
-    routes = [(mt.trail, t) for mt, _j, t in F.markings[a] if isinstance(mt.trail, Route)]
     below, at, at_open = None, 0, False
-    for above, (lo, lo_open, hi, hi_open) in routes + [(None, (cap, False, cap, False))]:
-        yield below, above, QInterval(Q(at, unit), Q(lo, unit), not at_open, not lo_open)
-        below, at, at_open = above, hi, hi_open
+    for mt, _j, (lo, lo_open, hi, hi_open) in F.markings[a]:
+        if isinstance(mt.trail, Route):
+            yield below, mt.trail, (at, not at_open, lo, not lo_open)
+            below, at, at_open = mt.trail, hi, hi_open
+    yield below, None, (at, not at_open, cap, True)
 
 
 def blank_spaces(F: Flow) -> list[BlankSpace]:
@@ -613,8 +622,23 @@ def blank_spaces(F: Flow) -> list[BlankSpace]:
     Sentinels {0} and {F(a)} bound the outermost gaps, so every arrow carries
     one more blank space than it has marked routes in K_F^+.
     """
-    return [BlankSpace(a, gap, below, above) for a in sorted(F.quiver.arrows)
-            for below, above, gap in _blank_gaps(F, a)]
+    unit = F.int_values[0]
+    return [BlankSpace(a, QInterval(Q(lo, unit), Q(hi, unit), lo_open, hi_open), below, above)
+            for a in sorted(F.quiver.arrows)
+            for below, above, (lo, lo_open, hi, hi_open) in _blank_gaps(F, a)]
+
+
+def blank_rows(F: Flow) -> list[dict]:
+    """The JSON rows of `blank_spaces`, formatted from the integer gaps."""
+    unit = F.int_values[0]
+    return [{"arrow": a,
+             "interval": {"lo": _format_ratio(lo, unit), "hi": _format_ratio(hi, unit),
+                          "lo_open": lo_open, "hi_open": hi_open},
+             "below": None if below is None else str(below),
+             "above": None if above is None else str(above),
+             "proper": lo < hi}
+            for a in sorted(F.quiver.arrows)
+            for below, above, (lo, lo_open, hi, hi_open) in _blank_gaps(F, a)]
 
 
 def splitting_strength(F: Flow, b: Band) -> Fraction:
@@ -627,12 +651,13 @@ def splitting_strength(F: Flow, b: Band) -> Fraction:
         if not calc.compatible(b, p):
             raise DomainError(f"band is incompatible with the route {p} of K_F^+")
 
+    unit = F.int_values[0]
     best: Fraction | None = None
     for a in sorted({x for x, _e in b.walk}):
-        gaps = [gap for _below, _above, gap in _blank_gaps(F, a)]
+        lengths = [hi - lo for _below, _above, (lo, _lo_open, hi, _hi_open) in _blank_gaps(F, a)]
         routes = [mt.at(j) for mt, j, _t in F.markings[a] if isinstance(mt.trail, Route)]
         # count, per blank-space index, the markings of B splitting it
-        counts = [0] * len(gaps)
+        counts = [0] * len(lengths)
         for marking in markings_at(b, a, 1):
             below = 0
             for mt in routes:
@@ -641,7 +666,7 @@ def splitting_strength(F: Flow, b: Band) -> Fraction:
             counts[below] += 1
         for j, n in enumerate(counts):
             if n > 0:
-                ratio = gaps[j].length / n
+                ratio = Q(lengths[j], n * unit)
                 if best is None or ratio < best:
                     best = ratio
     return best

@@ -408,12 +408,10 @@ def is_representation_finite(f: FringedQuiver) -> bool:
 def _strip_comment(line: str) -> str:
     """Drop a trailing comment; '#' only opens one at line start or after a
     space, since fringe-arrow ids contain '#' themselves."""
-    if line.startswith("#"):
-        return ""
-    for i, ch in enumerate(line):
-        if ch == "#" and line[i - 1] in " \t":
-            return line[:i]
-    return line
+    i = line.find("#")
+    while i > 0 and line[i - 1] not in " \t":
+        i = line.find("#", i + 1)
+    return line if i < 0 else line[:i]
 
 
 def _checked_id(ln: int, name: str) -> str:

@@ -145,15 +145,24 @@ class TrailUniverse:
     def __init__(self, names):
         self.signed = [(a, e) for a in sorted(set(names)) for e in (1, -1)]  # by code
         self.code = {s: c for c, s in enumerate(self.signed)}
-        self.tokens = [format_walk((s,)) for s in self.signed]
+        self.tokens = [a if e == 1 else a + "^-1" for a, e in self.signed]
         self._routes: dict[tuple[int, ...], Route] = {}
         self._bands: dict[tuple[int, ...], Band] = {}
 
     def word(self, w: Walk) -> tuple[int, ...]:
         try:
             return tuple(map(self.code.__getitem__, w))
-        except KeyError as exc:
-            raise DomainError(f"unknown arrow id {exc.args[0][0]}") from None
+        except (KeyError, TypeError):
+            pass
+        for item in w:  # name the first item that has no code
+            if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)):
+                raise DomainError(f"not a signed arrow: {item!r}")
+            a, e = item
+            if (a, 1) not in self.code:
+                raise DomainError(f"unknown arrow id {a}")
+            if e not in (1, -1):
+                raise DomainError(f"the sign of an arrow is 1 or -1, not {e!r}")
+        raise AssertionError("every item of the walk has a code")
 
     def route(self, word: tuple[int, ...]) -> Route:
         hit = self._routes.get(word)

@@ -805,3 +805,14 @@ def oracle_lidskii_volume(g):
         return n
 
     return count(0, (0,) * len(order))
+
+
+def oracle_strip_comment(line):
+    """The line up to its comment, scanned character by character: a '#'
+    opens a comment at line start or after a space or tab."""
+    if line.startswith("#"):
+        return ""
+    for i, ch in enumerate(line):
+        if ch == "#" and line[i - 1] in " \t":
+            return line[:i]
+    return line

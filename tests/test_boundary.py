@@ -66,6 +66,21 @@ def test_a_marked_position_outside_the_trail_is_a_domain_error():
             countercurrent_compare(f, m, m)
 
 
+WALK_ITEMS = {
+    "bad sign": ((("e1", 2),), "the sign of an arrow is 1 or -1, not 2"),
+    "bare arrow id": (("e1",), "not a signed arrow: 'e1'"),
+    "list item": ((["e1", 1],), "not a signed arrow: ['e1', 1]"),
+    "unknown arrow": ((("e1", 1), ("zz", -1)), "unknown arrow id zz"),
+}
+
+
+@pytest.mark.parametrize("walk, message", WALK_ITEMS.values(), ids=WALK_ITEMS)
+def test_a_walk_item_that_is_no_signed_arrow_is_named(walk, message):
+    with pytest.raises(DomainError) as err:
+        trails.is_string(fixture_quiver("kronecker"), walk)
+    assert str(err.value) == message
+
+
 def test_trails_the_calculus_built_are_not_checked_again(monkeypatch):
     checks = []
     for module in [m for name, m in sys.modules.items() if name.startswith("gentleflow")]:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -240,6 +241,25 @@ def test_blanks_command(kron_file, capsys, tmp_path):
     assert payload["count"] == 9
     proper = [b for b in payload["blank_spaces"] if b["proper"]]
     assert {b["arrow"] for b in proper} == {"e2", "f2"}
+
+
+def test_blanks_builds_no_fraction_per_blank_space(kron_file, capsys, tmp_path, monkeypatch,
+                                                   perfbench_gen):
+    # the rows are formatted from the integer gaps: the winding flows of 50
+    # and 100 turns (108 and 208 blank spaces) build the same Fractions
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(cls) or new(cls, *args, **kw))
+    counts = []
+    for k, spaces in ((50, 108), (100, 208)):
+        flow = tmp_path / f"winding{k}.json"
+        flow.write_text(json.dumps(perfbench_gen.winding_flow(k)))
+        built.clear()
+        code, out, _ = run_cli(capsys, "blanks", kron_file, "--flow", str(flow))
+        assert code == 0 and json.loads(out)["payload"]["count"] == spaces
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 # each would be a valid flow on both kronecker and cube-dag if its values read as 1

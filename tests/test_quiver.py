@@ -18,7 +18,7 @@ from gentleflow.quiver import (
     validate_gentle,
 )
 
-from oracles import straight_route_count
+from oracles import oracle_strip_comment, straight_route_count
 
 
 def kronecker_base():
@@ -198,6 +198,8 @@ def test_ids_that_trail_text_misreads_are_structural_errors(text, ln):
 
 
 def test_cyclic_core_matches_networkx():
+    # rooted at every node, and at random subsets of the nodes as
+    # polyhedra.closure roots it: the cycles reachable from the roots
     rng = random.Random(7)
     for _ in range(300):
         n = rng.randint(0, 12)
@@ -209,6 +211,16 @@ def test_cyclic_core_matches_networkx():
         oracle = {v for comp in nx.strongly_connected_components(g)
                   for v in comp if len(comp) > 1 or g.has_edge(v, v)}
         assert quiver.cyclic_core(list(succ), succ.__getitem__) == oracle
+        for _ in range(3):
+            roots = rng.sample(list(succ), rng.randint(0, n))
+            reached = set(roots).union(*(nx.descendants(g, v) for v in roots))
+            assert quiver.cyclic_core(roots, succ.__getitem__) == oracle & reached, roots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="#a \t!", max_size=12))
+def test_strip_comment_matches_the_character_scan(line):
+    assert quiver._strip_comment(line) == oracle_strip_comment(line)
 
 
 def test_fringed_quiver_validation_errors():
