@@ -75,8 +75,35 @@ def _report(args, payload, bounds=None):
     if bounds:
         meta["bounds"] = bounds
     doc = {"meta": meta, "payload": payload}
-    indent = 2 if args.pretty else None
-    print(json.dumps(doc, indent=indent, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True) if args.pretty else _compact(doc))
+
+
+class _Literals(dict):
+    """Each string looked up, as its JSON literal: escaped on the first lookup."""
+
+    def __missing__(self, s: str) -> str:
+        literal = self[s] = json.encoder.encode_basestring_ascii(s)
+        return literal
+
+
+_DEFAULT = json.JSONEncoder().default   # json.dumps's: raises TypeError
+
+
+def _compact(doc) -> str:
+    """json.dumps(doc, sort_keys=True), escaping each distinct string once.
+
+    A report repeats strings (each `blanks` row names both of its bounding
+    routes), and json.dumps escapes every copy afresh.  This runs the C
+    encoder json.dumps runs, with its arguments, but with the lookup of a
+    `_Literals` table as string encoder.  Without the C encoder it is
+    json.dumps."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return json.dumps(doc, sort_keys=True)
+    # (markers, default, encoder, indent, key_separator, item_separator,
+    #  sort_keys, skipkeys, allow_nan), as JSONEncoder.iterencode passes them
+    encode = make({}, _DEFAULT, _Literals().__getitem__, None, ": ", ", ", True, False, True)
+    return "".join(encode(doc, 0))
 
 
 def cmd_validate(args):

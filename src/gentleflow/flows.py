@@ -348,14 +348,19 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, int, tuple]]]:
     1/(2 * den), den the flow's common denominator.
 
     Arrows are tiled in sorted order.  Each gap of [0, F(a)] left by the
-    tiles known so far is probed at its midpoint with `trace_interval`;
-    single-point gaps are skipped, as isolated points carry zero length.  A
-    probe that finds a positive-length trail yields, from one re-walk
-    (`_marking_tiles`), the tiles of every marking of that trail at a start
-    arrow: for a route in both orientations, so each route is traced once;
-    for a band in the orientation traced, so each band orientation is
-    traced once.  Every tile found is filed under its arrow and covers its
-    stretch, which is never probed again.
+    tiles known so far is probed with `trace_interval` at the odd point
+    (lo + hi) // 2 | 1.  Along a traced walk every value is the start plus an
+    even number (each branch adds or subtracts a flow value, even in 1/unit
+    units), so every branch bound, and with it every tile end, is even; the
+    gap's ends are tile ends, 0 or F(a), so the probe lies strictly inside
+    the gap, off every tile end, and finds a positive-length trail.
+    Single-point gaps are skipped, as isolated points carry zero length.
+    Each probe yields, from one re-walk (`_marking_tiles`), the tiles of
+    every marking of that trail at a start arrow: for a route in both
+    orientations, so each route is traced once; for a band in the
+    orientation traced, so each band orientation is traced once.  Every tile
+    found is filed under its arrow and covers its stretch, which is never
+    probed again.
     """
     unit, half = F.int_values
     calc = F.quiver.calculus
@@ -368,11 +373,10 @@ def tile_markings(F: Flow) -> dict[str, list[tuple[MarkedTrail, int, tuple]]]:
     for k, sa in starts.items():
         cap = half[universe.code[sa] >> 1]
         while (gap := _first_gap(covered[k], cap)) is not None:
-            mid = (gap[0] + gap[1]) // 2
+            mid = (gap[0] + gap[1]) // 2 | 1
             mt, interval, length = trace_interval(F, sa, Q(mid, unit))
             if length == 0:
-                covered[k].append((mid, mid))
-                continue
+                raise AssertionError("a probe off every tile end found no tile")
             lo, hi = interval.lo, interval.hi      # their denominators divide unit
             tile = (lo.numerator * (unit // lo.denominator), interval.lo_open,
                     hi.numerator * (unit // hi.denominator), interval.hi_open)

@@ -1,8 +1,12 @@
 import json
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gentleflow import cli
 from gentleflow.cli import main
 from gentleflow.fixtures import DOUBLE_KRONECKER, KRONECKER, SHARD
 
@@ -260,6 +264,43 @@ def test_blanks_builds_no_fraction_per_blank_space(kron_file, capsys, tmp_path, 
         assert code == 0 and json.loads(out)["payload"]["count"] == spaces
         counts.append(len(built))
     assert counts[0] == counts[1]
+
+
+def test_blanks_escapes_each_string_once(kron_file, capsys, tmp_path, monkeypatch, perfbench_gen):
+    # every row names both of its bounding routes, yet each distinct string of
+    # a report is escaped once: the winding flows of 50 and 100 turns (108 and
+    # 208 blank spaces) escape less than a tenth of the report's characters
+    escaped = Counter()
+    escape = json.encoder.encode_basestring_ascii
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii",
+                        lambda s: escaped.update([s]) or escape(s))
+    for k, spaces in ((50, 108), (100, 208)):
+        flow = tmp_path / f"winding{k}.json"
+        flow.write_text(json.dumps(perfbench_gen.winding_flow(k)))
+        escaped.clear()
+        code, out, _ = run_cli(capsys, "blanks", kron_file, "--flow", str(flow))
+        assert code == 0 and json.loads(out)["payload"]["count"] == spaces
+        assert escaped and max(escaped.values()) == 1
+        assert 10 * sum(map(len, escaped)) < len(out)
+
+
+# JSON trees as reports hold them, with repeated strings, non-ASCII and control
+# characters, lone surrogates and ints past 64 bits
+TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()),
+               max_size=12) | st.sampled_from(["", "e1 e2^-1", "band: e2 f2^-1", "\u00e9\n\ud800"])
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**4000, 10**4000) | TEXT,
+    lambda tree: st.lists(tree, max_size=6) | st.dictionaries(TEXT, tree, max_size=6),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_TREES)
+def test_compact_report_text_is_json_dumps(doc):
+    expected = json.dumps(doc, sort_keys=True)
+    assert cli._compact(doc) == expected
+    with mock.patch.object(json.encoder, "c_make_encoder", None):
+        assert cli._compact(doc) == expected
 
 
 # each would be a valid flow on both kronecker and cube-dag if its values read as 1

@@ -179,8 +179,8 @@ def test_decomposition_builds_no_signed_arrow_walk(monkeypatch, quiver_pool):
 
 def test_every_probe_goes_through_trace_interval(monkeypatch, quiver_pool):
     # perfbench/tracer.py counts flows.trace_interval calls and steps: one per
-    # zero-length gap, one per route and one per band orientation with a
-    # marking at a start arrow, since a band's inverse is traced, not mirrored
+    # route and one per band orientation with a marking at a start arrow,
+    # since a band's inverse is traced, not mirrored
     results = recorded_traces(monkeypatch)
     for F in tiled_flows(quiver_pool):
         results.clear()
@@ -190,8 +190,20 @@ def test_every_probe_goes_through_trace_interval(monkeypatch, quiver_pool):
         band_orientations = sum(any(sa in starts for sa in b.walk)
                                 + any((a, -e) in starts for a, e in b.walk)
                                 for b in found - routes)
-        gaps = sum(length == 0 for _mt, _iv, length in results)
-        assert len(results) == gaps + len(routes) + band_orientations > 0
+        assert sum(length == 0 for _mt, _iv, length in results) == 0
+        assert len(results) == len(routes) + band_orientations > 0
+
+
+def test_no_probe_lands_on_a_tile_end(monkeypatch):
+    # the gap (5/4, 69/4) on e4 holds eight tiles of length 2; its midpoints
+    # 37/4, 21/4 and 13/4 are tile ends, so probing them traced 7 times for 4 trails
+    results = recorded_traces(monkeypatch)
+    values = {"e1": "49/20", "e2": "73/20", "e3": "5/4", "e4": "69/4", "e5": "13/4",
+              "f1": "2", "f2": "16/5", "f3": "4/5", "f4": "84/5", "f5": "14/5"}
+    F = Flow(fixture_quiver("triple-kronecker"), {a: Q(x) for a, x in values.items()})
+    assert sum(len(ts) for ts in F.integer_tiles().values()) > 0
+    assert len(results) == 4
+    assert all(length > 0 for _mt, _iv, length in results)
 
 
 def assert_tiles_match_name_keyed_kernel(F):
