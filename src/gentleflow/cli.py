@@ -145,13 +145,13 @@ def cmd_pairing(args):
 def cmd_routes(args):
     f = _load_quiver(args.text)
     bound = _bound(args.max_arrows, default_route_bound(f))
-    routes = sorted(trails.enumerate_routes(f, bound), key=trails.trail_key)
-    compatible = trails.self_compatible_routes(f, bound)
-    payload = [{"trail": str(p),
-                "self_compatible": p in compatible,
-                "straight": trails.is_straight(p),
-                "elementary": p in compatible and trails.is_elementary_route(f, p)}
-               for p in routes]
+    u = f.calculus.universe
+    # only a self-compatible route is interned, to be tested for elementarity
+    payload = [{"trail": u.text(w),
+                "self_compatible": ok,
+                "straight": len({c & 1 for c in w}) == 1,
+                "elementary": ok and trails.is_elementary_route(f, u.route(w))}
+               for w, ok in trails.route_words(f, bound, "flag")]
     _report(args, payload, bounds={"max_arrows": bound})
     return 0
 

@@ -8,6 +8,7 @@ tuple order on them is member order."""
 
 from __future__ import annotations
 
+from bisect import insort
 from functools import cached_property, reduce
 from operator import or_
 
@@ -76,8 +77,7 @@ class Bundle(_Members, Value):
 
 
 def bending_route_universe(f: FringedQuiver, route_bound: int) -> list[Route]:
-    return sorted((p for p in self_compatible_routes(f, route_bound) if not is_straight(p)),
-                  key=trail_key)
+    return [p for p in self_compatible_routes(f, route_bound) if not is_straight(p)]
 
 
 def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
@@ -88,7 +88,10 @@ def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
 
 def _search_order(f: FringedQuiver, route_bound: int) -> list[Route]:
     """The straight and the bending routes, in one trail_key order."""
-    return sorted(straight_routes(f) + bending_route_universe(f, route_bound), key=trail_key)
+    nodes = bending_route_universe(f, route_bound)
+    for p in straight_routes(f):
+        insort(nodes, p, key=trail_key)
+    return nodes
 
 
 _BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]

@@ -241,7 +241,7 @@ class FringedQuiver(_Incidence, Value):
 
     def string_continuations(self, a: str, eps: int) -> list[tuple[str, int]]:
         """Signed arrows x^z such that a^eps x^z is a string (at most one per
-        sign): the calculus's table cont, decoded."""
+        sign), in code order: the calculus's table cont, decoded."""
         u = self.calculus.universe
         return [u.signed[d] for d in self.calculus.cont[u.code[(a, eps)]]]
 

@@ -95,7 +95,7 @@ class Trail:
         self.walk = tuple(universe.signed[c] for c in codes)
         self.sort_key = (isinstance(self, Band), codes)
         self._hash = hash(self.walk)
-        self._str = self._prefix + " ".join(universe.tokens[c] for c in codes)
+        self._str = self._prefix + universe.text(codes)
 
     def __eq__(self, other) -> bool:
         return self is other or (type(other) is type(self) and other.walk == self.walk)
@@ -164,6 +164,10 @@ class TrailUniverse:
                 raise DomainError(f"the sign of an arrow is 1 or -1, not {e!r}")
         raise AssertionError("every item of the walk has a code")
 
+    def text(self, word: tuple[int, ...]) -> str:
+        """The trail text of a code word: its arrows' tokens, space separated."""
+        return " ".join(map(self.tokens.__getitem__, word))
+
     def route(self, word: tuple[int, ...]) -> Route:
         hit = self._routes.get(word)
         if hit is None:
@@ -208,36 +212,6 @@ def _is_primitive(w: tuple) -> bool:
 def is_band_walk(f: FringedQuiver, w: Walk) -> bool:
     word = _string_codes(f, w) if w else None
     return bool(word) and word[0] in f.calculus.cont[word[-1]] and _is_primitive(w)
-
-
-def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
-    """All routes with at most max_arrows arrows, up to equivalence.
-
-    Complete when f is representation-finite and the bound is at least |E|.
-    Depth-first on codes with an explicit stack of continuation iterators, so
-    no recursion limit applies; cut as self_compatible_routes is, kiss aside.
-    """
-    if max_arrows < 1:
-        raise DomainError("max_arrows must be >= 1")
-    calc = f.calculus
-    lazy, cont = calc.lazy, calc.cont
-    found: set[Route] = set()
-    walk: list[int] = []
-    stack = [iter(calc.onward([c for c in range(len(lazy)) if lazy[c ^ 1] is None], max_arrows - 1))]
-    while stack:
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            if stack:
-                walk.pop()
-            continue
-        walk.append(c)
-        if lazy[c] is None:
-            found.add(calc.universe.route(tuple(walk)))
-            walk.pop()
-        else:
-            stack.append(iter(calc.onward(cont[c], max_arrows - len(walk) - 1, walk[0])))
-    return found
 
 
 def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
@@ -320,9 +294,10 @@ def _vertex_tables(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[s
     pass over the relation pairs ((a1, a2), (b1, b2)) at each internal vertex
     v, the vertex of rank r in `inner`.  The codes with head v are a1, a2^-1
     (family S, 0) and b1, b2^-1 (family T, 1).  A code c of family S goes on
-    to b2 or b1^-1 and one of T to a2 or a1^-1: cont[c] is that (forward,
-    backward) pair, () at a fringe head.  lazy[c] is the lazy witness (r -
-    |V_int|,) at v; it and family[c] are None at a fringe head.
+    to b2 or b1^-1 and one of T to a2 or a1^-1: cont[c] is that pair in
+    increasing code order, the order route_words takes it in, () at a fringe
+    head.  lazy[c] is the lazy witness (r - |V_int|,) at v; it and family[c]
+    are None at a fringe head.
 
     steps holds the tracer's (Forward, Back) tables of `flows._branch`
     entries: None where the head (tail) of the code is a fringe vertex, else
@@ -339,8 +314,9 @@ def _vertex_tables(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[s
         (a1, a2), (b1, b2) = f.relation_pairs[v]
         s, t = (code[(a1, 1)], code[(a2, -1)]), (code[(b1, 1)], code[(b2, -1)])
         for fam, (x, y), (x2, y2) in ((0, s, t), (1, t, s)):
+            onward = tuple(sorted((y2 ^ 1, x2 ^ 1)))
             for c, other in ((x, y), (y, x)):
-                cont[c], lazy[c], family[c] = (y2 ^ 1, x2 ^ 1), (r,), fam
+                cont[c], lazy[c], family[c] = onward, (r,), fam
                 fwd[c] = y2 ^ 1, x2 ^ 1, y2 >> 1, other >> 1
                 bwd[c ^ 1] = x2, y2, x2 >> 1, other >> 1
     return cont, lazy, family, (fwd, bwd)
@@ -394,12 +370,6 @@ class TrailCalculus:
                     todo += self.cont[y]
         return last
 
-    def onward(self, codes, room: int, first: int | None = None) -> list[int]:
-        """The codes c of `codes` that a prefix with first code `first` (c at
-        the root) may take: last_start[c] >= first and to_end[c] <= room."""
-        last, to_end = self.last_start, self.to_end
-        return [c for c in codes if last[c] >= (c if first is None else first) and to_end[c] <= room]
-
     def witness(self, s: tuple[int, ...]):
         """A code witness as a walk, or as ("lazy", v) for a lazy string."""
         if s[0] < 0:
@@ -442,7 +412,7 @@ class TrailCalculus:
         bound = elementary_trail_bound(f)
         routes = [p for p in self_compatible_routes(f, bound) if is_elementary_route(f, p)]
         bands = [b for b in enumerate_bands(f, bound) if is_elementary_band(f, b)]
-        return sorted(routes, key=trail_key), sorted(bands, key=trail_key)
+        return routes, sorted(bands, key=trail_key)
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss
@@ -489,63 +459,89 @@ class TrailCalculus:
         return self.kiss(p, p) is None
 
 
-def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
-    """The routes of enumerate_routes(f, max_arrows) that do not kiss
-    themselves, generated instead of filtered.
+def route_words(f: FringedQuiver, max_arrows: int, mode: str):
+    """Each route with at most max_arrows arrows once, as (its code word, is
+    it self-compatible), in trail_key order; complete when f is
+    representation-finite and the bound is at least |E|.  A route that kisses
+    itself is flagged False in mode "flag" and left out in mode "cut"; mode
+    "list" checks none and flags each None.  A route found self-compatible
+    is interned, its witnesses left in the calculus for kiss.
 
-    The search keeps the tops and bottoms of the current prefix and cuts a
-    branch as soon as a new top equals a known bottom or a new bottom a known
-    top.  No self-compatible route is lost: a witness flanked inside a prefix
-    stays flanked in every extension, and the witnesses of a route are all
-    shorter than it, so no cap excludes one.  Appending a forward arrow adds
-    only tops, a backward arrow only bottoms.
+    Depth-first on codes with an explicit stack of continuation iterators, so
+    no recursion limit applies.  The roots and each node's continuations come
+    in increasing code order, and no route walk is a prefix of another, so
+    route walks come in lexicographic order; the search keeps a walk w when
+    w <= inverse(w), the route's code word.  It keeps the tops and bottoms of
+    a prefix that does not kiss itself: a forward arrow adds only tops, a
+    backward one only bottoms, and the prefix kisses itself once a new top is
+    a known bottom or a new bottom a known top.  So does every extension, as
+    a witness flanked in a prefix stays flanked: "cut" drops the branch,
+    "flag" walks it without witnesses.  A route's witnesses are all shorter
+    than it, so no cap excludes one.
 
-    Two more cuts (calc.onward) drop the next code c of a prefix of length l
-    and first code s (c at the root) when l + 1 + to_end[c] > max_arrows, as
-    no route through c is that short, or when last_start[c] < s.  A route from
-    s to an end e passes the second cut if e ^ 1 >= s, as its codes all reach
-    e, else its inverse walk, from e ^ 1 to s ^ 1, does.  That walk is the same
-    route, as long, with the same canonical witnesses: no cut stops it.
+    Two more cuts drop the next code c of a prefix of length l and first
+    code s (c at the root) when l + 1 + to_end[c] > max_arrows, as no route
+    through c is that short, or when last_start[c] < s.  A route from s to an
+    end e passes the second cut if e ^ 1 >= s, as its codes all reach e: so
+    its code word, which starts at the lesser of s and e ^ 1, passes.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
     calc = f.calculus
-    lazy, cont = calc.lazy, calc.cont
-    found: set[Route] = set()
-    walk: tuple[int, ...] = ()
-    inv: tuple[int, ...] = ()
-    tops: set = set()
-    bottoms: set = set()
-    added = []  # per arrow of walk: (the set it added to, what it added)
-    stack = [iter(calc.onward([c for c in range(len(lazy)) if lazy[c ^ 1] is None], max_arrows - 1))]
+    lazy, cont, last, to_end = calc.lazy, calc.cont, calc.last_start, calc.to_end
+    cut, check = mode == "cut", mode != "list"
+    walk = inv = ()  # the prefix's code word and its inverse
+    tops, bottoms = set(), set()
+    # per prefix, from the empty one: (the set its last arrow added to, what
+    # it added), or None when the prefix kisses itself or is not checked
+    added: list = [(tops, set()) if check else None]
+    # last[c] >= 0 when an end is reachable from c, so to_end[c] is not None
+    roots = [c for c in range(len(lazy)) if lazy[c ^ 1] is None and last[c] >= c and to_end[c] < max_arrows]
+    stack = [iter(roots)]
     while stack:
         c = next(stack[-1], None)
         if c is None:
             stack.pop()
-            if stack:
-                walk, inv = walk[:-1], inv[1:]
-                mine, new = added.pop()
-                mine -= new
+            undo = added.pop()
+            if undo is not None:
+                undo[0].difference_update(undo[1])
+            walk, inv = walk[:-1], inv[1:]
             continue
-        mine, other = (bottoms, tops) if c & 1 else (tops, bottoms)
-        new = set(_closing_witnesses(walk, inv, lazy, c)) if walk else set()
-        if not other.isdisjoint(new):
-            continue  # the prefix kisses itself, and so does every extension
-        new -= mine
-        mine |= new
-        walk, inv = walk + (c,), (c ^ 1,) + inv
-        if lazy[c] is None:
-            route = calc.universe.route(walk)
-            found.add(route)
-            # the prefix witnesses are the route's: spare kiss computing them again
-            calc._tb.setdefault(route, (set(tops), set(bottoms)))
-        else:  # the cuts leave room for c's continuation
-            stack.append(iter(calc.onward(cont[c], max_arrows - len(walk) - 1, walk[0])))
-            added.append((mine, new))
+        undo = None
+        if added[-1] is not None:
+            mine, other = (bottoms, tops) if c & 1 else (tops, bottoms)
+            new = set(_closing_witnesses(walk, inv, lazy, c)) if walk else set()
+            if other.isdisjoint(new):
+                new -= mine
+                mine |= new
+                undo = mine, new
+        if undo is None and cut:
             continue
-        walk, inv = walk[:-1], inv[1:]
-        mine -= new
-    return found
+        if lazy[c] is not None:  # the cuts leave room for c's continuation
+            walk, inv = walk + (c,), (c ^ 1,) + inv
+            s, room = walk[0], max_arrows - len(walk) - 1
+            stack.append(iter([d for d in cont[c] if last[d] >= s and to_end[d] <= room]))
+            added.append(undo)
+            continue
+        if (word := walk + (c,)) <= (c ^ 1,) + inv:  # the route's code word
+            if undo is not None:
+                # the prefix witnesses are the route's: spare kiss computing them again
+                calc._tb.setdefault(calc.universe.route(word), (set(tops), set(bottoms)))
+            yield word, (undo is not None) if check else None
+        if undo is not None:
+            undo[0].difference_update(undo[1])
+
+
+def enumerate_routes(f: FringedQuiver, max_arrows: int) -> set[Route]:
+    """All routes with at most max_arrows arrows, up to equivalence."""
+    route = f.calculus.universe.route
+    return {route(w) for w, _ok in route_words(f, max_arrows, "list")}
+
+
+def self_compatible_routes(f: FringedQuiver, max_arrows: int) -> list[Route]:
+    """The self-compatible routes of route_words, interned, in trail_key order."""
+    route = f.calculus.universe.route
+    return [route(w) for w, _ok in route_words(f, max_arrows, "cut")]
 
 
 # -- boosted / criss-crossed ---------------------------------------------------

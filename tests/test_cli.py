@@ -92,6 +92,24 @@ def test_polyhedra_search_once_and_build_no_flow(kron_file, capsys, monkeypatch)
     assert built == []
 
 
+def test_routes_interns_only_the_routes_it_tests(tmp_path, capsys, monkeypatch):
+    # triple-kronecker has 3194 routes at its default bound 18, 90 of them
+    # self-compatible: only those are interned, to be tested for elementarity
+    from gentleflow import trails
+    from gentleflow.fixtures import QUIVER_FIXTURES
+    built = []
+    init = trails.Trail.__init__
+    monkeypatch.setattr(trails.Trail, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    p = tmp_path / "tk.qv"
+    p.write_text(QUIVER_FIXTURES["triple-kronecker"])
+    code, out, _ = run_cli(capsys, "routes", str(p))
+    report = json.loads(out)
+    assert code == 0 and report["meta"]["bounds"] == {"max_arrows": 18}
+    assert len(report["payload"]) == 3194
+    assert sum(row["self_compatible"] for row in report["payload"]) == 90
+    assert len(built) == 90
+
+
 def test_decompose_ex52(kron_file, capsys, tmp_path):
     flow = tmp_path / "ex52.json"
     flow.write_text('{"e1": "1", "f1": "1", "e2": "5/2", "f2": "5/2"}')

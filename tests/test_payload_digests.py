@@ -215,6 +215,8 @@ def build_cases(root: Path) -> dict[str, dict[str, list[str]]]:
     for n, seed in MID_CLIQUE_POOL + [(7, 1)]:
         cases.quiver_commands("clique-search", f"random-{n}-{seed}", gen.random_gentle_quiver(seed, n),
                               [["band-stable"], ["cells", "--kind", "vortex"]])
+    # the route listing where it is long: doubled A6 at bound 20, 19416 routes
+    cases.quiver_commands("clique-search", "doubled-A6", gen.doubled_path(6), [["routes"]], bounds=(20, 0))
 
     dags = {**DAG_FIXTURES, **{f"doubled-path-dag-{n}": gen.doubled_path_dag(n) for n in (2, 3, 4, 5)}}
     dag_flows = {"cube-dag": [{"e1": 1, "e2": 3, "f1": 3, "f2": 1}],

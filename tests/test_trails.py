@@ -120,7 +120,10 @@ def test_self_compatible_routes_match_filter(quiver_pool):
             f = FringedQuiver(g.internal_vertices, g.fringe_vertices, g.arrows, g.relation_pairs)
             calc = trails.TrailCalculus(f)
             kept = {p for p in enumerate_routes(f, bound) if calc.self_compatible(p)}
-            assert trails.self_compatible_routes(f, bound) == kept
+            found = trails.self_compatible_routes(f, bound)
+            assert set(found) == kept
+            assert len(found) == len(kept)  # no duplicates
+            assert found == sorted(found, key=trails.trail_key)
             # the generator leaves each route's witnesses in the quiver's calculus
             for p in kept:
                 assert f.calculus.tops_bottoms(p, 0) == calc.tops_bottoms(p, 0)
@@ -128,7 +131,8 @@ def test_self_compatible_routes_match_filter(quiver_pool):
 
 def test_self_compatible_search_is_pruned(monkeypatch):
     # without the distance and lesser-start cuts it is 3424 calls: 392
-    # prefixes die at the bound, and each route is reached from both ends
+    # prefixes die at the bound, and each route is reached from both ends;
+    # 1778 is one call per node of the tree the cuts leave
     g = fixture_quiver("triple-kronecker")
     f = FringedQuiver(g.internal_vertices, g.fringe_vertices, g.arrows, g.relation_pairs)
     calls = []
@@ -140,7 +144,30 @@ def test_self_compatible_search_is_pruned(monkeypatch):
 
     monkeypatch.setattr(trails, "_closing_witnesses", counted)
     assert len(trails.self_compatible_routes(f, 18)) == 90
-    assert len(calls) < 2000
+    assert len(calls) == 1778
+
+
+def _oracle_words(f, bound):
+    """Per bound b up to bound, the (code word, self-compatible) pairs of the
+    oracle's routes with at most b arrows, in trail_key order.  A calculus of
+    its own, so no witness the search left in f's calculus is read back."""
+    calc = trails.TrailCalculus(f)
+    routes = sorted((calc.universe.route(calc.codes(t)) for t in oracle_routes(f, bound)),
+                    key=trails.trail_key)
+    pairs = [(t.codes, calc.self_compatible(t)) for t in routes]
+    return {b: [(w, ok) for w, ok in pairs if len(w) <= b] for b in range(1, bound + 1)}
+
+
+def test_route_words_match_the_sorted_oracle(quiver_pool, perfbench_gen):
+    # each route once, in trail_key order, with its self-kiss flag; the cut
+    # mode keeps the self-compatible part, the list mode drops the flags
+    cases = [(pool.quiver, cli.default_route_bound(pool.quiver)) for pool in quiver_pool]
+    cases.append((parse_quiver_file(perfbench_gen.doubled_path(6)), 14))
+    for f, default in cases:
+        for bound, want in _oracle_words(f, default).items():
+            assert list(trails.route_words(f, bound, "flag")) == want
+            assert list(trails.route_words(f, bound, "cut")) == [(w, ok) for w, ok in want if ok]
+            assert list(trails.route_words(f, bound, "list")) == [(w, None) for w, _ok in want]
 
 
 def test_self_compatible_routes_bound_error():
