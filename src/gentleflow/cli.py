@@ -121,10 +121,7 @@ def cmd_validate(args):
 
 
 def cmd_fringe(args):
-    q = parse_quiver_file(args.text)
-    if isinstance(q, FringedQuiver):
-        raise DomainError("input is already fringed")
-    f = fringe(q)
+    f = fringe(parse_quiver_file(args.text))
     text = serialize_fringed(f)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -160,11 +157,10 @@ def cmd_bands(args):
     f = _load_quiver(args.text)
     bound = _bound(args.max_arrows, default_band_bound(f))
     calc = f.calculus
-    bands = sorted(trails.enumerate_bands(f, bound), key=trails.trail_key)
     payload = [{"trail": str(b),
                 "self_compatible": calc.self_compatible(b),
                 "elementary": trails.is_elementary_band(f, b)}
-               for b in bands]
+               for b in trails.enumerate_bands(f, bound)]
     _report(args, payload, bounds={"max_arrows": bound})
     return 0
 

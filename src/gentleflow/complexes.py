@@ -82,8 +82,7 @@ def bending_route_universe(f: FringedQuiver, route_bound: int) -> list[Route]:
 
 def band_universe(f: FringedQuiver, band_bound: int) -> list[Band]:
     calc = f.calculus
-    return sorted((b for b in enumerate_bands(f, band_bound) if calc.self_compatible(b)),
-                  key=trail_key)
+    return [b for b in enumerate_bands(f, band_bound) if calc.self_compatible(b)]
 
 
 def _search_order(f: FringedQuiver, route_bound: int) -> list[Route]:

@@ -146,12 +146,6 @@ class Flow:
         vals = {a: self[a] + scale * other[a] for a in self.values}
         return Flow(self.quiver, vals)
 
-    def as_json(self):
-        return {a: format_rational(x) for a, x in sorted(self.values.items()) if x != 0}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Flow) and self.values == other.values
-
 
 def trail_counts(f: FringedQuiver, t: Trail) -> dict[str, int]:
     """Arrow-use counts of a trail on every arrow, as ints: a unit flow for

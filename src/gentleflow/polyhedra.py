@@ -105,7 +105,7 @@ def closure(f: FringedQuiver, W: set[str]) -> set[str]:
     reached both ways from the fringe lie on W-avoiding routes, those on its
     cycles on W-avoiding bands.
     """
-    for a in W:
+    for a in sorted(W):
         if a not in f.arrows:
             raise DomainError(f"unknown arrow {a}")
     calc = f.calculus

@@ -142,7 +142,7 @@ class GentleQuiver(_Incidence, Value):
         for a, (t, h) in self.arrows.items():
             if t not in seen or h not in seen:
                 raise StructuralError(f"arrow {a} has a dangling endpoint")
-        for a, b in self.relations:
+        for a, b in sorted(self.relations):
             if a not in self.arrows or b not in self.arrows:
                 raise StructuralError(f"relation {a} {b} uses an unknown arrow")
             if self.arrows[a][1] != self.arrows[b][0]:
@@ -263,7 +263,7 @@ class FringedQuiver(_Incidence, Value):
         for a, (t, h) in self.arrows.items():
             if t not in known or h not in known:
                 raise StructuralError(f"arrow {a} has a dangling endpoint")
-        for v in vf:
+        for v in self.fringe_vertices:
             deg = len(self.arrows_in(v)) + len(self.arrows_out(v))
             if deg != 1:
                 raise DomainError(f"fringe vertex {v} has {deg} incident arrows (want 1)")
@@ -303,6 +303,8 @@ def fringe(q: GentleQuiver) -> FringedQuiver:
     cycle avoids the fringe arrows (degree 1 at their fringe end), so it
     would be one of q, which validate_gentle rejects.
     """
+    if isinstance(q, FringedQuiver):
+        raise DomainError("input is already fringed")
     problems = validate_gentle(q)
     if problems:
         raise DomainError("not a valid gentle quiver: " + "; ".join(problems))

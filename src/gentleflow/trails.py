@@ -140,7 +140,8 @@ class Band(Trail):
 
 class TrailUniverse:
     """The routes and bands over a set of arrow names, each built once and
-    looked up by any of its code words."""
+    found from any of its code words: a route is kept under both of its
+    words, a band under its canonical word alone."""
 
     def __init__(self, names):
         self.signed = [(a, e) for a in sorted(set(names)) for e in (1, -1)]  # by code
@@ -176,13 +177,14 @@ class TrailUniverse:
         return hit
 
     def band(self, word: tuple[int, ...]) -> Band:
+        """The band of a closed code word; its canonical word is the least of
+        the rotations of the word and of its inverse."""
         hit = self._bands.get(word)
         if hit is None:
             canon = min(least_rotation(word), least_rotation(_inverse_codes(word)))
             hit = self._bands.get(canon)
             if hit is None:
                 hit = self._bands[canon] = Band(self, canon)
-            self._bands[word] = hit
         return hit
 
 
@@ -214,17 +216,22 @@ def is_band_walk(f: FringedQuiver, w: Walk) -> bool:
     return bool(word) and word[0] in f.calculus.cont[word[-1]] and _is_primitive(w)
 
 
-def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
-    """All bands with at most max_arrows arrows, up to rotation and inversion.
+def enumerate_bands(f: FringedQuiver, max_arrows: int) -> list[Band]:
+    """All bands with at most max_arrows arrows, up to rotation and inversion,
+    each once, in trail_key order.
 
     Each closed walk is grown from its least code, among the codes that lie on
-    cycles of the transition graph.
+    cycles of the transition graph.  The starts and each node's continuations
+    come in increasing code order, so closed walks come in lexicographic
+    order, each prefix before its extensions.  A band's canonical word starts
+    at its least code, so the search meets it once; a primitive walk is kept
+    only when it is its band's code word.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
     calc = f.calculus
-    cont, on_cycle = calc.cont, calc.on_cycle
-    found: set[Band] = set()
+    cont, on_cycle, band = calc.cont, calc.on_cycle, calc.universe.band
+    found: list[Band] = []
     for start in sorted(on_cycle):
         walk = [start]
         stack = [iter(cont[start])]
@@ -238,8 +245,8 @@ def enumerate_bands(f: FringedQuiver, max_arrows: int) -> set[Band]:
                 continue
             if nxt == start:
                 w = tuple(walk)
-                if _is_primitive(w):
-                    found.add(calc.universe.band(w))
+                if _is_primitive(w) and (b := band(w)).codes == w:
+                    found.append(b)
             if len(walk) < max_arrows:
                 walk.append(nxt)
                 stack.append(iter(cont[nxt]))
@@ -412,7 +419,7 @@ class TrailCalculus:
         bound = elementary_trail_bound(f)
         routes = [p for p in self_compatible_routes(f, bound) if is_elementary_route(f, p)]
         bands = [b for b in enumerate_bands(f, bound) if is_elementary_band(f, b)]
-        return routes, sorted(bands, key=trail_key)
+        return routes, bands
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss
@@ -464,8 +471,9 @@ def route_words(f: FringedQuiver, max_arrows: int, mode: str):
     it self-compatible), in trail_key order; complete when f is
     representation-finite and the bound is at least |E|.  A route that kisses
     itself is flagged False in mode "flag" and left out in mode "cut"; mode
-    "list" checks none and flags each None.  A route found self-compatible
-    is interned, its witnesses left in the calculus for kiss.
+    "list" checks none and flags each None.  In mode "cut", which alone
+    feeds kiss, each route is interned with its witnesses left in the
+    calculus; the other modes intern none and keep no witnesses.
 
     Depth-first on codes with an explicit stack of continuation iterators, so
     no recursion limit applies.  The roots and each node's continuations come
@@ -524,7 +532,7 @@ def route_words(f: FringedQuiver, max_arrows: int, mode: str):
             added.append(undo)
             continue
         if (word := walk + (c,)) <= (c ^ 1,) + inv:  # the route's code word
-            if undo is not None:
+            if cut:  # so undo is not None
                 # the prefix witnesses are the route's: spare kiss computing them again
                 calc._tb.setdefault(calc.universe.route(word), (set(tops), set(bottoms)))
             yield word, (undo is not None) if check else None

@@ -47,6 +47,29 @@ def oracle_is_trail(f, walk, band: bool) -> bool:
     return oracle_is_string(f, walk) and signed_head(f, a, -ea) in fringe and signed_head(f, *walk[-1]) in fringe
 
 
+def oracle_bands(f, bound):
+    """All bands with at most bound arrows, each once, in trail_key order:
+    every string walk the trail oracle takes for a band, as the least code
+    word of its rotations and their inverses, in f's universe."""
+    from gentleflow.trails import Band, trail_key
+    u = f.calculus.universe
+    signed = [(a, e) for a in f.arrows for e in (1, -1)]
+    after = {x: [y for y in signed if oracle_is_string(f, [x, y])] for x in signed}
+    out = set()
+
+    def ext(walk):
+        if oracle_is_trail(f, walk, band=True):
+            inverse = [(a, -e) for a, e in reversed(walk)]
+            out.add(min(u.word(w[i:] + w[:i]) for w in (walk, inverse) for i in range(len(w))))
+        if len(walk) < bound:
+            for y in after[walk[-1]]:
+                ext(walk + [y])
+
+    for x in signed:
+        ext([x])
+    return sorted((Band(u, w) for w in out), key=trail_key)
+
+
 def oracle_routes(f, bound):
     """All maximal strings between fringe vertices, as canonical walks."""
     from gentleflow.trails import Route

@@ -1,13 +1,14 @@
 """Where a trail enters a quiver: `TrailCalculus.codes` checks a trail of
 another universe once, and every trail-taking function rejects a non-trail
-with the same DomainError; trails the calculus built are not checked again."""
+with the same DomainError; trails the calculus built are not checked again.
+The library's other DomainErrors, which no report reaches, are named here too."""
 
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gentleflow import complexes, polyhedra, trails
+from gentleflow import complexes, dag, flows, polyhedra, trails
 from gentleflow.fixtures import fixture_quiver
 from gentleflow.flows import trail_counts
 from gentleflow.quiver import DomainError
@@ -64,6 +65,40 @@ def test_a_marked_position_outside_the_trail_is_a_domain_error():
               MarkedTrail(f.calculus.straight[0], f.calculus.straight[0].codes, 3)):
         with pytest.raises(DomainError, match="outside the trail"):
             countercurrent_compare(f, m, m)
+
+
+def _outside_the_bundle(f):
+    bundle = complexes.maximal_bundles(f, 6, 4)[-1]  # the straight routes and the band
+    return complexes.distinguished_arrows(f, bundle, parse_trail("e1 f1^-1"))
+
+
+# the library's own DomainErrors that no report reaches, on kronecker, and
+# the one call among them that answers
+LIBRARY_ERRORS = {
+    "trace_interval": (lambda f: flows.trace_interval(flows.Flow(f, {"e1": 1, "e2": 1, "e3": 1}), ("e1", 1), 3),
+                       "value 3 outside [0, F(e1)=1]"),
+    "closure": (lambda f: polyhedra.closure(f, {UNKNOWN}), "unknown arrow zz"),
+    "phi": (lambda f: polyhedra.phi(f, {UNKNOWN: 1}), "unknown arrow zz"),
+    "g_face": (lambda f: polyhedra.g_face(f, set()), "arrow set is not crooked"),
+    "g_facet": (lambda f: polyhedra.g_facet(f, set()), "arrow set is not barely crooked"),
+    "s_coefficients": (lambda f: polyhedra.s_coefficients(f, set()),
+                       "arrow set misses the straight route of e2 (not crooked)"),
+    "unimodularity_check": (lambda f: polyhedra.unimodularity_check(f, []), "expected 2 bending routes, got 0"),
+    "viewed_at": (lambda f: trails.markings_at(f.calculus.straight[0], "e1", 1)[0].viewed_at(UNKNOWN, 1),
+                  "trail is not marked at zz^1"),
+    "distinguished_arrows": (_outside_the_bundle, "trail is not a member of the bundle"),
+    "from_paired": (lambda f: dag.from_paired(f, {}), "pairing does not label arrow e1"),
+    "is_closed": (lambda f: polyhedra.is_closed(f, set(f.arrows)), False),
+}
+
+
+@pytest.mark.parametrize("call, want", LIBRARY_ERRORS.values(), ids=LIBRARY_ERRORS)
+def test_library_domain_errors(call, want):
+    try:
+        got = call(fixture_quiver("kronecker"))
+    except DomainError as err:
+        got = str(err)
+    assert got == want
 
 
 WALK_ITEMS = {

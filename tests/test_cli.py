@@ -669,9 +669,10 @@ def test_plain_reader_leaves_other_lines_to_argparse(argv):
 
 
 def test_running_out_of_memory_is_a_json_error(kron_file):
-    # A child process caps its own address space at 200 MB; the long route
-    # listing exceeds it within a few seconds.  The error contract holds:
-    # exit 1, one JSON error on stderr, no traceback.
+    # A child process caps its own address space at 200 MB; the clique
+    # search on long routes, which keeps each route's kiss witnesses,
+    # exceeds it within a few seconds.  The error contract holds: exit 1,
+    # one JSON error on stderr, no traceback.
     resource = pytest.importorskip("resource")
     import os
     import subprocess
@@ -682,7 +683,7 @@ def test_running_out_of_memory_is_a_json_error(kron_file):
         resource.setrlimit(resource.RLIMIT_AS, (200 << 20, 200 << 20))
 
     src = os.path.dirname(os.path.dirname(gentleflow.__file__))
-    run = subprocess.run([sys.executable, "-m", "gentleflow.cli", "routes", kron_file, "--max-arrows", "800"],
+    run = subprocess.run([sys.executable, "-m", "gentleflow.cli", "cliques", kron_file, "--max-arrows", "800"],
                          capture_output=True, text=True, preexec_fn=cap, timeout=300,
                          env={**os.environ, "PYTHONPATH": src})
     assert run.returncode == 1

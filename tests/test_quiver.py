@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gentleflow
 from gentleflow import dag, quiver, trails
 from gentleflow.fixtures import DAG_FIXTURES, QUIVER_FIXTURES, fixture_quiver
 from gentleflow.quiver import (
@@ -227,6 +231,44 @@ def test_fringed_quiver_validation_errors():
     bad = quiver.FringedQuiver(("v",), ("w",), {"a": ("w", "v")}, {})
     with pytest.raises(DomainError):
         bad.validate()
+
+
+def test_fringe_rejects_a_fringed_quiver():
+    with pytest.raises(DomainError) as err:
+        fringe(fixture_quiver("kronecker"))
+    assert str(err.value) == "input is already fringed"
+
+
+# Each input breaks one check in several places; the check names the first
+# it meets, so it must meet them in an order that no hash seed changes.
+FIRST_OFFENDER = """
+from gentleflow import polyhedra
+from gentleflow.fixtures import fixture_quiver
+from gentleflow.quiver import DomainError, StructuralError, parse_quiver_file, serialize_fringed, validate_gentle
+
+relations = "vertex 1\\nvertex 2\\narrow a: 1 -> 2\\n" + "".join(
+    f"relation {r}\\n" for r in ("t u", "r s", "p q", "w x"))
+fringed = serialize_fringed(fixture_quiver("kronecker")) + "fringe-vertex g1\\nfringe-vertex g2\\n"
+for check in (lambda: validate_gentle(parse_quiver_file(relations)),
+              lambda: parse_quiver_file(fringed),
+              lambda: polyhedra.closure(fixture_quiver("kronecker"), {"zz", "yy", "xx"})):
+    try:
+        check()
+    except (DomainError, StructuralError) as err:
+        print(err)
+"""
+
+
+def test_the_first_offender_named_does_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(gentleflow.__file__))
+    seen = set()
+    for seed in range(1, 7):
+        run = subprocess.run([sys.executable, "-c", FIRST_OFFENDER], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)})
+        seen.add(run.stdout)
+    assert seen == {"relation p q uses an unknown arrow\n"
+                    "fringe vertex g1 has 0 incident arrows (want 1)\n"
+                    "unknown arrow xx\n"}
 
 
 def rematched(f, v):

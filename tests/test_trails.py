@@ -20,6 +20,7 @@ from gentleflow.trails import (
 )
 
 from oracles import (
+    oracle_bands,
     oracle_boosted_and_crisscrossed,
     oracle_g_vector,
     oracle_is_elementary,
@@ -100,7 +101,22 @@ def test_enumerate_bands():
     assert {str(b) for b in enumerate_bands(kron, 2)} == {"band: e2 f2^-1"}
     # powers of the unique band are not bands
     assert {str(b) for b in enumerate_bands(kron, 8)} == {"band: e2 f2^-1"}
-    assert enumerate_bands(fixture_quiver("shard"), 10) == set()
+    assert enumerate_bands(fixture_quiver("shard"), 10) == []
+
+
+def test_bands_come_once_in_trail_key_order(quiver_pool, doubled_a5, perfbench_gen):
+    # the search meets each band's canonical word once, in lexicographic
+    # order, and keeps only that word
+    for pool in quiver_pool:
+        f = pool.quiver
+        assert enumerate_bands(f, pool.band_bound) == oracle_bands(f, pool.band_bound)
+    a6 = parse_quiver_file(perfbench_gen.doubled_path(6))
+    for f, bound in ((doubled_a5, cli.default_band_bound(doubled_a5)), (a6, 14)):
+        keys = [b.sort_key for b in enumerate_bands(f, bound)]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert len(keys) == 855
+    # one intern entry per band, none per rotation the search met
+    assert len(a6.calculus.universe._bands) == 855
 
 
 def test_enumeration_has_no_depth_limit():
@@ -127,6 +143,15 @@ def test_self_compatible_routes_match_filter(quiver_pool):
             # the generator leaves each route's witnesses in the quiver's calculus
             for p in kept:
                 assert f.calculus.tops_bottoms(p, 0) == calc.tops_bottoms(p, 0)
+
+
+def test_the_routes_listing_keeps_no_witnesses():
+    # only the cut mode feeds kiss, so only it leaves witnesses behind
+    g = fixture_quiver("triple-kronecker")
+    f = FringedQuiver(g.internal_vertices, g.fringe_vertices, g.arrows, g.relation_pairs)
+    flags = [ok for _w, ok in trails.route_words(f, 18, "flag")]
+    assert flags.count(True) == 90 and f.calculus._tb == {}
+    assert len(trails.self_compatible_routes(f, 18)) == len(f.calculus._tb) == 90
 
 
 def test_self_compatible_search_is_pruned(monkeypatch):
@@ -272,6 +297,21 @@ def test_elementary_bound_holds(quiver_pool):
         for b in pool.bands:
             if is_elementary_band(f, b):
                 assert len(b.walk) <= bound
+
+
+def test_no_elementary_trail_lies_just_past_the_bound(quiver_pool):
+    # the elementary trails are searched only up to elementary_trail_bound
+    checked = [0, 0]
+    for pool in quiver_pool:
+        f = pool.quiver
+        bound = trails.elementary_trail_bound(f)
+        routes = [p for p in trails.self_compatible_routes(f, bound + 6) if len(p) > bound]
+        bands = [b for b in enumerate_bands(f, bound + 4) if len(b) > bound]
+        assert not any(is_elementary_route(f, p) for p in routes)
+        assert not any(is_elementary_band(f, b) for b in bands)
+        checked[0] += len(routes)
+        checked[1] += len(bands)
+    assert checked == [159, 213]
 
 
 def test_elementary_trails_stop_at_the_bound(doubled_a5, seven_vertex_quivers):
