@@ -413,13 +413,11 @@ class TrailCalculus:
 
     @cached_property
     def elementary(self) -> tuple[list[Route], list[Band]]:
-        """The elementary routes and bands in trail_key order, searched once
-        up to elementary_trail_bound."""
-        f = self.f
-        bound = elementary_trail_bound(f)
-        routes = [p for p in self_compatible_routes(f, bound) if is_elementary_route(f, p)]
-        bands = [b for b in enumerate_bands(f, bound) if is_elementary_band(f, b)]
-        return routes, bands
+        """The elementary routes and bands in trail_key order, from one search
+        of the code words that repeat no code, up to elementary_trail_bound."""
+        bound, u = elementary_trail_bound(self.f), self.universe
+        return ([u.route(w) for w in _repeat_free_routes(self, bound) if _elementary_word(self, w, False)],
+                [u.band(w) for w in _repeat_free_bands(self, bound) if _elementary_word(self, w, True)])
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss
@@ -629,47 +627,144 @@ def boosted_and_crisscrossed(f: FringedQuiver, t: Trail):
 
 
 # -- elementary trails ---------------------------------------------------------
+#
+# An elementary trail repeats no code (a repeated code is a one-code word met
+# twice in one direction, so boosted), so the elementary search grows only
+# repeat-free code words and interns only the trails it keeps.
 
-def _criss_if_unboosted(calc: TrailCalculus, t: Trail):
-    """The maximal criss-crossed substrings of t when t is self-compatible
-    and nothing in it is boosted, else None.
 
-    A code that repeats in the code word of t is a one-code word occurring
-    twice in one direction (for a band, at two starts within one period), so
-    it is boosted, and so is the longest boosted word containing it: such a
-    t is settled in O(len(t)), before the substring pass.
+def _repeat_free_routes(calc: TrailCalculus, max_arrows: int):
+    """The code words of the routes with at most max_arrows arrows that
+    repeat no code, each once, in trail_key order: the search and the cuts
+    of route_words, with a mark per code on the walk in place of witnesses.
+    An end code has a fringe head, so it is never on the walk before it."""
+    lazy, cont, last, to_end = calc.lazy, calc.cont, calc.last_start, calc.to_end
+    used = [False] * len(lazy)
+    walk = inv = ()  # the prefix's code word and its inverse
+    stack = [iter([c for c in range(len(lazy))
+                   if lazy[c ^ 1] is None and last[c] >= c and to_end[c] < max_arrows])]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if walk:
+                used[walk[-1]] = False
+                walk, inv = walk[:-1], inv[1:]
+        elif lazy[c] is not None:
+            used[c] = True
+            walk, inv = walk + (c,), (c ^ 1,) + inv
+            s, room = walk[0], max_arrows - len(walk) - 1
+            stack.append(iter([d for d in cont[c] if not used[d] and last[d] >= s and to_end[d] <= room]))
+        elif (word := walk + (c,)) <= (c ^ 1,) + inv:  # the route's code word
+            yield word
+
+
+def _repeat_free_bands(calc: TrailCalculus, max_arrows: int):
+    """The canonical code words of the bands with at most max_arrows arrows
+    that repeat no code, each once, in trail_key order: the search of
+    enumerate_bands, skipping a code already on the walk.  Such a walk is
+    primitive and starts at its only least code, so it is its band's word
+    when it is no greater than the rotation of its inverse from that one's
+    least code."""
+    cont, on_cycle = calc.cont, calc.on_cycle
+    used = [False] * len(cont)
+    for start in sorted(on_cycle):
+        walk = [start]
+        used[start] = True
+        stack = [iter(cont[start])]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                used[walk.pop()] = False
+            elif nxt == start:
+                w = tuple(walk)
+                inv = _inverse_codes(w)
+                k = inv.index(min(inv))
+                if w <= inv[k:] + inv[:k]:
+                    yield w
+            elif not used[nxt] and nxt > start and nxt in on_cycle and len(walk) < max_arrows:
+                used[nxt] = True
+                walk.append(nxt)
+                stack.append(iter(cont[nxt]))
+
+
+def _elementary_word(calc: TrailCalculus, w: tuple[int, ...], band: bool) -> bool:
+    """Is the route (band) of the repeat-free code word w elementary?  That
+    is: self-compatible, nothing boosted, and at most one maximal
+    criss-crossed substring, which for a route must be a word through a
+    fringe vertex.  In O(len(w)), by three cases:
+
+    1. No junction vertex repeats: elementary.  A kiss, a boosted and a
+       criss-crossed substring each occur twice, so they repeat an arrow or
+       a junction vertex, and an arrow met as c and as c ^ 1 meets the head
+       of c at two junctions.
+    2. A junction vertex repeats, no arrow does.  One family twice there is
+       boosted, a top and a bottom there kiss, and else the lazy string
+       there is criss-crossed, inside no criss-crossed word (there is none).
+       A lazy string never reaches the fringe, so a route is not
+       elementary; a band is when there is one such vertex.
+    3. An arrow repeats.  A word and its inverse occur at most once each, so
+       the criss-crossed words are the runs of positions whose codes' mates
+       c ^ 1 sit at consecutive positions in reverse order: a run goes on
+       over each junction whose inverse junction occurs.  A maximal run and
+       its mirror, which has the same vertices, make one maximal
+       criss-crossed word, which holds every lazy one through its vertices.
+       Inside it the mirror junctions turn alike, so only the whole word may
+       kiss, when its two occurrences turn opposite ways; on a route that
+       reaches the fringe one occurrence ends the route and has no flank.
     """
-    w = calc.codes(t)
-    if len(set(w)) < len(w) or not calc.self_compatible(t):
-        return None
-    boosted, criss = _boosted_crisscrossed_codes(calc, t)
-    return None if boosted else criss
+    lazy, family = calc.lazy, calc.family
+    junctions = list(zip(w, w[1:] + w[:1] if band else w[1:]))
+    first, both = {}, set()  # per junction vertex, its first (family, turn); those met twice
+    for c, d in junctions:
+        v, turn = lazy[c], (c & 1) - (d & 1)  # turn 1 at a top, -1 at a bottom
+        seen = first.get(v)
+        if seen is None:
+            first[v] = family[c], turn
+        elif v in both or seen[0] == family[c] or seen[1] * turn < 0:
+            return False  # a family twice (boosted) or a top and a bottom (a kiss)
+        else:
+            both.add(v)
+    if not both:
+        return True
+    codes, pairs = set(w), set(junctions)
+    crossed = [i for i, c in enumerate(w) if c ^ 1 in codes]
+    starts = [i for i in crossed if not ((band or i) and (w[i] ^ 1, w[i - 1] ^ 1) in pairs)]
+    if not starts:
+        return band and len(both) == 1
+    if len(starts) > 2:  # more than one run and its mirror
+        return False
+    vertices = {lazy[x] for i in crossed for x in (w[i], w[i] ^ 1)}  # the run's
+    if not both <= vertices:
+        return False
+    if not band:
+        return None in vertices
+    # each run ends at the mate of the other's start; a turn is read off flanks
+    turns = [(w[i - 1] & 1) - (w[(w.index(w[j] ^ 1) + 1) % len(w)] & 1) for i, j in (starts, starts[::-1])]
+    return turns[0] * turns[1] >= 0
 
 
 def is_elementary_route(f: FringedQuiver, p: Route) -> bool:
-    """Simple routes and lollipops: no boosted substring, and any lone maximal
-    criss-crossed substring must reach a fringe vertex."""
-    criss = _criss_if_unboosted(f.calculus, p)
-    if criss is None or len(criss) > 1:
-        return False
-    if not criss:
-        return True
-    (sub,) = criss
-    # a lazy witness sits at an internal vertex; a word reaches the fringe
-    # where some code's head, or the first code's tail, has no lazy witness
-    lazy = f.calculus.lazy
-    return sub[0] >= 0 and (lazy[sub[0] ^ 1] is None or any(lazy[c] is None for c in sub))
+    """Simple routes and lollipops: self-compatible, no boosted substring,
+    and any lone maximal criss-crossed substring must reach a fringe vertex."""
+    calc = f.calculus
+    w = calc.codes(p)
+    return len(set(w)) == len(w) and _elementary_word(calc, w, False)
 
 
 def is_elementary_band(f: FringedQuiver, b: Band) -> bool:
-    """Simple bands and barbells: no boosted substring, at most one maximal
-    criss-crossed substring."""
-    criss = _criss_if_unboosted(f.calculus, b)
-    return criss is not None and len(criss) <= 1
+    """Simple bands and barbells: self-compatible, no boosted substring, at
+    most one maximal criss-crossed substring."""
+    calc = f.calculus
+    w = calc.codes(b)
+    return len(set(w)) == len(w) and _elementary_word(calc, w, True)
 
 
 def elementary_trail_bound(f: FringedQuiver) -> int:
-    # Vertex-counting on the simple/lollipop/barbell shapes gives 2|Vint|+2.
+    # An elementary trail meets an internal vertex at most once per family
+    # (twice is boosted), so it has at most 2|Vint| junctions: a band has
+    # that many arrows, a route one more.  The bound has one to spare.
     return 2 * len(f.internal_vertices) + 2
 
 

@@ -69,10 +69,11 @@ def test_vertices_kronecker(kron_file, capsys):
 
 def test_polyhedra_search_once_and_build_no_flow(kron_file, capsys, monkeypatch):
     # rays searched the elementary trails twice, and both commands validated
-    # a Flow per trail only to read its arrow counts
+    # a Flow per trail only to read its arrow counts; the search is the
+    # repeat-free route search of TrailCalculus.elementary
     from gentleflow import flows, trails
     searches, built = [], []
-    real_search, real_init = trails.self_compatible_routes, flows.Flow.__init__
+    real_search, real_init = trails._repeat_free_routes, flows.Flow.__init__
 
     def counting_search(*args):
         searches.append(args)
@@ -82,7 +83,7 @@ def test_polyhedra_search_once_and_build_no_flow(kron_file, capsys, monkeypatch)
         built.append(args)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(trails, "self_compatible_routes", counting_search)
+    monkeypatch.setattr(trails, "_repeat_free_routes", counting_search)
     monkeypatch.setattr(flows.Flow, "__init__", counting_init)
     for command in ("vertices", "rays"):
         searches.clear()

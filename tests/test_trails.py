@@ -328,6 +328,77 @@ def test_elementary_trails_stop_at_the_bound(doubled_a5, seven_vertex_quivers):
         assert bands == set(trails.elementary_bands(f))
 
 
+def _elementary_case(f, t):
+    """Which case of trails._elementary_word a trail with no repeated signed
+    arrow falls in, read off its walk: 1 when its junction vertices are
+    distinct, 2 when one repeats but no arrow does, 3 when an arrow does."""
+    w = t.walk
+    heads = [f.head(a) if e == 1 else f.tail(a) for a, e in (w if isinstance(t, Band) else w[:-1])]
+    if len(set(heads)) == len(heads):
+        return 1
+    return 2 if len({a for a, _e in w}) == len(w) else 3
+
+
+def test_elementary_cases_match_the_oracles(quiver_pool, doubled_a5, seven_vertex_quivers, perfbench_gen):
+    # every route and band up to elementary_trail_bound, classified in O(L),
+    # against the kiss and elementarity oracles; every case and answer occurs
+    draws = [(8, 1), (8, 2), (8, 4), (9, 0), (9, 4), (9, 5), (10, 3), (10, 4), (10, 7), (10, 14)]
+    fs = [pool.quiver for pool in quiver_pool] + [doubled_a5] + seven_vertex_quivers
+    fs += [fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(s, n))) for n, s in draws]
+    seen = {}
+    for f in fs:
+        bound = trails.elementary_trail_bound(f)
+        route = f.calculus.universe.route
+        for t in [route(w) for w, _ok in trails.route_words(f, bound, "list")] + enumerate_bands(f, bound):
+            band = isinstance(t, Band)
+            got = (is_elementary_band if band else is_elementary_route)(f, t)
+            assert got == (oracle_kiss(f, t, t) is None and oracle_is_elementary(f, t)), str(t)
+            if len(set(t.walk)) == len(t.walk):
+                key = (band, _elementary_case(f, t), got)
+                seen[key] = seen.get(key, 0) + 1
+    # routes: case 1 always elementary, case 2 never, case 3 either way;
+    # bands: case 1 always, cases 2 and 3 either way
+    assert set(seen) == {(False, 1, True), (False, 2, False), (False, 3, True), (False, 3, False),
+                         (True, 1, True), (True, 2, True), (True, 2, False),
+                         (True, 3, True), (True, 3, False)}, seen
+
+
+def test_the_elementary_bound_loses_nothing(quiver_pool, doubled_a5, perfbench_gen):
+    # a repeat-free code word has at most 2|E| codes, so the repeat-free
+    # search at 2|E| meets every elementary trail: none lies past the bound
+    fs = [fixture_quiver(name) for name in
+          ("kronecker", "shard", "double-kronecker", "triple-kronecker", "single-vertex")]
+    fs.append(doubled_a5)
+    fs += [fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(s, n)))
+           for n in range(3, 8) for s in range(12)]
+    fs += [fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(s, n)))
+           for n, s in ((8, 1), (8, 2), (8, 4), (8, 5), (8, 6), (9, 0), (9, 4), (10, 3), (10, 4), (10, 7))]
+    assert len(fs) == 76
+    for f in fs:
+        calc = f.calculus
+        everything = 2 * len(f.arrows)
+        routes = [calc.universe.route(w) for w in trails._repeat_free_routes(calc, everything)
+                  if trails._elementary_word(calc, w, False)]
+        bands = [calc.universe.band(w) for w in trails._repeat_free_bands(calc, everything)
+                 if trails._elementary_word(calc, w, True)]
+        assert (routes, bands) == calc.elementary
+
+
+def test_a_band_with_two_lazy_crossings_is_not_elementary():
+    # case 2 with two vertices met by both families: two maximal lazy
+    # criss-crossed strings, so not elementary though self-compatible
+    text = ("vertex u0\nvertex u1\nvertex u2\nvertex u3\n"
+            "arrow a0: u0 -> u2\narrow a1: u1 -> u3\narrow a2: u2 -> u1\n"
+            "arrow a3: u0 -> u3\narrow a5: u2 -> u2\narrow a6: u1 -> u1\n"
+            "relation a0 a2\nrelation a2 a1\nrelation a5 a5\nrelation a6 a6\n")
+    f = fringe(parse_quiver_file(text))
+    b = B("a0 a5 a2 a6 a1 a3^-1")
+    _boosted, criss = oracle_boosted_and_crisscrossed(f, b)
+    assert criss == {("lazy", "u1"), ("lazy", "u2")}
+    assert f.calculus.self_compatible(b) and oracle_kiss(f, b, b) is None
+    assert not is_elementary_band(f, b) and not oracle_is_elementary(f, b)
+
+
 def test_g_vector_examples():
     f = fixture_quiver("kronecker")
     assert g_vector(f, R("e1 e2 f2^-1 e2 f2^-1 f1^-1")) == {"v1": 1, "v2": -2}
