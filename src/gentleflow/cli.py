@@ -142,12 +142,12 @@ def cmd_pairing(args):
 def cmd_routes(args):
     f = _load_quiver(args.text)
     bound = _bound(args.max_arrows, default_route_bound(f))
-    u = f.calculus.universe
-    # only a self-compatible route is interned, to be tested for elementarity
-    payload = [{"trail": u.text(w),
+    calc = f.calculus
+    # each row is read off the code word: no trail is interned
+    payload = [{"trail": calc.universe.text(w),
                 "self_compatible": ok,
                 "straight": len({c & 1 for c in w}) == 1,
-                "elementary": ok and trails.is_elementary_route(f, u.route(w))}
+                "elementary": ok and trails._elementary_word(calc, w, False)}
                for w, ok in trails.route_words(f, bound, "flag")]
     _report(args, payload, bounds={"max_arrows": bound})
     return 0

@@ -216,41 +216,53 @@ def is_band_walk(f: FringedQuiver, w: Walk) -> bool:
     return bool(word) and word[0] in f.calculus.cont[word[-1]] and _is_primitive(w)
 
 
-def enumerate_bands(f: FringedQuiver, max_arrows: int) -> list[Band]:
-    """All bands with at most max_arrows arrows, up to rotation and inversion,
-    each once, in trail_key order.
+def band_words(f: FringedQuiver, max_arrows: int, mode: str):
+    """The canonical code word of each band with at most max_arrows arrows
+    once, in trail_key order: of every band in mode "list", of those that
+    repeat no code in mode "free" (the elementary search), which marks the
+    codes on the walk.  Nothing is interned.
 
     Each closed walk is grown from its least code, among the codes that lie on
     cycles of the transition graph.  The starts and each node's continuations
     come in increasing code order, so closed walks come in lexicographic
     order, each prefix before its extensions.  A band's canonical word starts
-    at its least code, so the search meets it once; a primitive walk is kept
-    only when it is its band's code word.
+    at its least code, so the search meets it once; a walk is kept when it is
+    that word: primitive, its own least rotation, and no greater than the
+    least rotation of its inverse.  A walk that meets its start only once has
+    its least code at one position alone, so it passes the first two checks.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
     calc = f.calculus
-    cont, on_cycle, band = calc.cont, calc.on_cycle, calc.universe.band
-    found: list[Band] = []
+    cont, on_cycle = calc.cont, calc.on_cycle
+    free = mode == "free"
+    used = [False] * len(cont)  # per code: on the walk, in mode "free"
     for start in sorted(on_cycle):
         walk = [start]
+        used[start] = free
         stack = [iter(cont[start])]
         while stack:
             nxt = next(stack[-1], None)
             if nxt is None:
                 stack.pop()
-                walk.pop()
-                continue
-            if nxt not in on_cycle or nxt < start:
+                used[walk.pop()] = False
                 continue
             if nxt == start:
                 w = tuple(walk)
-                if _is_primitive(w) and (b := band(w)).codes == w:
-                    found.append(b)
-            if len(walk) < max_arrows:
+                if ((start not in w[1:] or _is_primitive(w) and least_rotation(w) == w)
+                        and w <= least_rotation(_inverse_codes(w))):
+                    yield w
+            if nxt >= start and not used[nxt] and nxt in on_cycle and len(walk) < max_arrows:
+                used[nxt] = free
                 walk.append(nxt)
                 stack.append(iter(cont[nxt]))
-    return found
+
+
+def enumerate_bands(f: FringedQuiver, max_arrows: int) -> list[Band]:
+    """All bands with at most max_arrows arrows, up to rotation and inversion,
+    each once, interned, in trail_key order."""
+    band = f.calculus.universe.band
+    return [band(w) for w in band_words(f, max_arrows, "list")]
 
 
 # -- substrings: tops, bottoms, boosted, criss-crossed -------------------------
@@ -413,11 +425,13 @@ class TrailCalculus:
 
     @cached_property
     def elementary(self) -> tuple[list[Route], list[Band]]:
-        """The elementary routes and bands in trail_key order, from one search
-        of the code words that repeat no code, up to elementary_trail_bound."""
-        bound, u = elementary_trail_bound(self.f), self.universe
-        return ([u.route(w) for w in _repeat_free_routes(self, bound) if _elementary_word(self, w, False)],
-                [u.band(w) for w in _repeat_free_bands(self, bound) if _elementary_word(self, w, True)])
+        """The elementary routes and bands in trail_key order, from the
+        repeat-free modes of route_words and band_words, up to
+        elementary_trail_bound."""
+        f, u = self.f, self.universe
+        bound = elementary_trail_bound(f)
+        return ([u.route(w) for w, _ok in route_words(f, bound, "free") if _elementary_word(self, w, False)],
+                [u.band(w) for w in band_words(f, bound, "free") if _elementary_word(self, w, True)])
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss
@@ -469,9 +483,12 @@ def route_words(f: FringedQuiver, max_arrows: int, mode: str):
     it self-compatible), in trail_key order; complete when f is
     representation-finite and the bound is at least |E|.  A route that kisses
     itself is flagged False in mode "flag" and left out in mode "cut"; mode
-    "list" checks none and flags each None.  In mode "cut", which alone
-    feeds kiss, each route is interned with its witnesses left in the
-    calculus; the other modes intern none and keep no witnesses.
+    "list" checks none and flags each None.  Mode "free", the elementary
+    search, is "list" over the routes that repeat no code: it marks the codes
+    on the walk and skips a marked one (an end code has a fringe head, so it
+    is never on the walk before it).  In mode "cut", which alone feeds kiss,
+    each route is interned with its witnesses left in the calculus; the
+    other modes intern none and keep no witnesses.
 
     Depth-first on codes with an explicit stack of continuation iterators, so
     no recursion limit applies.  The roots and each node's continuations come
@@ -495,7 +512,8 @@ def route_words(f: FringedQuiver, max_arrows: int, mode: str):
         raise DomainError("max_arrows must be >= 1")
     calc = f.calculus
     lazy, cont, last, to_end = calc.lazy, calc.cont, calc.last_start, calc.to_end
-    cut, check = mode == "cut", mode != "list"
+    cut, check, free = mode == "cut", mode in ("cut", "flag"), mode == "free"
+    used = [False] * len(lazy)  # per code: on the walk, in mode "free"
     walk = inv = ()  # the prefix's code word and its inverse
     tops, bottoms = set(), set()
     # per prefix, from the empty one: (the set its last arrow added to, what
@@ -511,7 +529,9 @@ def route_words(f: FringedQuiver, max_arrows: int, mode: str):
             undo = added.pop()
             if undo is not None:
                 undo[0].difference_update(undo[1])
-            walk, inv = walk[:-1], inv[1:]
+            if walk:
+                used[walk[-1]] = False
+                walk, inv = walk[:-1], inv[1:]
             continue
         undo = None
         if added[-1] is not None:
@@ -524,9 +544,10 @@ def route_words(f: FringedQuiver, max_arrows: int, mode: str):
         if undo is None and cut:
             continue
         if lazy[c] is not None:  # the cuts leave room for c's continuation
+            used[c] = free
             walk, inv = walk + (c,), (c ^ 1,) + inv
             s, room = walk[0], max_arrows - len(walk) - 1
-            stack.append(iter([d for d in cont[c] if last[d] >= s and to_end[d] <= room]))
+            stack.append(iter([d for d in cont[c] if not used[d] and last[d] >= s and to_end[d] <= room]))
             added.append(undo)
             continue
         if (word := walk + (c,)) <= (c ^ 1,) + inv:  # the route's code word
@@ -630,70 +651,16 @@ def boosted_and_crisscrossed(f: FringedQuiver, t: Trail):
 #
 # An elementary trail repeats no code (a repeated code is a one-code word met
 # twice in one direction, so boosted), so the elementary search grows only
-# repeat-free code words and interns only the trails it keeps.
-
-
-def _repeat_free_routes(calc: TrailCalculus, max_arrows: int):
-    """The code words of the routes with at most max_arrows arrows that
-    repeat no code, each once, in trail_key order: the search and the cuts
-    of route_words, with a mark per code on the walk in place of witnesses.
-    An end code has a fringe head, so it is never on the walk before it."""
-    lazy, cont, last, to_end = calc.lazy, calc.cont, calc.last_start, calc.to_end
-    used = [False] * len(lazy)
-    walk = inv = ()  # the prefix's code word and its inverse
-    stack = [iter([c for c in range(len(lazy))
-                   if lazy[c ^ 1] is None and last[c] >= c and to_end[c] < max_arrows])]
-    while stack:
-        c = next(stack[-1], None)
-        if c is None:
-            stack.pop()
-            if walk:
-                used[walk[-1]] = False
-                walk, inv = walk[:-1], inv[1:]
-        elif lazy[c] is not None:
-            used[c] = True
-            walk, inv = walk + (c,), (c ^ 1,) + inv
-            s, room = walk[0], max_arrows - len(walk) - 1
-            stack.append(iter([d for d in cont[c] if not used[d] and last[d] >= s and to_end[d] <= room]))
-        elif (word := walk + (c,)) <= (c ^ 1,) + inv:  # the route's code word
-            yield word
-
-
-def _repeat_free_bands(calc: TrailCalculus, max_arrows: int):
-    """The canonical code words of the bands with at most max_arrows arrows
-    that repeat no code, each once, in trail_key order: the search of
-    enumerate_bands, skipping a code already on the walk.  Such a walk is
-    primitive and starts at its only least code, so it is its band's word
-    when it is no greater than the rotation of its inverse from that one's
-    least code."""
-    cont, on_cycle = calc.cont, calc.on_cycle
-    used = [False] * len(cont)
-    for start in sorted(on_cycle):
-        walk = [start]
-        used[start] = True
-        stack = [iter(cont[start])]
-        while stack:
-            nxt = next(stack[-1], None)
-            if nxt is None:
-                stack.pop()
-                used[walk.pop()] = False
-            elif nxt == start:
-                w = tuple(walk)
-                inv = _inverse_codes(w)
-                k = inv.index(min(inv))
-                if w <= inv[k:] + inv[:k]:
-                    yield w
-            elif not used[nxt] and nxt > start and nxt in on_cycle and len(walk) < max_arrows:
-                used[nxt] = True
-                walk.append(nxt)
-                stack.append(iter(cont[nxt]))
+# repeat-free code words (mode "free") and interns only the trails it keeps.
 
 
 def _elementary_word(calc: TrailCalculus, w: tuple[int, ...], band: bool) -> bool:
-    """Is the route (band) of the repeat-free code word w elementary?  That
-    is: self-compatible, nothing boosted, and at most one maximal
-    criss-crossed substring, which for a route must be a word through a
-    fringe vertex.  In O(len(w)), by three cases:
+    """Is the route (band) of the code word w elementary?  That is:
+    self-compatible, nothing boosted, and at most one maximal criss-crossed
+    substring, which for a route must be a word through a fringe vertex.  In
+    O(len(w)).  A repeated code is boosted, and it meets the vertex at its
+    head twice in one family (an end code has a fringe head, so it ends a
+    route and occurs once), so the first loop rejects it.  Else three cases:
 
     1. No junction vertex repeats: elementary.  A kiss, a boosted and a
        criss-crossed substring each occur twice, so they repeat an arrow or
@@ -748,17 +715,13 @@ def _elementary_word(calc: TrailCalculus, w: tuple[int, ...], band: bool) -> boo
 def is_elementary_route(f: FringedQuiver, p: Route) -> bool:
     """Simple routes and lollipops: self-compatible, no boosted substring,
     and any lone maximal criss-crossed substring must reach a fringe vertex."""
-    calc = f.calculus
-    w = calc.codes(p)
-    return len(set(w)) == len(w) and _elementary_word(calc, w, False)
+    return _elementary_word(f.calculus, f.calculus.codes(p), False)
 
 
 def is_elementary_band(f: FringedQuiver, b: Band) -> bool:
     """Simple bands and barbells: self-compatible, no boosted substring, at
     most one maximal criss-crossed substring."""
-    calc = f.calculus
-    w = calc.codes(b)
-    return len(set(w)) == len(w) and _elementary_word(calc, w, True)
+    return _elementary_word(f.calculus, f.calculus.codes(b), True)
 
 
 def elementary_trail_bound(f: FringedQuiver) -> int:

@@ -70,20 +70,21 @@ def test_vertices_kronecker(kron_file, capsys):
 def test_polyhedra_search_once_and_build_no_flow(kron_file, capsys, monkeypatch):
     # rays searched the elementary trails twice, and both commands validated
     # a Flow per trail only to read its arrow counts; the search is the
-    # repeat-free route search of TrailCalculus.elementary
+    # repeat-free mode of route_words, which TrailCalculus.elementary runs
     from gentleflow import flows, trails
     searches, built = [], []
-    real_search, real_init = trails._repeat_free_routes, flows.Flow.__init__
+    real_search, real_init = trails.route_words, flows.Flow.__init__
 
     def counting_search(*args):
-        searches.append(args)
+        if args[2] == "free":
+            searches.append(args)
         return real_search(*args)
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(trails, "_repeat_free_routes", counting_search)
+    monkeypatch.setattr(trails, "route_words", counting_search)
     monkeypatch.setattr(flows.Flow, "__init__", counting_init)
     for command in ("vertices", "rays"):
         searches.clear()
@@ -93,9 +94,9 @@ def test_polyhedra_search_once_and_build_no_flow(kron_file, capsys, monkeypatch)
     assert built == []
 
 
-def test_routes_interns_only_the_routes_it_tests(tmp_path, capsys, monkeypatch):
+def test_routes_interns_no_trail(tmp_path, capsys, monkeypatch):
     # triple-kronecker has 3194 routes at its default bound 18, 90 of them
-    # self-compatible: only those are interned, to be tested for elementarity
+    # self-compatible: each row, elementarity too, is read off the code word
     from gentleflow import trails
     from gentleflow.fixtures import QUIVER_FIXTURES
     built = []
@@ -108,7 +109,7 @@ def test_routes_interns_only_the_routes_it_tests(tmp_path, capsys, monkeypatch):
     assert code == 0 and report["meta"]["bounds"] == {"max_arrows": 18}
     assert len(report["payload"]) == 3194
     assert sum(row["self_compatible"] for row in report["payload"]) == 90
-    assert len(built) == 90
+    assert built == []
 
 
 def test_decompose_ex52(kron_file, capsys, tmp_path):

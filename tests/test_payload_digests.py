@@ -3,8 +3,10 @@ command lines, and the sha256 of each line's stdout, stderr and exit code
 must equal the digests in payload_digests.json.
 
 A change that alters a report on purpose re-records the file and names each
-changed digest in CHANGES.md.  To record, from the repository root:
+changed digest in CHANGES.md.  From the repository root, to check every line
+and to record; neither needs pytest, so any interpreter can check:
 
+    PYTHONPATH=src python tests/test_payload_digests.py --check
     PYTHONPATH=src python tests/test_payload_digests.py --record
 """
 
@@ -16,15 +18,16 @@ import importlib.util
 import io
 import json
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 from gentleflow import cli, complexes, trails
 from gentleflow.fixtures import DAG_FIXTURES, FIXTURES, QUIVER_FIXTURES
 from gentleflow.quiver import fringe, parse_quiver_file
+
+from random_quivers import random_gentle_quiver
 
 HERE = Path(__file__).resolve().parent
 DIGESTS = HERE / "payload_digests.json"
@@ -48,8 +51,6 @@ def _plain_text(q) -> str:
 def pool_texts() -> dict[str, str]:
     """The 40-quiver pool of conftest.quiver_pool, as quiver files: the five
     quiver fixtures, then the 35 random quivers of its seed, unfringed."""
-    from conftest import random_gentle_quiver
-
     out = dict(QUIVER_FIXTURES)
     rng = random.Random(20240917)
     for i in range(40 - len(out)):
@@ -298,6 +299,48 @@ def run(argv: list[str]) -> list[str]:
     return [hashlib.sha256(s.encode()).hexdigest() for s in (out.getvalue(), err.getvalue(), str(code))]
 
 
+GROUPS = ["fixtures", "pool", "clique-search", "flows", "dags", "errors", "pretty"]
+
+
+def digests() -> dict[str, dict[str, list[str]]]:
+    """The digests of every command line, by group, as the file holds them."""
+    with tempfile.TemporaryDirectory() as root:
+        groups = build_cases(Path(root))
+        return {group: {key: run(argv) for key, argv in sorted(groups[group].items())}
+                for group in GROUPS}
+
+
+def record() -> None:
+    got = digests()
+    # one command line a line, so a diff of the file names the changed reports
+    DIGESTS.write_text("{\n%s\n}\n" % ",\n".join(
+        "%s: {\n%s\n}" % (json.dumps(group), ",\n".join(
+            "%s: %s" % (json.dumps(key), json.dumps(value)) for key, value in lines.items()))
+        for group, lines in got.items()))
+    print(f"wrote {sum(map(len, got.values()))} digests to {DIGESTS}")
+
+
+def check() -> int:
+    """Print each command line whose digests differ from the file's, or that
+    only one side has; 1 if there is any."""
+    got, want = digests(), json.loads(DIGESTS.read_text())
+    changed = [f"{group}: {key}" for group in GROUPS
+               for key in sorted(got[group].keys() | want[group].keys())
+               if got[group].get(key) != want[group].get(key)]
+    print("".join(f"changed {line}\n" for line in changed)
+          + f"{len(changed)} of {sum(map(len, want.values()))} digests changed")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":  # here, before the tests import pytest
+    commands = {"--check": check, "--record": record}
+    if len(sys.argv) != 2 or sys.argv[1] not in commands:
+        sys.exit(__doc__)
+    sys.exit(commands[sys.argv[1]]())
+
+import pytest  # noqa: E402  the tests alone need it
+
+
 @pytest.fixture(scope="module")
 def cases(tmp_path_factory):
     return build_cases(tmp_path_factory.mktemp("payloads"))
@@ -306,9 +349,6 @@ def cases(tmp_path_factory):
 @pytest.fixture(scope="module")
 def recorded():
     return json.loads(DIGESTS.read_text())
-
-
-GROUPS = ["fixtures", "pool", "clique-search", "flows", "dags", "errors", "pretty"]
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -325,20 +365,12 @@ def test_the_command_lines_cover_every_command(cases, recorded):
     assert {exit_codes[digest] for _out, _err, digest in recorded["errors"].values()} == {1}
 
 
-def record() -> None:
-    with tempfile.TemporaryDirectory() as root:
-        groups = build_cases(Path(root))
-        digests = {group: {key: run(argv) for key, argv in sorted(groups[group].items())}
-                   for group in GROUPS}
-    # one command line a line, so a diff of the file names the changed reports
-    DIGESTS.write_text("{\n%s\n}\n" % ",\n".join(
-        "%s: {\n%s\n}" % (json.dumps(group), ",\n".join(
-            "%s: %s" % (json.dumps(key), json.dumps(value)) for key, value in lines.items()))
-        for group, lines in digests.items()))
-    print(f"wrote {sum(map(len, digests.values()))} digests to {DIGESTS}")
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit(__doc__)
-    record()
+def test_check_runs_without_pytest(recorded):
+    # --check in a new interpreter, in which pytest cannot be imported
+    script, src = str(Path(__file__).resolve()), str(HERE.parent / "src")
+    code = ("import runpy, sys; sys.modules['pytest'] = None; "
+            f"sys.path[:0] = [{str(HERE)!r}, {src!r}]; sys.argv = [{script!r}, '--check']; "
+            f"runpy.run_path({script!r}, run_name='__main__')")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert done.stdout.endswith(f"0 of {sum(map(len, recorded.values()))} digests changed\n")

@@ -106,12 +106,19 @@ def test_enumerate_bands():
 
 def test_bands_come_once_in_trail_key_order(quiver_pool, doubled_a5, perfbench_gen):
     # the search meets each band's canonical word once, in lexicographic
-    # order, and keeps only that word
+    # order, and keeps only that word; the free mode keeps the words that
+    # repeat no code
     for pool in quiver_pool:
         f = pool.quiver
         assert enumerate_bands(f, pool.band_bound) == oracle_bands(f, pool.band_bound)
     a6 = parse_quiver_file(perfbench_gen.doubled_path(6))
-    for f, bound in ((doubled_a5, cli.default_band_bound(doubled_a5)), (a6, 14)):
+    cases = [(pool.quiver, pool.band_bound) for pool in quiver_pool]
+    cases += [(doubled_a5, cli.default_band_bound(doubled_a5)), (a6, 14)]
+    for f, bound in cases:
+        listed = list(trails.band_words(f, bound, "list"))
+        assert listed == [b.codes for b in oracle_bands(f, bound)]
+        assert list(trails.band_words(f, bound, "free")) == [w for w in listed if len(set(w)) == len(w)]
+    for f, bound in cases[-2:]:
         keys = [b.sort_key for b in enumerate_bands(f, bound)]
         assert all(x < y for x, y in zip(keys, keys[1:]))
     assert len(keys) == 855
@@ -183,16 +190,19 @@ def _oracle_words(f, bound):
     return {b: [(w, ok) for w, ok in pairs if len(w) <= b] for b in range(1, bound + 1)}
 
 
-def test_route_words_match_the_sorted_oracle(quiver_pool, perfbench_gen):
+def test_route_words_match_the_sorted_oracle(quiver_pool, doubled_a5, perfbench_gen):
     # each route once, in trail_key order, with its self-kiss flag; the cut
-    # mode keeps the self-compatible part, the list mode drops the flags
+    # mode keeps the self-compatible part, the list mode drops the flags,
+    # and the free mode keeps the words that repeat no code
     cases = [(pool.quiver, cli.default_route_bound(pool.quiver)) for pool in quiver_pool]
-    cases.append((parse_quiver_file(perfbench_gen.doubled_path(6)), 14))
+    cases += [(doubled_a5, 14), (parse_quiver_file(perfbench_gen.doubled_path(6)), 14)]
     for f, default in cases:
         for bound, want in _oracle_words(f, default).items():
             assert list(trails.route_words(f, bound, "flag")) == want
             assert list(trails.route_words(f, bound, "cut")) == [(w, ok) for w, ok in want if ok]
             assert list(trails.route_words(f, bound, "list")) == [(w, None) for w, _ok in want]
+            assert list(trails.route_words(f, bound, "free")) == [(w, None) for w, _ok in want
+                                                                  if len(set(w)) == len(w)]
 
 
 def test_self_compatible_routes_bound_error():
@@ -377,11 +387,24 @@ def test_the_elementary_bound_loses_nothing(quiver_pool, doubled_a5, perfbench_g
     for f in fs:
         calc = f.calculus
         everything = 2 * len(f.arrows)
-        routes = [calc.universe.route(w) for w in trails._repeat_free_routes(calc, everything)
+        routes = [calc.universe.route(w) for w, _ok in trails.route_words(f, everything, "free")
                   if trails._elementary_word(calc, w, False)]
-        bands = [calc.universe.band(w) for w in trails._repeat_free_bands(calc, everything)
+        bands = [calc.universe.band(w) for w in trails.band_words(f, everything, "free")
                  if trails._elementary_word(calc, w, True)]
         assert (routes, bands) == calc.elementary
+
+
+def test_the_elementary_search_interns_only_what_it_keeps(perfbench_gen, monkeypatch):
+    # each kept trail is built once, and no word the search meets is interned
+    built = []
+    init = trails.Trail.__init__
+    monkeypatch.setattr(trails.Trail, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    quivers = [parse_quiver_file(perfbench_gen.doubled_path(6))]
+    quivers += [fringe(parse_quiver_file(perfbench_gen.random_gentle_quiver(s, 8))) for s in (1, 2, 4)]
+    for f in quivers:
+        built.clear()
+        routes, bands = f.calculus.elementary
+        assert routes and len(built) == len(routes) + len(bands)
 
 
 def test_a_band_with_two_lazy_crossings_is_not_elementary():
