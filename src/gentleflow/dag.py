@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .flows import Flow, decompose_bundle, trace_interval
 from .quiver import (DomainError, FringedQuiver, StructuralError, Value, _checked_id, _strip_comment,
-                     cyclic_core, incidence)
+                     acyclic, incidence)
 from .trails import Band, SignedArrow, Trail, TrailUniverse
 
 
@@ -53,8 +53,9 @@ class FramedDirectedGraph(Value):
 
     def is_acyclic(self, label: int | None = None) -> bool:
         """No oriented cycle (of `label`-edges only, when a label is given)."""
-        return not cyclic_core(self.vertices, lambda v: [
-            self.edges[e][1] for e in self.edges_out(v) if label in (None, self.labels[e])])
+        rank = {v: i for i, v in enumerate(self.vertices)}
+        return acyclic([[rank[self.edges[e][1]] for e in self.edges_out(v) if label in (None, self.labels[e])]
+                        for v in self.vertices])
 
 
 def validate_framed(g: FramedDirectedGraph) -> list[str]:

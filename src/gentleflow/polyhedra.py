@@ -97,36 +97,83 @@ def g_polyhedron_presentation(f: FringedQuiver) -> PolyhedronPresentation:
 
 # -- closed and crooked arrow sets ----------------------------------------------
 
+def _bits(mask: int):
+    """The positions of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _CodeMasks:
+    """A quiver's signed-arrow codes as the bits of ints: code c is bit c, and
+    an arrow set is the mask of its even codes (arrow i has codes 2i and
+    2i + 1).  succ[c] is the mask of cont[c], tails that of the codes with a
+    fringe tail, bands that of the codes on cycles of cont, even that of all
+    arrows."""
+
+    __slots__ = ("cont", "succ", "tails", "bands", "full", "even", "signed", "code")
+
+    def __init__(self, f: FringedQuiver):
+        calc = f.calculus
+        self.cont, lazy = calc.cont, calc.lazy
+        self.signed, self.code = calc.universe.signed, calc.universe.code
+        self.succ = [sum(1 << d for d in ds) for ds in self.cont]
+        self.tails = sum(1 << c for c in range(len(lazy)) if lazy[c ^ 1] is None)
+        self.bands = sum(1 << c for c in calc.on_cycle)
+        self.full = (1 << len(lazy)) - 1
+        self.even = self.full // 3  # the bits 0, 2, 4, ...
+
+    def decode(self, mask: int) -> list[str]:
+        """The sorted arrow names of a mask of even codes."""
+        return [self.signed[c][0] for c in _bits(mask)]
+
+
+def _closure(m: _CodeMasks, W: int, routes: int) -> tuple[int, int]:
+    """(C, routes'): C the closure of the arrow set W, both masks of m.
+
+    Searches the transition graph of the codes outside W: the arrows reached
+    both ways from the fringe lie on W-avoiding routes, those on its cycles on
+    W-avoiding bands.  The walks from the fringe keep to the codes of routes,
+    which must hold those of the W-avoiding routes (all codes do for any W),
+    and routes' is such a bound for every superset of W: the codes of the
+    W-avoiding routes.  A route that avoids W' >= W avoids W, so its codes
+    lie in routes', and a walk from the fringe along it stays there:
+    searched within routes', W' reaches every code of its routes both ways,
+    and no other code both ways.
+    """
+    ok = m.full & ~(W | W << 1)
+    live, succ = ok & routes, m.succ
+    reach = frontier = m.tails & live
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= succ[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & live & ~reach
+        reach |= frontier
+    on_route = reach & reach >> 1 & m.even
+    if not on_route:
+        return m.even, 0  # E indexes the empty face
+    routes = on_route | on_route << 1
+    bands = m.bands & ok
+    # Tarjan's components of the codes reached from these roots are components
+    # of the graph, so rooting only at the codes still in doubt suffices
+    for c in cyclic_core(m.cont, _bits(bands & ~routes), bands):
+        on_route |= 1 << (c & ~1)
+    return m.even & ~on_route, routes
+
+
 def closure(f: FringedQuiver, W: set[str]) -> set[str]:
     """Smallest closed arrow set containing W (all of E when no W-avoiding
-    route survives, matching the empty face).
-
-    Searches the transition graph of signed-arrow codes outside W: the arrows
-    reached both ways from the fringe lie on W-avoiding routes, those on its
-    cycles on W-avoiding bands.
-    """
+    route survives, matching the empty face), by _closure."""
     for a in sorted(W):
         if a not in f.arrows:
             raise DomainError(f"unknown arrow {a}")
-    calc = f.calculus
-    lazy, cont = calc.lazy, calc.cont
-    ok = [a not in W for a, _e in calc.universe.signed]  # per code: its arrow avoids W
-    reach = {c for c in range(len(ok)) if ok[c] and lazy[c ^ 1] is None}  # fringe tails
-    stack = list(reach)
-    while stack:
-        for d in cont[stack.pop()]:
-            if ok[d] and d not in reach:
-                reach.add(d)
-                stack.append(d)
-    on_route = {c >> 1 for c in reach if c ^ 1 in reach}
-    if not on_route:
-        return set(f.arrows)
-    # Tarjan's components of the nodes reached from these roots are components
-    # of the whole graph, so rooting only at the arrows still in doubt suffices
-    roots = [c for c in range(len(ok)) if ok[c] and c >> 1 not in on_route]
-    on_band = cyclic_core(roots, lambda c: [d for d in cont[c] if ok[d]]) if roots else ()
-    avoided = on_route | {c >> 1 for c in on_band}  # arrow i has codes 2i and 2i + 1
-    return set(f.arrows) - {calc.universe.signed[2 * i][0] for i in avoided}
+    m = _CodeMasks(f)
+    mask = sum(1 << m.code[(a, 1)] for a in set(W))
+    return set(m.decode(_closure(m, mask, m.full)[0]))
 
 
 def is_closed(f: FringedQuiver, W: set[str]) -> bool:
@@ -207,11 +254,6 @@ def g_facet(f: FringedQuiver, W: set[str]) -> HalfSpace:
     form sum T_v x(v) <= 1 with T_v = -S_v in {-1, 0, 1}."""
     if crookedness(f, W) != "barely-crooked":
         raise DomainError("arrow set is not barely crooked")
-    return _facet(f, W)
-
-
-def _facet(f: FringedQuiver, W) -> HalfSpace:
-    """g_facet's half-space for a set already known to be barely crooked."""
     coeffs = {v: -s for v, s in s_coefficients(f, W).items()}
     for v, c in coeffs.items():
         if c not in (-1, 0, 1):
@@ -219,9 +261,10 @@ def _facet(f: FringedQuiver, W) -> HalfSpace:
     return HalfSpace(coeffs=coeffs, relation="<=", rhs=Q(1), form="T")
 
 
-def barely_crooked_sets(f: FringedQuiver) -> list[frozenset[str]]:
-    """All barely crooked arrow sets, by a depth-first search over partial
-    choices of one arrow per straight route.
+def _barely_crooked(f: FringedQuiver, m: _CodeMasks) -> list[tuple[list[str], int]]:
+    """Each barely crooked arrow set as its sorted names and its mask of m,
+    sorted, by a depth-first search over partial choices of one arrow per
+    straight route.
 
     A node with choice W takes C = closure(W).  It is pruned when C is all of
     E or meets a straight route twice (a chosen route met off its chosen
@@ -238,33 +281,68 @@ def barely_crooked_sets(f: FringedQuiver) -> list[frozenset[str]]:
     so it is B.  Conversely a leaf is closed, not E, and meets each route
     once: it is barely crooked.  Siblings differ on one route, so no set
     comes twice; E is never reported, as in is_closed.  The stack is
-    explicit, and the depth is at most the number of straight routes.
+    explicit, and the depth is at most the number of straight routes.  A
+    child contains W, so its closure searches within the route codes that
+    W's returns.  Meets are counted by popcount on the arrow masks.
     """
-    routes = [[a for a, _e in s.walk] for s in straight_routes(f)]
-    route_of = {a: i for i, arrows in enumerate(routes) for a in arrows}
-    out = []
-    stack = [set()]
+    routes = sorted((sum(1 << m.code[(a, 1)] for a, _e in s.walk) for s in straight_routes(f)),
+                    key=int.bit_count)  # the first unmet one is the shortest
+    found = []
+    stack = [(0, m.full)]
     while stack:
-        C = closure(f, stack.pop())
-        if len(C) == len(f.arrows):
+        C, reach = _closure(m, *stack.pop())
+        if C == m.even:
             continue
-        met = [0] * len(routes)
-        for a in C:
-            met[route_of[a]] += 1
-        if any(n > 1 for n in met):
-            continue
-        unmet = [i for i, n in enumerate(met) if not n]
-        if not unmet:
-            out.append(frozenset(C))
-            continue
-        branch = min(unmet, key=lambda i: len(routes[i]))
-        stack.extend(C | {a} for a in routes[branch])
-    return sorted(out, key=sorted)
+        branch = None
+        for r in routes:
+            met = (C & r).bit_count()
+            if met > 1:
+                break
+            if not met and branch is None:
+                branch = r
+        else:
+            if branch is None:
+                found.append((m.decode(C), C))
+            else:
+                stack.extend((C | 1 << a, reach) for a in _bits(branch))
+    return sorted(found)
+
+
+def barely_crooked_sets(f: FringedQuiver) -> list[frozenset[str]]:
+    """All barely crooked arrow sets, sorted (see _barely_crooked)."""
+    return [frozenset(names) for names, _C in _barely_crooked(f, _CodeMasks(f))]
+
+
+_UNITS = {-1: Q(-1), 0: Q(0), 1: Q(1)}
 
 
 def g_facets(f: FringedQuiver) -> list[tuple[frozenset[str], HalfSpace]]:
-    """Each barely crooked set with its facet, built without a second closure."""
-    return [(W, _facet(f, W)) for W in barely_crooked_sets(f)]
+    """Each barely crooked arrow set with its facet in g_facet's form, sorted,
+    built from the masks of _barely_crooked with no second closure.
+
+    The facet is in integers: a straight route meets C once, so S_v is
+    after(y1) + after(y2) - 1 over the two arrows y leaving v, where after(y)
+    is 1 when C meets y's route weakly after y, and T_v = -S_v.
+    """
+    m = _CodeMasks(f)
+    after = {}  # per arrow y: the mask of the arrows weakly after y on its route
+    for s in straight_routes(f):
+        arrows = [a for a, _e in s.walk]
+        mask = 0
+        for a in reversed(arrows) if s.walk[0][1] == 1 else arrows:  # from the head end
+            mask |= 1 << m.code[(a, 1)]
+            after[a] = mask
+    outs = [(v, *(after[y] for y in f.arrows_out(v))) for v in f.internal_vertices]
+    facets = []
+    for names, C in _barely_crooked(f, m):
+        coeffs = {}
+        for v, y1, y2 in outs:
+            t = 1 - bool(C & y1) - bool(C & y2)
+            if t not in _UNITS:
+                raise AssertionError(f"non-integer facet coefficient {t} at {v}")
+            coeffs[v] = _UNITS[t]
+        facets.append((frozenset(names), HalfSpace(coeffs, "<=", _UNITS[1], "T")))
+    return facets
 
 
 # -- cells and unimodularity --------------------------------------------------------

@@ -66,50 +66,78 @@ def incidence(edges: dict[str, tuple[str, str]]) -> tuple[dict[str, list[str]], 
     return ins, outs
 
 
-def cyclic_core(nodes, succ) -> set:
-    """Nodes on an oriented cycle of the graph given by succ(node): those in a
-    strongly connected component of two or more nodes, or with a self-loop.
+def cyclic_core(succ, roots=None, alive=-1) -> list[int]:
+    """The nodes on an oriented cycle of the graph on 0..n-1 whose successor
+    lists are succ (n = len(succ)), restricted to the nodes whose bit is set
+    in the mask alive (all by default): those in a strongly connected
+    component of two or more nodes, or with a self-loop.  With roots (live
+    nodes), only the nodes reachable from them are searched; their
+    components are components of the whole graph.
 
-    Tarjan's algorithm with an explicit stack, so no depth limit applies.
+    Tarjan's algorithm (Tarjan 1972) on arrays, with an explicit stack, so no
+    depth limit applies.  index[v] is 1 + the visiting order, 0 before the
+    visit and n + 1 once v's component is popped, so that a node off the
+    stack never lowers low.
     """
-    index: dict = {}
-    low: dict = {}
-    stack: list = []
-    onstack: set = set()
-    core: set = set()
-    for root in nodes:
-        if root in index:
+    n = len(succ)
+    index, low = [0] * n, [0] * n
+    stack: list[int] = []
+    core: list[int] = []
+    count = 0
+    for root in range(n) if roots is None else roots:
+        if index[root]:
             continue
-        index[root] = low[root] = len(index)
+        count += 1
+        index[root] = low[root] = count
         stack.append(root)
-        onstack.add(root)
-        work = [(root, iter(succ(root)))]
+        work = [(root, iter(succ[root]))]
         while work:
-            node, it = work[-1]
+            v, it = work[-1]
             for w in it:
-                if w == node:
-                    core.add(node)  # a self-loop
-                if w not in index:
-                    index[w] = low[w] = len(index)
+                if not alive >> w & 1:
+                    continue
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
                     stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(succ(w))))
+                    work.append((w, iter(succ[w])))
                     break
-                if w in onstack:
-                    low[node] = min(low[node], index[w])
+                if index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while not comp or comp[-1] != node:
-                        comp.append(stack.pop())
-                        onstack.discard(comp[-1])
-                    if len(comp) > 1:
-                        core.update(comp)
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:  # v roots a component: pop it
+                    w = stack.pop()
+                    index[w] = n + 1
+                    if w != v or v in succ[v]:  # two or more nodes, or a self-loop
+                        core.append(w)
+                        while w != v:
+                            w = stack.pop()
+                            index[w] = n + 1
+                            core.append(w)
     return core
+
+
+_RELATION_FREE_CYCLE = "oriented relation-free cycle (algebra is infinite-dimensional)"
+
+
+def acyclic(succ) -> bool:
+    """No oriented cycle in the graph on 0..n-1 whose successor lists are
+    succ: Kahn's peel (Kahn 1962) removes every node once the nodes before
+    it are gone, and a node on a cycle never goes."""
+    indegree = [0] * len(succ)
+    for ws in succ:
+        for w in ws:
+            indegree[w] += 1
+    peeled = [v for v, d in enumerate(indegree) if not d]
+    for v in peeled:  # it grows as it is read
+        for w in succ[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                peeled.append(w)
+    return len(peeled) == len(succ)
 
 
 class _Incidence:
@@ -162,26 +190,28 @@ def validate_gentle(q: GentleQuiver) -> list[str]:
             violations.append(f"vertex {v} has in-degree > 2")
         if len(q.arrows_out(v)) > 2:
             violations.append(f"vertex {v} has out-degree > 2")
-    for a in sorted(q.arrows):
+    rels, arrows = q.relations, sorted(q.arrows)
+    rank = {a: i for i, a in enumerate(arrows)}
+    free = []  # by rank: the relation-free continuations
+    for a in arrows:
         t, h = q.arrows[a]
-        succ = q.arrows_out(h)
-        strings = [b for b in succ if (a, b) not in q.relations]
-        rels = [b for b in succ if (a, b) in q.relations]
+        strings, joined = [], []
+        for b in q.arrows_out(h):
+            (joined if (a, b) in rels else strings).append(b)
         if len(strings) > 1:
             violations.append(f"arrow {a} has two relation-free continuations {strings}")
-        if len(rels) > 1:
-            violations.append(f"arrow {a} has two relation continuations {rels}")
-        pred = q.arrows_in(t)
-        pred_strings = [b for b in pred if (b, a) not in q.relations]
-        pred_rels = [b for b in pred if (b, a) in q.relations]
+        if len(joined) > 1:
+            violations.append(f"arrow {a} has two relation continuations {joined}")
+        pred_strings, pred_joined = [], []
+        for b in q.arrows_in(t):
+            (pred_joined if (b, a) in rels else pred_strings).append(b)
         if len(pred_strings) > 1:
             violations.append(f"arrow {a} has two relation-free predecessors {pred_strings}")
-        if len(pred_rels) > 1:
-            violations.append(f"arrow {a} has two relation predecessors {pred_rels}")
-    # arrow a -> b when ab is composable and not a relation
-    if cyclic_core(q.arrows, lambda a: [b for b in q.arrows_out(q.arrows[a][1])
-                                        if (a, b) not in q.relations]):
-        violations.append("oriented relation-free cycle (algebra is infinite-dimensional)")
+        if len(pred_joined) > 1:
+            violations.append(f"arrow {a} has two relation predecessors {pred_joined}")
+        free.append([rank[b] for b in strings])
+    if not acyclic(free):
+        violations.append(_RELATION_FREE_CYCLE)
     return violations
 
 
@@ -278,9 +308,10 @@ class FringedQuiver(_Incidence, Value):
                 raise DomainError(f"relation pairs at {v} do not match its incident arrows")
         if len(self.relation_pairs) != len(vi):
             raise DomainError(f"relation data at {min(set(self.relation_pairs) - vi)}, not an internal vertex")
-        if cyclic_core(self.arrows, lambda a: [b for b in self.arrows_out(self.head(a))
-                                               if (a, b) not in self.relations]):
-            raise DomainError("oriented relation-free cycle (algebra is infinite-dimensional)")
+        rank, rels = {a: i for i, a in enumerate(self.arrows)}, self.relations
+        if not acyclic([[rank[b] for b in self.arrows_out(h) if (a, b) not in rels]
+                        for a, (_t, h) in self.arrows.items()]):
+            raise DomainError(_RELATION_FREE_CYCLE)
 
 
 def fringe(q: GentleQuiver) -> FringedQuiver:
@@ -347,22 +378,14 @@ def fringe(q: GentleQuiver) -> FringedQuiver:
 
 
 def _complete_relations(q: GentleQuiver, v: str, ins: list[str], outs: list[str]):
-    """Pick the perfect matching ins x outs extending the base quiver's data."""
+    """Pick the perfect matching ins x outs extending the base quiver's data:
+    two arrows of q in and out of v compose, and their relation status is
+    fixed."""
     m1 = ((ins[0], outs[0]), (ins[1], outs[1]))
     m2 = ((ins[0], outs[1]), (ins[1], outs[0]))
-
-    def consistent(m) -> bool:
-        rel = set(m)
-        for a in ins:
-            for b in outs:
-                if a in q.arrows and b in q.arrows and q.arrows[a][1] == q.arrows[b][0]:
-                    # existing composable pair: its relation status is already fixed
-                    if ((a, b) in q.relations) != ((a, b) in rel):
-                        return False
-        return True
-
+    fixed = [((a, b), (a, b) in q.relations) for a in ins if a in q.arrows for b in outs if b in q.arrows]
     for m in (m1, m2):
-        if consistent(m):
+        if all((p in m) == rel for p, rel in fixed):
             return m
     raise DomainError(f"cannot complete relations at vertex {v}")
 
@@ -371,15 +394,15 @@ def find_pairing(f: FringedQuiver) -> dict[str, int] | None:
     """Propagate arrow labels in {1, 2}; None when the quiver is not paired.
 
     The label of the lexicographically first arrow of each connected component
-    is 1, which fixes one of the two pairings per component.
+    is 1, which fixes one of the two pairings per component.  Arrows compose
+    only at an internal vertex, whose relation pairs ((a1, a2), (b1, b2)) list
+    the four composable pairs: the labels of a relation differ, those of
+    a1 b2 and of b1 a2 agree.
     """
     psi: dict[str, int] = {}
-    rels = f.relations
-    # Composability graph on arrows: a ~ b whenever ab or ba is composable.
     constraints: dict[str, list[tuple[str, bool]]] = {a: [] for a in f.arrows}
-    for a in f.arrows:
-        for b in f.arrows_out(f.head(a)):
-            differ = (a, b) in rels
+    for (a1, a2), (b1, b2) in f.relation_pairs.values():
+        for a, b, differ in ((a1, a2, True), (b1, b2, True), (a1, b2, False), (b1, a2, False)):
             constraints[a].append((b, differ))
             constraints[b].append((a, differ))
     for start in sorted(f.arrows):
@@ -401,8 +424,9 @@ def find_pairing(f: FringedQuiver) -> dict[str, int] | None:
 
 
 def is_representation_finite(f: FringedQuiver) -> bool:
-    """True iff no band exists: the signed-arrow transition graph is acyclic."""
-    return not f.calculus.on_cycle
+    """True iff no band exists: the signed-arrow transition graph cont is
+    acyclic, by Kahn's peel."""
+    return acyclic(f.calculus.cont)
 
 
 # -- quiver file format ------------------------------------------------------

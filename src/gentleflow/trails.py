@@ -146,7 +146,6 @@ class TrailUniverse:
     def __init__(self, names):
         self.signed = [(a, e) for a in sorted(set(names)) for e in (1, -1)]  # by code
         self.code = {s: c for c, s in enumerate(self.signed)}
-        self.tokens = [a if e == 1 else a + "^-1" for a, e in self.signed]
         self._routes: dict[tuple[int, ...], Route] = {}
         self._bands: dict[tuple[int, ...], Band] = {}
 
@@ -165,6 +164,11 @@ class TrailUniverse:
                 raise DomainError(f"the sign of an arrow is 1 or -1, not {e!r}")
         raise AssertionError("every item of the walk has a code")
 
+    @cached_property
+    def tokens(self) -> list[str]:
+        """Per code, its arrow's text: a, or a^-1."""
+        return [a if e == 1 else a + "^-1" for a, e in self.signed]
+
     def text(self, word: tuple[int, ...]) -> str:
         """The trail text of a code word: its arrows' tokens, space separated."""
         return " ".join(map(self.tokens.__getitem__, word))
@@ -182,9 +186,15 @@ class TrailUniverse:
         hit = self._bands.get(word)
         if hit is None:
             canon = min(least_rotation(word), least_rotation(_inverse_codes(word)))
-            hit = self._bands.get(canon)
-            if hit is None:
-                hit = self._bands[canon] = Band(self, canon)
+            hit = self._canonical_band(canon)
+        return hit
+
+    def _canonical_band(self, canon: tuple[int, ...]) -> Band:
+        """The band of a code word known to be canonical (band_words proves
+        it), interned without canonicalising it again."""
+        hit = self._bands.get(canon)
+        if hit is None:
+            hit = self._bands[canon] = Band(self, canon)
         return hit
 
 
@@ -222,14 +232,16 @@ def band_words(f: FringedQuiver, max_arrows: int, mode: str):
     repeat no code in mode "free" (the elementary search), which marks the
     codes on the walk.  Nothing is interned.
 
-    Each closed walk is grown from its least code, among the codes that lie on
-    cycles of the transition graph.  The starts and each node's continuations
-    come in increasing code order, so closed walks come in lexicographic
-    order, each prefix before its extensions.  A band's canonical word starts
-    at its least code, so the search meets it once; a walk is kept when it is
-    that word: primitive, its own least rotation, and no greater than the
-    least rotation of its inverse.  A walk that meets its start only once has
-    its least code at one position alone, so it passes the first two checks.
+    Each closed walk is grown from its least code, among the even codes that
+    lie on cycles of the transition graph: a band's canonical word starts at
+    the least code of the band and of its inverse, and that code is even, as
+    the inverse holds c ^ 1 for every code c.  The starts and each node's
+    continuations come in increasing code order, so closed walks come in
+    lexicographic order, each prefix before its extensions.  The search meets
+    each canonical word once; a walk is kept when it is that word:
+    primitive, its own least rotation, and no greater than the least
+    rotation of its inverse.  A walk that meets its start only once has its
+    least code at one position alone, so it passes the first two checks.
     """
     if max_arrows < 1:
         raise DomainError("max_arrows must be >= 1")
@@ -237,7 +249,7 @@ def band_words(f: FringedQuiver, max_arrows: int, mode: str):
     cont, on_cycle = calc.cont, calc.on_cycle
     free = mode == "free"
     used = [False] * len(cont)  # per code: on the walk, in mode "free"
-    for start in sorted(on_cycle):
+    for start in sorted(c for c in on_cycle if not c & 1):
         walk = [start]
         used[start] = free
         stack = [iter(cont[start])]
@@ -261,7 +273,7 @@ def band_words(f: FringedQuiver, max_arrows: int, mode: str):
 def enumerate_bands(f: FringedQuiver, max_arrows: int) -> list[Band]:
     """All bands with at most max_arrows arrows, up to rotation and inversion,
     each once, interned, in trail_key order."""
-    band = f.calculus.universe.band
+    band = f.calculus.universe._canonical_band
     return [band(w) for w in band_words(f, max_arrows, "list")]
 
 
@@ -308,55 +320,72 @@ def _flanked_witnesses(u: tuple[int, ...], lazy, right_flanks, cap: int):
     return tops, bottoms
 
 
-def _vertex_tables(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[str]):
-    """(cont, lazy, family, steps), indexed by signed-arrow code, from one
-    pass over the relation pairs ((a1, a2), (b1, b2)) at each internal vertex
-    v, the vertex of rank r in `inner`.  The codes with head v are a1, a2^-1
-    (family S, 0) and b1, b2^-1 (family T, 1).  A code c of family S goes on
-    to b2 or b1^-1 and one of T to a2 or a1^-1: cont[c] is that pair in
-    increasing code order, the order route_words takes it in, () at a fringe
-    head.  lazy[c] is the lazy witness (r - |V_int|,) at v; it and family[c]
-    are None at a fringe head.
+def _families(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[str]):
+    """(r, fam, (x, y), (x2, y2)) for each family of codes with head v, from
+    the relation pairs ((a1, a2), (b1, b2)) at each internal vertex v, the
+    vertex of rank r in `inner`: the codes with head v are a1, a2^-1 (family
+    S, 0) and b1, b2^-1 (family T, 1); (x, y) are those of family fam and
+    (x2, y2) those of the other one."""
+    for r, v in enumerate(inner, -len(inner)):
+        (a1, a2), (b1, b2) = f.relation_pairs[v]
+        s, t = (code[(a1, 1)], code[(a2, -1)]), (code[(b1, 1)], code[(b2, -1)])
+        yield r, 0, s, t
+        yield r, 1, t, s
 
-    steps holds the tracer's (Forward, Back) tables of `flows._branch`
-    entries: None where the head (tail) of the code is a fringe vertex, else
-    (code on the upper branch, code on the lower branch, ranks of alpha' and
-    beta').  Forward at the head of c goes on to cont[c], with alpha' the
-    forward successor and beta' the other arrow of c's relation pair; Back at
-    the tail of c ^ 1 is that Forward with alpha' and beta swapped."""
+
+def _vertex_tables(f: FringedQuiver, code: dict[SignedArrow, int], inner: list[str]):
+    """(cont, lazy, family), indexed by signed-arrow code, from one pass over
+    _families.  A code c of family S goes on to b2 or b1^-1 and one of T to
+    a2 or a1^-1: cont[c] is that pair in increasing code order, the order
+    route_words takes it in, () at a fringe head.  lazy[c] is the lazy
+    witness (r - |V_int|,) at v; it and family[c] are None at a fringe
+    head."""
     n = len(code)
     cont: list[tuple[int, ...]] = [()] * n
     lazy: list[tuple[int] | None] = [None] * n
     family: list[int | None] = [None] * n
-    fwd, bwd = [None] * n, [None] * n
-    for r, v in enumerate(inner, -len(inner)):
-        (a1, a2), (b1, b2) = f.relation_pairs[v]
-        s, t = (code[(a1, 1)], code[(a2, -1)]), (code[(b1, 1)], code[(b2, -1)])
-        for fam, (x, y), (x2, y2) in ((0, s, t), (1, t, s)):
-            onward = tuple(sorted((y2 ^ 1, x2 ^ 1)))
-            for c, other in ((x, y), (y, x)):
-                cont[c], lazy[c], family[c] = onward, (r,), fam
-                fwd[c] = y2 ^ 1, x2 ^ 1, y2 >> 1, other >> 1
-                bwd[c ^ 1] = x2, y2, x2 >> 1, other >> 1
-    return cont, lazy, family, (fwd, bwd)
+    for r, fam, (x, y), (x2, y2) in _families(f, code, inner):
+        p, q = y2 ^ 1, x2 ^ 1
+        cont[x] = cont[y] = (p, q) if p < q else (q, p)
+        lazy[x] = lazy[y] = (r,)
+        family[x] = family[y] = fam
+    return cont, lazy, family
 
 
 class TrailCalculus:
     """Per-quiver trail universe, straight routes, substring data and kissing.
 
-    cont, lazy, family and steps are the code tables of _vertex_tables."""
+    cont, lazy and family are the code tables of _vertex_tables."""
 
     def __init__(self, f: FringedQuiver):
         self.f = f
         self.universe = TrailUniverse(f.arrows)
         self._inner = sorted(f.internal_vertices)
         self._tb: dict = {}
-        self.cont, self.lazy, self.family, self.steps = _vertex_tables(f, self.universe.code, self._inner)
+        self.cont, self.lazy, self.family = _vertex_tables(f, self.universe.code, self._inner)
+
+    @cached_property
+    def steps(self):
+        """The tracer's (Forward, Back) tables of `flows._branch` entries,
+        indexed by code: None where the head (tail) of the code is a fringe
+        vertex, else (code on the upper branch, code on the lower branch,
+        ranks of alpha' and beta').  Forward at the head of c goes on to the
+        codes of cont[c], the forward successor first, with alpha' the
+        forward successor and beta' the other arrow of c's relation pair;
+        Back at the tail of c ^ 1 is that Forward with alpha' and beta
+        swapped.  Built on first use, as only the tracer reads them."""
+        n = len(self.cont)
+        fwd, bwd = [None] * n, [None] * n
+        for _r, _fam, (x, y), (x2, y2) in _families(self.f, self.universe.code, self._inner):
+            for c, other in ((x, y), (y, x)):
+                fwd[c] = y2 ^ 1, x2 ^ 1, y2 >> 1, other >> 1
+                bwd[c ^ 1] = x2, y2, x2 >> 1, other >> 1
+        return fwd, bwd
 
     @cached_property
     def on_cycle(self) -> set[int]:
         """The codes on cycles of the transition graph cont: those of bands."""
-        return cyclic_core(range(len(self.cont)), self.cont.__getitem__)
+        return set(cyclic_core(self.cont))
 
     @cached_property
     def to_end(self) -> list[int | None]:
@@ -431,7 +460,7 @@ class TrailCalculus:
         f, u = self.f, self.universe
         bound = elementary_trail_bound(f)
         return ([u.route(w) for w, _ok in route_words(f, bound, "free") if _elementary_word(self, w, False)],
-                [u.band(w) for w in band_words(f, bound, "free") if _elementary_word(self, w, True)])
+                [u._canonical_band(w) for w in band_words(f, bound, "free") if _elementary_word(self, w, True)])
 
     def tops_bottoms(self, t: Trail, cap: int):
         """Canonical top and bottom substrings of t^{±1} usable as kiss

@@ -367,8 +367,8 @@ def test_dag_decompose_bad_flow_json_is_domain_error(capsys, tmp_path, text):
 
 
 def test_structure_commands_on_a_deep_path(tmp_path, capsys):
-    # a linear A_3000 path: every graph search must be iterative
-    n = 3000
+    # a linear A_5000 path: every graph search must be iterative
+    n = 5000
     lines = [f"vertex u{i}" for i in range(n)]
     lines += [f"arrow a{i}: u{i} -> u{i + 1}" for i in range(n - 1)]
     p = tmp_path / "path.qv"

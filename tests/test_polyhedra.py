@@ -183,14 +183,16 @@ def test_barely_crooked_sets_match_brute_force(quiver_pool, seven_vertex_quivers
 
 
 def _count_closure_calls(monkeypatch):
+    # each call of the mask closure that the search runs, as (m, W, its closure)
     calls = []
-    real = polyhedra.closure
+    real = polyhedra._closure
 
-    def counted(f, W):
-        calls.append(1)
-        return real(f, W)
+    def counted(m, W, routes):
+        out = real(m, W, routes)
+        calls.append((m, W, out[0]))
+        return out
 
-    monkeypatch.setattr(polyhedra, "closure", counted)
+    monkeypatch.setattr(polyhedra, "_closure", counted)
     return calls
 
 
@@ -215,6 +217,19 @@ def test_g_facets_close_no_set_twice(monkeypatch, quiver_pool, seven_vertex_quiv
         assert len(calls) == searched
         assert [W for W, _hs in facets] == sets
         assert [hs for _W, hs in facets] == [g_facet(f, set(W)) for W in sets]
+
+
+def test_the_search_closes_every_set_as_the_oracle(monkeypatch, quiver_pool, seven_vertex_quivers):
+    # each closure starts from its parent's bounds; it must be the closure
+    calls = _count_closure_calls(monkeypatch)
+    checked = 0
+    for f in [pool.quiver for pool in quiver_pool] + seven_vertex_quivers:
+        del calls[:]
+        barely_crooked_sets(f)
+        for m, W, C in calls:
+            assert set(m.decode(C)) == oracle_closure(f, m.decode(W))
+        checked += len(calls)
+    assert checked > 1000
 
 
 def test_barely_crooked_sets_edge_cases():

@@ -156,6 +156,27 @@ def test_is_representation_finite():
     assert not is_representation_finite(fringe(nonpaired_infinite_base()))
 
 
+def _finite_and_cycle_free_agree(f):
+    # Kahn's peel of cont against the Tarjan core that the band search reads
+    assert is_representation_finite(f) == (not f.calculus.on_cycle)
+
+
+def test_representation_finite_iff_no_code_on_a_cycle(quiver_pool, perfbench_gen):
+    for pool in quiver_pool:
+        _finite_and_cycle_free_agree(pool.quiver)
+    big = [perfbench_gen.path_quiver(600), perfbench_gen.random_gentle_quiver(0, 300, acyclic=True),
+           perfbench_gen.random_gentle_quiver(0, 300)]
+    for text in big:
+        _finite_and_cycle_free_agree(fringe(parse_quiver_file(text)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 7))
+def test_representation_finite_iff_no_code_on_a_cycle_on_drawn_quivers(rng, n):
+    from conftest import random_gentle_quiver
+    _finite_and_cycle_free_agree(fringe(random_gentle_quiver(rng, n)))
+
+
 def test_quiver_file_roundtrip():
     f = fixture_quiver("kronecker")
     again = parse_quiver_file(serialize_fringed(f))
@@ -201,24 +222,49 @@ def test_ids_that_trail_text_misreads_are_structural_errors(text, ln):
         parse_quiver_file(text)
 
 
-def test_cyclic_core_matches_networkx():
-    # rooted at every node, and at random subsets of the nodes as
-    # polyhedra.closure roots it: the cycles reachable from the roots
-    rng = random.Random(7)
-    for _ in range(300):
+def _random_digraphs(rng, count):
+    """(successor lists on 0..n-1, the networkx graph), self-loops included."""
+    for _ in range(count):
         n = rng.randint(0, 12)
-        succ = {v: sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))})
-                for v in range(n)}
+        succ = [sorted({rng.randrange(n) for _ in range(rng.randint(0, 3))}) for _v in range(n)]
         g = nx.DiGraph()
-        g.add_nodes_from(succ)
-        g.add_edges_from((v, w) for v, ws in succ.items() for w in ws)
-        oracle = {v for comp in nx.strongly_connected_components(g)
-                  for v in comp if len(comp) > 1 or g.has_edge(v, v)}
-        assert quiver.cyclic_core(list(succ), succ.__getitem__) == oracle
+        g.add_nodes_from(range(n))
+        g.add_edges_from((v, w) for v, ws in enumerate(succ) for w in ws)
+        yield succ, g
+
+
+def _networkx_core(g):
+    return {v for comp in nx.strongly_connected_components(g)
+            for v in comp if len(comp) > 1 or g.has_edge(v, v)}
+
+
+def test_cyclic_core_matches_networkx():
+    # rooted at every node, at random subsets of the nodes, and on the graph
+    # induced by a random mask of live nodes, as polyhedra._closure runs it
+    rng = random.Random(7)
+    for succ, g in _random_digraphs(rng, 300):
+        n = len(succ)
+        oracle = _networkx_core(g)
+        core = quiver.cyclic_core(succ)
+        assert sorted(core) == sorted(oracle)
         for _ in range(3):
-            roots = rng.sample(list(succ), rng.randint(0, n))
+            roots = rng.sample(range(n), rng.randint(0, n))
             reached = set(roots).union(*(nx.descendants(g, v) for v in roots))
-            assert quiver.cyclic_core(roots, succ.__getitem__) == oracle & reached, roots
+            assert set(quiver.cyclic_core(succ, roots)) == oracle & reached, roots
+            alive = rng.getrandbits(n)
+            live = [v for v in range(n) if alive >> v & 1]
+            assert set(quiver.cyclic_core(succ, live, alive)) == _networkx_core(g.subgraph(live)), alive
+
+
+def test_acyclic_matches_networkx():
+    rng = random.Random(11)
+    for succ, g in _random_digraphs(rng, 300):
+        assert quiver.acyclic(succ) == nx.is_directed_acyclic_graph(g)
+    for n in (0, 1, 5000):  # a long path, and that path closed into a cycle
+        path = [[v + 1] for v in range(n - 1)] + [[]] * (n > 0)
+        assert quiver.acyclic(path)
+        if n:
+            assert not quiver.acyclic(path[:-1] + [[0]])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -126,6 +126,49 @@ def test_bands_come_once_in_trail_key_order(quiver_pool, doubled_a5, perfbench_g
     assert len(a6.calculus.universe._bands) == 855
 
 
+def test_band_search_starts_only_at_even_codes(monkeypatch, perfbench_gen):
+    # a canonical band word starts at the least code of the band and of its
+    # inverse, which is even; the starts are the one sorted() of band_words
+    a6 = parse_quiver_file(perfbench_gen.doubled_path(6))
+    on_cycle = a6.calculus.on_cycle
+    starts = []
+
+    def recorded(codes):
+        out = sorted(codes)
+        starts.extend(out)
+        return out
+
+    monkeypatch.setattr(trails, "sorted", recorded, raising=False)
+    for mode in ("list", "free"):
+        del starts[:]
+        assert sum(1 for _w in trails.band_words(a6, 14, mode)) == {"list": 855, "free": 15}[mode]
+        assert starts == [c for c in range(0, len(a6.calculus.cont), 2) if c in on_cycle]
+        assert 2 * len(starts) == len(on_cycle) == 20
+
+
+def test_interning_the_band_search_computes_no_rotation(monkeypatch, perfbench_gen):
+    # band_words proves each word canonical; enumerate_bands and the
+    # elementary bands intern it as it is, while TrailUniverse.band still
+    # canonicalises a word from outside
+    calls = []
+    real = trails.least_rotation
+    monkeypatch.setattr(trails, "least_rotation", lambda w: calls.append(1) or real(w))
+    text = perfbench_gen.doubled_path(6)
+    elementary = trails.elementary_trail_bound(parse_quiver_file(text))
+    for mode, bound, intern in (("list", 14, lambda f: enumerate_bands(f, 14)),
+                                ("free", elementary, lambda f: f.calculus.elementary)):
+        del calls[:]
+        list(trails.band_words(parse_quiver_file(text), bound, mode))
+        searched = len(calls)
+        del calls[:]
+        intern(parse_quiver_file(text))
+        assert len(calls) == searched
+    f = parse_quiver_file(text)
+    b = enumerate_bands(f, 14)[-1]
+    del calls[:]
+    assert f.calculus.universe.band(b.codes[1:] + b.codes[:1]) is b and len(calls) == 2
+
+
 def test_enumeration_has_no_depth_limit():
     # one stack frame per arrow would pass the interpreter's recursion limit
     f = fixture_quiver("kronecker")
